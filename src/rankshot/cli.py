@@ -122,7 +122,6 @@ def cmd_mindist(args) -> int:
             lo = int(dist.min())
             best = lo if best is None else min(best, lo)
             pairs += diff.shape[0]
-        assert best >= design, f"minimum distance {best} below design bound {design}"
         report.update({"pairs": pairs, "min_distance": best,
                        "meets_design": best >= design})
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -191,10 +190,18 @@ def cmd_decode(args) -> int:
     doc = _load_json(args.infile)
     try:
         mats = [matrix_from_json(m) for m in doc["received"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad received document: {exc}") from exc
     if len(mats) != spec.n:
         raise ConfigError(f"need {spec.n} received matrices, got {len(mats)}")
+    q, cols = spec.field.base.size, spec.lifted_length
+    for j, (m, mq) in enumerate(mats):
+        if mq != q:
+            raise ConfigError(f"received matrix {j} has q={mq}, the code has q={q}")
+        if m.shape[1] != cols:
+            raise ConfigError(
+                f"received matrix {j} has {m.shape[1]} columns, the code needs N+M={cols}"
+            )
     ys = tuple(m for m, _ in mats)
     if args.decoder == "oracle":
         word = oracle_decode_multishot(ys, spec)

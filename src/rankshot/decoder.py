@@ -23,38 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import guard_enumeration
 from .fields import matvec
-from .gabidulin import ENUM_GUARD
-from .linalg import rank_batch, rref
+from .linalg import lifted_distances
 from .multilevel import MultilevelCodeSpec
-from .reduction import ReductionTriple, reduce_received, reconstruct  # noqa: F401
+from .reduction import reduce_received
 
 __all__ = [
-    "ReductionTriple",
-    "reduce_received",
-    "reconstruct",
     "oracle_decode_oneshot",
     "oracle_decode_multishot",
     "MultistageResult",
     "multistage_decode",
 ]
-
-
-def _lifted_distances(Y, und, q: int) -> np.ndarray:
-    """Subspace distances from <Y> to every lifted candidate in the stack.
-
-    und has shape (count, N, M); uses d_S = N + 2 rank(P - H U) - rank(Y)
-    with [H | P] the RREF basis of Y.
-    """
-    n = und.shape[1]
-    R, piv = rref(Y, q)
-    basis = R[: len(piv)]
-    y_rank = len(piv)
-    h, p = basis[:, :n], basis[:, n:]
-    hu = np.einsum("ri,cik->crk", h, und) % q
-    resid = (p[None, :, :] - hu) % q
-    return n + 2 * rank_batch(resid, q) - y_rank
 
 
 def oracle_decode_oneshot(field, Y, codebook):
@@ -64,13 +44,8 @@ def oracle_decode_oneshot(field, Y, codebook):
     codebook is any enumerable collection of rank words.
     """
     words = list(codebook)
-    if len(words) > ENUM_GUARD:
-        raise GuardError("codebook exceeds the enumeration guard")
-    q = field.base.size
-    und = np.zeros((len(words), len(words[0]), field.degree), dtype=np.int64)
-    for i, w in enumerate(words):
-        und[i] = field.underline(w)
-    dists = _lifted_distances(Y, und, q)
+    guard_enumeration(len(words), (len(words[0]), field.degree))
+    dists = lifted_distances(Y, field.underline(words), field.base.size)
     best = int(np.min(dists))
     ties = np.flatnonzero(dists == best)
     return words[min(ties, key=lambda i: tuple(words[i]))]
@@ -81,11 +56,11 @@ def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
     q = spec.field.base.size
+    und = spec.codeword_underlines()  # guards the stack before enumerating
     book = spec.codewords()
-    und = spec.codeword_underlines()
     total = np.zeros(len(book), dtype=np.int64)
     for j, y in enumerate(Ys):
-        total += _lifted_distances(y, und[:, j], q)
+        total += lifted_distances(y, und[:, j], q)
     best = int(np.min(total))
     ties = np.flatnonzero(total == best)
     pick = min(ties, key=lambda i: book[i][1])

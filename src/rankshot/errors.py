@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration guard."""
+
+import math
+
+ENUM_GUARD = 1 << 20           # codewords: bounds the Python codeword lists
+STACK_GUARD_BYTES = 1 << 26    # 64 MiB: bounds an int64 stack built from them
 
 
 class ConfigError(Exception):
@@ -7,3 +12,18 @@ class ConfigError(Exception):
 
 class GuardError(Exception):
     """An exhaustive operation would exceed its enumeration guard."""
+
+
+def guard_enumeration(count: int, word_shape: tuple = ()) -> None:
+    """Refuse to enumerate *count* codewords when that is too large.
+
+    A non-empty *word_shape* says the caller is about to allocate an
+    int64 stack of shape (count, *word_shape); its size is checked too,
+    before anything is enumerated or allocated.
+    """
+    stack_bytes = 8 * count * math.prod(word_shape) if word_shape else 0
+    if count > ENUM_GUARD or stack_bytes > STACK_GUARD_BYTES:
+        raise GuardError(
+            f"enumerating {count} codewords with {stack_bytes} stack bytes exceeds the "
+            f"enumeration guard of {ENUM_GUARD} codewords or {STACK_GUARD_BYTES} stack bytes"
+        )

@@ -116,13 +116,6 @@ def poly_trim(c):
     return c
 
 
-def poly_add(field, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim([field.add(x, y) for x, y in zip(a, b)])
-
-
 def poly_sub(field, a, b):
     n = max(len(a), len(b))
     a = list(a) + [0] * (n - len(a))
@@ -227,6 +220,7 @@ class ExtensionField:
         self.degree = len(modulus) - 1
         self.size = base.size ** self.degree
         self.characteristic = base.characteristic
+        self._place = base.size ** np.arange(self.degree, dtype=np.int64)
         # reduction rows: coordinates of x^(degree+t) mod modulus
         head = [base.neg(c) for c in modulus[:-1]]
         self._xpow = [tuple(head)]
@@ -376,11 +370,23 @@ class ExtensionField:
 
     # -- words and their coordinate matrices ------------------------------
 
-    def underline(self, word) -> np.ndarray:
-        """Row i of the result is the coordinate tuple of word[i]."""
-        out = np.zeros((len(word), self.degree), dtype=np.int64)
-        for i, a in enumerate(word):
-            out[i] = self.coords(a)
+    def underline(self, words) -> np.ndarray:
+        """Coordinate matrix of a word, or stack of them for an array of words.
+
+        Entry [..., i, j] of the result is coordinate j of words[..., i]:
+        row i of a word's matrix is the coordinate tuple of its i-th
+        element, and a stack of words gives a stack of matrices.
+        """
+        arr = np.asarray(words, dtype=np.int64)
+        if arr.ndim == 1:
+            # a plain comparison loop is faster than numpy on one short word
+            bad = not all(0 <= a < self.size for a in words)
+        else:
+            bad = arr.size and (arr.min() < 0 or arr.max() >= self.size)
+        if bad:
+            raise ValueError(f"word has an element out of range for field of size {self.size}")
+        out = arr[..., None] // self._place
+        out %= self.base.size
         return out
 
     def overline(self, mat) -> tuple:

@@ -22,15 +22,17 @@ import itertools
 
 import numpy as np
 
-from .errors import GuardError
-from .fields import matvec, field_from_json, field_to_json
-from .linalg import kernel_field, rank, rank_batch, rref, solve_field
-
-ENUM_GUARD = 1 << 20
+from .errors import guard_enumeration
+from .fields import PrimeField, matvec, field_from_json, field_to_json
+from .linalg import kernel_field, lifted_distances, rank, rank_batch, solve_field
 
 
 class GabidulinCode:
     def __init__(self, field, length: int, dim: int, points=None):
+        if not isinstance(field.base, PrimeField):
+            # frobenius raises to powers of the characteristic and rref
+            # inverts modulo the base size: both need a prime base
+            raise ValueError("Gabidulin codes need an extension of a prime field")
         m = field.degree
         if not 1 <= length <= m:
             raise ValueError(f"length must satisfy 1 <= N <= M, got N={length}, M={m}")
@@ -67,11 +69,7 @@ class GabidulinCode:
     def codewords(self) -> list:
         """All codewords, in lexicographic message order (guarded)."""
         if self._codebook is None:
-            count = self.field.size ** self.dim
-            if count > ENUM_GUARD:
-                raise GuardError(
-                    f"codebook of size {count} exceeds the enumeration guard {ENUM_GUARD}"
-                )
+            guard_enumeration(self.field.size ** self.dim)
             self._codebook = [
                 self.encode(msg)
                 for msg in itertools.product(self.field.elements(), repeat=self.dim)
@@ -80,11 +78,8 @@ class GabidulinCode:
 
     def _codeword_underlines(self) -> np.ndarray:
         if self._underlines is None:
-            words = self.codewords()
-            out = np.zeros((len(words), self.length, self.field.degree), dtype=np.int64)
-            for i, w in enumerate(words):
-                out[i] = self.field.underline(w)
-            self._underlines = out
+            guard_enumeration(self.field.size ** self.dim, (self.length, self.field.degree))
+            self._underlines = self.field.underline(self.codewords())
         return self._underlines
 
     def min_rank_distance_exhaustive(self) -> int:
@@ -119,20 +114,13 @@ class GabidulinCode:
         from .reduction import reconstruct
 
         q = self.field.base.size
-        words = self.codewords()
         und = self._codeword_underlines()
+        words = self.codewords()
         if side_info is None:
             ru = self.field.underline(received)
             dists = rank_batch((und - ru[None]) % q, q)
         else:
-            w = reconstruct(side_info, r=received)
-            R, piv = rref(w, q)
-            basis = R[: len(piv)]
-            y_rank = len(piv)
-            h, p = basis[:, : self.length], basis[:, self.length:]
-            hu = np.einsum("ri,cik->crk", h, und) % q
-            resid = (p[None, :, :] - hu) % q
-            dists = self.length + 2 * rank_batch(resid, q) - y_rank
+            dists = lifted_distances(reconstruct(side_info, r=received), und, q)
         best = int(np.min(dists))
         ties = np.flatnonzero(dists == best)
         return words[min(ties, key=lambda i: words[i])]

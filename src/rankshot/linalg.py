@@ -145,22 +145,27 @@ def injection_distance(u: Subspace, v: Subspace) -> int:
     return dim_sum - min(u.dim, v.dim)
 
 
-def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int, y_rank: int | None = None) -> int:
-    """Subspace distance between the row space of [I | u_mat] and <Y>.
+def lifted_distances(Y, und, q: int) -> np.ndarray:
+    """Subspace distances from <Y> to the lifted [I | U] of every U in und.
 
-    Writing Y = [H | P], dim([I|U] + Y) = N + rank(P - H U) because the
-    left block of the lifted matrix is a full identity; this avoids
-    stacking.  Y may be any matrix with N + M columns.
+    und is a stack of shape (count, N, M) and Y any matrix with N + M
+    columns.  With [H | P] the RREF basis of Y, dim([I|U] + <Y>) =
+    N + rank(P - H U) because the left block of the lifted matrix is a
+    full identity, so d_S = N + 2 rank(P - H U) - rank(Y).
     """
-    n, m = u_mat.shape
-    Y = as_matrix(Y, q)
-    if Y.shape[1] != n + m:
+    _, n, m = und.shape
+    R, piv = rref(Y, q)
+    if R.shape[1] != n + m:
         raise ValueError("column count mismatch between Y and lifted word")
-    h, p = Y[:, :n], Y[:, n:]
-    resid = (p - h @ u_mat) % q
-    if y_rank is None:
-        y_rank = rank(Y, q)
-    return int(n + 2 * rank(resid, q) - y_rank)
+    basis = R[: len(piv)]
+    h, p = basis[:, :n], basis[:, n:]
+    hu = np.einsum("ri,cik->crk", h, und) % q
+    return n + 2 * rank_batch((p[None] - hu) % q, q) - len(piv)
+
+
+def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:
+    """Subspace distance between the row space of [I | u_mat] and <Y>."""
+    return int(lifted_distances(Y, u_mat[None], q)[0])
 
 
 def rank_distance(field, u, v) -> int:
@@ -196,6 +201,8 @@ def matrix_to_json(m, q: int) -> dict:
 
 def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
     rows, cols, q = int(doc["rows"]), int(doc["cols"]), int(doc["q"])
+    if q < 2:
+        raise ValueError(f"matrix field size q={q} is below 2")
     data = doc["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")

@@ -29,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cosets import PartitionChain
-from .errors import GuardError
+from .errors import guard_enumeration
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
-from .gabidulin import ENUM_GUARD, GabidulinCode
+from .gabidulin import GabidulinCode
 from .outer import OuterCode, SymbolMap
 
 
@@ -102,13 +102,7 @@ class MultilevelCodeSpec:
     def codewords(self) -> list:
         """All (messages, codeword) pairs (guarded)."""
         if self._codebook is None:
-            total = 1
-            for outer in self.outers:
-                total *= outer.field.size ** outer.k
-            if total > ENUM_GUARD:
-                raise GuardError(
-                    f"codebook of size {total} exceeds the enumeration guard {ENUM_GUARD}"
-                )
+            guard_enumeration(self.field.base.size ** self.cardinality_logq())
             spaces = [
                 list(itertools.product(outer.field.elements(), repeat=outer.k))
                 for outer in self.outers
@@ -122,14 +116,11 @@ class MultilevelCodeSpec:
     def codeword_underlines(self) -> np.ndarray:
         """Stack of per-shot coordinate matrices, shape (|C|, n, N, M)."""
         if self._underlines is None:
-            book = self.codewords()
-            out = np.zeros(
-                (len(book), self.n, self.shot_length, self.field.degree), dtype=np.int64
+            guard_enumeration(
+                self.field.base.size ** self.cardinality_logq(),
+                (self.n, self.shot_length, self.field.degree),
             )
-            for c, (_, word) in enumerate(book):
-                for j, shot in enumerate(word):
-                    out[c, j] = self.field.underline(shot)
-            self._underlines = out
+            self._underlines = self.field.underline([word for _, word in self.codewords()])
         return self._underlines
 
     # -- parameters ---------------------------------------------------------

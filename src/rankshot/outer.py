@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GuardError
+from .errors import guard_enumeration
 from .fields import ExtensionField, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim
-
-ENUM_GUARD = 1 << 20
 
 
 class SymbolMap:
@@ -88,11 +86,7 @@ class OuterCode:
     def codewords(self) -> list:
         """All (message, codeword) pairs in lexicographic message order."""
         if self._codebook is None:
-            count = self.field.size ** self.k
-            if count > ENUM_GUARD:
-                raise GuardError(
-                    f"codebook of size {count} exceeds the enumeration guard {ENUM_GUARD}"
-                )
+            guard_enumeration(self.field.size ** self.k)
             self._codebook = [
                 (msg, self.encode(msg))
                 for msg in itertools.product(self.field.elements(), repeat=self.k)

@@ -1,10 +1,18 @@
 """End-to-end runs of the command-line entry point."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankshot.cli import MINDIST_GUARD, main
+from rankshot.linalg import matrix_to_json
+from rankshot.multilevel import MultilevelCodeSpec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_SPEC = {
     "field": {"q": 2, "M": 3, "modulus": [1, 1, 0, 1]},
@@ -214,3 +222,97 @@ def test_channel_rejects_mismatched_n(spec_path, tmp_path, capsys):
     code, _, err = run(capsys, ["channel", "--config", str(chan_cfg),
                                 "--in", str(enc_p)])
     assert code == 2 and "n=5" in err
+
+
+def test_mindist_reports_design_violation(spec_path, capsys, monkeypatch):
+    # a design bound above the true minimum is reported, not asserted
+    monkeypatch.setattr(MultilevelCodeSpec, "design_distance", lambda self: 99)
+    code, out, err = run(capsys, ["mindist", "--config", spec_path])
+    assert code == 0 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["design_distance"] == 99 and doc["min_distance"] == 4
+    assert doc["meets_design"] is False
+
+
+def lifted_zero_word(N, M, n, q=2):
+    """Received document holding the clean lifted zero codeword in every shot."""
+    y = np.hstack([np.eye(N, dtype=np.int64), np.zeros((N, M), dtype=np.int64)])
+    return {"received": [matrix_to_json(y, q) for _ in range(n)]}
+
+
+def test_decode_rejects_wrong_column_count(spec_path, tmp_path, capsys):
+    doc = lifted_zero_word(3, 3, 2)
+    doc["received"][1] = matrix_to_json(np.eye(3, 5, dtype=np.int64), 2)
+    p = tmp_path / "rx.json"
+    p.write_text(json.dumps(doc))
+    for decoder in ("multistage", "oracle"):
+        code, _, err = run(capsys, ["decode", "--config", spec_path, "--in", str(p),
+                                    "--decoder", decoder])
+        assert code == 2
+        assert "received matrix 1 has 5 columns" in err
+
+
+def test_decode_rejects_wrong_q(spec_path, tmp_path, capsys):
+    doc = lifted_zero_word(3, 3, 2)
+    doc["received"][0]["q"] = 3
+    p = tmp_path / "rx.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["decode", "--config", spec_path, "--in", str(p)])
+    assert code == 2
+    assert "received matrix 0 has q=3" in err
+
+
+def test_decode_oracle_refuses_special_preset(tmp_path, capsys):
+    # 2^20 codewords pass the count guard, but the underline stack is 384 MiB
+    rx = tmp_path / "rx.json"
+    rx.write_text(json.dumps(lifted_zero_word(4, 4, 3)))
+    code, _, err = run(capsys, ["decode", "--config", str(CONFIGS / "special_preset.json"),
+                                "--in", str(rx), "--decoder", "oracle"])
+    assert code == 3
+    assert err.startswith("refused:") and "stack bytes" in err
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 9), st.integers(min_value=2 ** 63),
+    st.floats(), st.text(max_size=2), st.none(), st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def _broken_received_docs(draw):
+    """Well-formed received documents for TINY_SPEC with a few fields broken."""
+    mats = []
+    for _ in range(draw(st.sampled_from([2, 2, 2, 1, 3]))):
+        rows = draw(st.integers(0, 5))
+        data = draw(st.lists(st.integers(0, 1), min_size=6 * rows, max_size=6 * rows))
+        mats.append({"rows": rows, "cols": 6, "q": 2, "data": data})
+    for _ in range(draw(st.integers(0, 2))):
+        mat = draw(st.sampled_from(mats))
+        key = draw(st.sampled_from(["rows", "cols", "q", "data"]))
+        if draw(st.booleans()):
+            mat.pop(key, None)
+        elif key == "data":
+            mat[key] = draw(st.lists(_ENTRIES, max_size=12))
+        else:
+            mat[key] = draw(_ENTRIES)
+    return {"received": mats}
+
+
+_RECEIVED_DOCS = st.one_of(
+    _broken_received_docs(),
+    st.fixed_dictionaries({"received": st.one_of(st.none(), st.integers(), st.text())}),
+    st.lists(st.integers(), max_size=2),
+    st.just({}),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_RECEIVED_DOCS, decoder=st.sampled_from(["multistage", "oracle"]))
+def test_decode_malformed_documents_exit_cleanly(spec_path, tmp_path, capsys, doc, decoder):
+    p = tmp_path / "rx.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["decode", "--config", spec_path, "--in", str(p),
+                                "--decoder", decoder])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

@@ -142,6 +142,20 @@ def test_underline_linear(f8):
         assert np.array_equal(lhs, rhs)
 
 
+def test_underline_stack_matches_per_word(f8, f9):
+    rng = np.random.default_rng(5)
+    for field in (f8, f9):
+        words = rng.integers(0, field.size, (4, 2, 3))
+        stack = field.underline(words)
+        assert stack.shape == (4, 2, 3, field.degree) and stack.dtype == np.int64
+        for idx in np.ndindex(4, 2):
+            assert np.array_equal(stack[idx], field.underline(tuple(words[idx])))
+    assert f8.underline(()).shape == (0, 3)
+    for bad in ((1, 8), (-1, 0), [[1, 2], [3, 8]], [[0], [-1]]):
+        with pytest.raises(ValueError):
+            f8.underline(bad)
+
+
 def test_coords_serialization(f9):
     # integer form is sum coords[j] * q^j
     for x in f9.elements():

@@ -38,6 +38,14 @@ def test_construction_validation(f8):
         GabidulinCode(f8, 2, 1, points=(0, 2))
 
 
+def test_construction_rejects_tower_fields():
+    # over F_4 the code would need frobenius to powers of 4 and rref over
+    # F_4; built anyway it claims distance 2 but has minimum rank distance 1
+    f16_over_f4 = ExtensionField(ExtensionField(PrimeField(2), degree=2), degree=2)
+    with pytest.raises(ValueError, match="prime field"):
+        GabidulinCode(f16_over_f4, 2, 1)
+
+
 def test_encode_hand_example(f8):
     code = GabidulinCode(f8, 2, 1, points=(1, 2))
     assert code.encode((2,)) == (2, 4)     # (alpha, alpha^2)
@@ -69,6 +77,14 @@ def test_enumeration_guard():
     code = GabidulinCode(f, 2, 2)
     with pytest.raises(GuardError):
         code.codewords()
+
+
+def test_stack_guard_runs_before_enumeration():
+    # 2^20 codewords pass the count guard; their 10 x 10 stack is 800 MiB
+    code = GabidulinCode(ExtensionField(PrimeField(2), degree=10), 10, 2)
+    with pytest.raises(GuardError, match="stack bytes"):
+        code.decode_bounded((0,) * 10)
+    assert code._codebook is None and code._underlines is None
 
 
 def test_decode_exhaustive_identity(f8):

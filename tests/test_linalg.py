@@ -9,6 +9,7 @@ from rankshot.linalg import (
     extended_subspace_distance,
     injection_distance,
     kernel_field,
+    lifted_distances,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -174,6 +175,22 @@ def test_subspace_distance_to_lifted(f8):
         direct = subspace_distance(Subspace(lift(f8, u), 2), Subspace(y, 2))
         fast = subspace_distance_to_lifted(f8.underline(u), y, 2)
         assert direct == fast
+
+
+def test_lifted_distances_stack(f8, f9):
+    rng = np.random.default_rng(44)
+    for field in (f8, f9):
+        q = field.base.size
+        words = rng.integers(0, field.size, (6, 2))
+        und = field.underline(words)
+        for rows in (0, 1, 3, 5):
+            y = rng.integers(0, q, (rows, 2 + field.degree))
+            got = lifted_distances(y, und, q)
+            want = [subspace_distance(Subspace(lift(field, tuple(w)), q), Subspace(y, q))
+                    for w in words]
+            assert got.tolist() == want
+    with pytest.raises(ValueError):
+        lifted_distances(np.zeros((2, 5), dtype=np.int64), und, 3)
 
 
 def test_matrix_json_roundtrip():

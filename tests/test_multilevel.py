@@ -1,12 +1,14 @@
 """Multilevel construction: encoding, cardinality, distances, bound formulas."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rankshot.cosets import PartitionChain
+from rankshot.errors import ENUM_GUARD, STACK_GUARD_BYTES, GuardError, guard_enumeration
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import extended_rank_distance
@@ -204,3 +206,32 @@ def test_lifted_code_preserves_cardinality_and_distance(tiny2shot):
             [Subspace(x, 2) for x in lifted[j]],
         )
         assert ds == 2 * extended_rank_distance(f, words[i], words[j])
+
+
+def test_underline_stack_matches_per_shot(tiny2shot):
+    und = tiny2shot.codeword_underlines()
+    book = tiny2shot.codewords()
+    assert und.shape == (64, 2, 3, 3)
+    for c, (_, word) in enumerate(book):
+        for j, shot in enumerate(word):
+            assert np.array_equal(und[c, j], tiny2shot.field.underline(shot))
+
+
+def test_underline_stack_guard_runs_before_enumeration():
+    # 2^20 codewords pass the count guard; their 384 MiB stack does not
+    spec, logq = special_situation(2, 4, 4, 2, 3, 4)
+    assert logq == 20
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="402653184 stack bytes"):
+        spec.codeword_underlines()
+    assert time.perf_counter() - t0 < 1.0
+    assert spec._codebook is None and spec._underlines is None
+
+
+def test_guard_bounds_count_and_stack_bytes():
+    guard_enumeration(ENUM_GUARD)
+    guard_enumeration(STACK_GUARD_BYTES // 64, (2, 4))
+    with pytest.raises(GuardError):
+        guard_enumeration(ENUM_GUARD + 1)
+    with pytest.raises(GuardError):
+        guard_enumeration(STACK_GUARD_BYTES // 64 + 1, (2, 4))
