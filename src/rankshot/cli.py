@@ -157,23 +157,32 @@ def cmd_encode(args) -> int:
 def cmd_channel(args) -> int:
     cfg_doc = _load_json(args.config)
     doc = _load_json(args.infile)
-    key = "lifted" if "lifted" in doc else "received"
     try:
+        key = "lifted" if "lifted" in doc else "received"
         mats = [matrix_from_json(m) for m in doc[key]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad transmit document: {exc}") from exc
     if not mats:
         raise ConfigError("no transmit matrices")
     xs = tuple(m for m, _ in mats)
     q = mats[0][1]
     N, T = xs[0].shape
+    for j, (m, mq) in enumerate(mats):
+        if mq != q:
+            raise ConfigError(f"transmit matrix {j} has q={mq}, matrix 0 has q={q}")
+        if m.shape != (N, T):
+            raise ConfigError(
+                f"transmit matrix {j} is {m.shape[0]}x{m.shape[1]}, matrix 0 is {N}x{T}"
+            )
+    if not isinstance(cfg_doc, dict):
+        raise ConfigError("channel config must be a JSON object")
     try:
         cfg = config_from_json(cfg_doc, N=N, T=T, q=q)
         cfg.validate()
         if cfg.n != len(xs):
             raise ConfigError(f"config n={cfg.n} but {len(xs)} matrices supplied")
         draw = sample_channel(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad channel config: {exc}") from exc
     ys = apply_channel(draw, xs, q)
     out = {

@@ -3,9 +3,18 @@ throughout: rank distance, subspace distance, injection distance and their
 multishot (per-shot summed) extensions.
 
 Matrices over F_q are numpy int64 arrays with entries reduced mod q; the
-JSON form records rows, cols, q and the row-major entry list.  A second,
-tiny tool set does Gaussian elimination with elements of an arbitrary
-field object and is used for systems over extension fields.
+JSON form records rows, cols, q and the row-major entry list.
+
+Elimination over F_q has two entry points.  rref reduces one matrix and
+serves the callers that need the echelon form itself (reduction,
+Subspace) and rank, which counts its pivots.  rank_batch ranks a stack
+(count, r, c): binary shapes with r*c <= 12 index a table of every bit
+pattern's rank, and every other shape runs one batched elimination over
+the whole stack, with rows packed into 64-bit words for q = 2 and
+c <= 64 and modular row updates otherwise.
+
+A second, tiny tool set does Gaussian elimination with elements of an
+arbitrary field object and is used for systems over extension fields.
 """
 
 from __future__ import annotations
@@ -58,6 +67,45 @@ def rankdef(m, q: int) -> int:
     return m.shape[0] - rank(m, q)
 
 
+def _xor_ranks(words) -> np.ndarray:
+    """Ranks over F_2 of a stack given as packed rows, shape (count, r).
+
+    Bit j of words[k, i] is entry (i, j) of matrix k, so a row operation
+    is one XOR.  Row i, already reduced by rows 0..i-1, pivots on its
+    lowest set bit and clears that bit from every later row; the nonzero
+    rows left at the end have distinct lowest bits, so they are
+    independent.  Works in place on *words*.
+    """
+    for i in range(words.shape[1] - 1):
+        row = words[:, i : i + 1]
+        hit = (words[:, i + 1 :] & (row & -row)) != 0
+        words[:, i + 1 :] ^= row * hit
+    return np.count_nonzero(words, axis=1)
+
+
+def _modular_ranks(mats, q: int) -> np.ndarray:
+    """Ranks of a stack (count, r, c) over F_q, q prime.
+
+    The same row-by-row elimination as _xor_ranks: row i pivots on its
+    first nonzero column, value p, and every later row k with entry f
+    there becomes p * row_k - f * row_i.  Scaling row k by the nonzero p
+    keeps the row space, so no inverse is needed.  A zero row takes
+    p = 1 and leaves the later rows as they are.  Works in place on
+    *mats*.
+    """
+    count, r, _ = mats.shape
+    every = np.arange(count)
+    for i in range(r - 1):
+        row = mats[:, i]
+        col = np.argmax(row != 0, axis=1)
+        pivot = row[every, col]
+        pivot[pivot == 0] = 1
+        below = mats[:, i + 1 :]
+        factor = below[every, :, col]
+        mats[:, i + 1 :] = (pivot[:, None, None] * below - factor[:, :, None] * row[:, None, :]) % q
+    return np.count_nonzero(mats.any(axis=2), axis=1)
+
+
 _F2_RANK_TABLES: dict = {}
 
 
@@ -65,12 +113,9 @@ def _f2_rank_table(r: int, c: int) -> np.ndarray:
     key = (r, c)
     tab = _F2_RANK_TABLES.get(key)
     if tab is None:
-        n = r * c
-        tab = np.empty(1 << n, dtype=np.int64)
-        shifts = np.arange(n)
-        for idx in range(1 << n):
-            bits = (idx >> shifts) & 1
-            tab[idx] = rank(bits.reshape(r, c), 2)
+        # row i of bit pattern idx is the c-bit word idx >> (i * c)
+        idx = np.arange(1 << (r * c), dtype=np.int64)
+        tab = _xor_ranks((idx[:, None] >> (c * np.arange(r))) & ((1 << c) - 1))
         _F2_RANK_TABLES[key] = tab
     return tab
 
@@ -78,8 +123,10 @@ def _f2_rank_table(r: int, c: int) -> np.ndarray:
 def rank_batch(mats, q: int) -> np.ndarray:
     """Ranks of a stack of matrices, shape (count, r, c) -> (count,).
 
-    Small binary shapes go through a lookup table; everything else falls
-    back to one elimination per matrix.
+    Binary shapes with r*c <= 12 index a lookup table of every bit
+    pattern's rank; every other shape goes through one batched
+    elimination over the whole stack (packed XOR rows for q = 2 and
+    c <= 64, modular row updates otherwise).
     """
     mats = as_matrix(mats, q)
     if mats.ndim != 3:
@@ -92,7 +139,12 @@ def rank_batch(mats, q: int) -> np.ndarray:
         weights = (1 << np.arange(r * c, dtype=np.int64))
         idx = mats.reshape(count, r * c) @ weights
         return tab[idx]
-    return np.array([rank(m, q) for m in mats], dtype=np.int64)
+    if q == 2 and c <= 64:
+        # column 63's weight wraps to the int64 sign bit, which the XORs
+        # and the lowest-set-bit trick treat like any other bit
+        weights = (np.uint64(1) << np.arange(c, dtype=np.uint64)).view(np.int64)
+        return _xor_ranks(mats @ weights)
+    return _modular_ranks(mats, q)
 
 
 class Subspace:

@@ -316,3 +316,42 @@ def test_decode_malformed_documents_exit_cleanly(spec_path, tmp_path, capsys, do
                                 "--decoder", decoder])
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+_SHOT_2X5 = {"rows": 2, "cols": 5, "q": 2, "data": [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]}
+
+
+@pytest.mark.parametrize("second, message", [
+    ({"rows": 1, "cols": 5, "q": 2, "data": [2 ** 70, 0, 0, 0, 0]}, "bad transmit document"),
+    ({"rows": 3, "cols": 5, "q": 2, "data": [1] * 15}, "transmit matrix 1 is 3x5, matrix 0 is 2x5"),
+    ({"rows": 2, "cols": 6, "q": 2, "data": [1] * 12}, "transmit matrix 1 is 2x6, matrix 0 is 2x5"),
+    ({"rows": 2, "cols": 5, "q": 3, "data": [1] * 10}, "transmit matrix 1 has q=3, matrix 0 has q=2"),
+], ids=["entry-beyond-int64", "row-count", "column-count", "mixed-q"])
+def test_channel_rejects_inconsistent_transmit(tmp_path, capsys, second, message):
+    p = tmp_path / "tx.json"
+    p.write_text(json.dumps({"lifted": [_SHOT_2X5, second]}))
+    code, out, err = run(capsys, ["channel", "--config", str(CONFIGS / "channel_example.json"),
+                                  "--in", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_channel_rejects_non_object_config(tmp_path, capsys):
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(json.dumps([1, 2]))
+    p = tmp_path / "tx.json"
+    p.write_text(json.dumps({"lifted": [_SHOT_2X5, _SHOT_2X5]}))
+    code, _, err = run(capsys, ["channel", "--config", str(cfg), "--in", str(p)])
+    assert code == 2 and "JSON object" in err
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_RECEIVED_DOCS)
+def test_channel_malformed_documents_exit_cleanly(tmp_path, capsys, doc):
+    p = tmp_path / "tx.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["channel", "--config", str(CONFIGS / "channel_example.json"),
+                                "--in", str(p)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

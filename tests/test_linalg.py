@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankshot import linalg
 from rankshot.linalg import (
     Subspace,
     extended_rank_distance,
@@ -23,6 +26,7 @@ from rankshot.linalg import (
     subspace_distance_to_lifted,
 )
 from rankshot.channel import lift
+from rankshot.multilevel import special_situation
 
 
 def all_matrices(rows, cols, q):
@@ -78,6 +82,90 @@ def test_rank_batch_matches_scalar_rank():
     # shapes beyond the F_2 table limit fall back to elimination
     big = rng.integers(0, 2, (10, 4, 5))
     assert rank_batch(big, 2).tolist() == [rank(m, 2) for m in big]
+
+
+def binary_patterns(rows, cols):
+    """Every binary rows x cols matrix; bit k of the index is entry k row-major."""
+    codes = np.arange(1 << (rows * cols))[:, None] >> np.arange(rows * cols)
+    return (codes & 1).reshape(-1, rows, cols)
+
+
+def test_rank_batch_all_binary_4x4():
+    mats = binary_patterns(4, 4)
+    assert rank_batch(mats, 2).tolist() == [rank(m, 2) for m in mats]
+
+
+@st.composite
+def _stacks(draw):
+    """A random stack over F_q, or a stack of products A B of inner dimension k."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    count, r, c = draw(st.integers(0, 300)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return q, rng.integers(0, q, (count, r, c))
+    k = draw(st.integers(0, min(r, c)))
+    return q, rng.integers(0, q, (count, r, k)) @ rng.integers(0, q, (count, k, c))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(stack=_stacks())
+def test_rank_batch_matches_rank_property(stack):
+    q, mats = stack
+    assert rank_batch(mats, q).tolist() == [rank(m, q) for m in mats]
+
+
+def test_rank_batch_edge_shapes():
+    for q in (2, 3):
+        for shape in ((0, 4, 4), (0, 3, 3), (5, 0, 3), (5, 3, 0)):
+            got = rank_batch(np.zeros(shape, dtype=np.int64), q)
+            assert got.shape == (shape[0],) and not got.any()
+
+
+def test_rank_batch_binary_wide_rows():
+    # c = 64 fills the packed word, sign bit included; wider rows must not
+    # fold column 64 onto column 0
+    for c, ones, want in ((64, [[63], [63, 0], [0]], 2), (65, [[0], [64]], 2),
+                          (130, [[0], [64], [128], [0, 64, 128]], 3)):
+        m = np.zeros((len(ones), c), dtype=np.int64)
+        for i, cols in enumerate(ones):
+            m[i, cols] = 1
+        assert rank(m, 2) == want and rank_batch(m[None], 2).tolist() == [want]
+    rng = np.random.default_rng(29)
+    for c in (63, 64, 65, 130):
+        mats = np.concatenate([
+            rng.integers(0, 2, (20, 5, c)),
+            rng.integers(0, 2, (20, 5, 2)) @ rng.integers(0, 2, (20, 2, c)) % 2,
+        ])
+        assert rank_batch(mats, 2).tolist() == [rank(m, 2) for m in mats]
+
+
+def test_f2_rank_tables_match_rank():
+    for r, c in ((3, 3), (3, 4), (4, 3), (2, 6), (1, 12), (12, 1)):
+        want = [rank(m, 2) for m in binary_patterns(r, c)]
+        assert linalg._f2_rank_table(r, c).tolist() == want
+
+
+def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):
+    spec, _ = special_situation(2, 4, 4, 2, 2, 4)
+    und = spec.codeword_underlines()[:, 0]
+    y = lift(spec.field, spec.codewords()[5][1][0])
+    y[0, 4:] ^= 1  # one deviation; y keeps rank 4, so the stack is (4096, 4, 4)
+    rng = np.random.default_rng(37)
+    stacks = ((rng.integers(0, 2, (256, 4, 4)), 2), (rng.integers(0, 3, (64, 5, 7)), 3))
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(m, q):
+        calls.append(np.shape(m))
+        return real_rref(m, q)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    for mats, q in stacks:
+        rank_batch(mats, q)
+    assert calls == []
+    dists = lifted_distances(y, und, 2)
+    assert calls == [(4, 8)]  # the one rref of Y
+    assert dists.shape == (4096,) and dists[5] == 2
 
 
 def test_subspace_equality_and_hash():
