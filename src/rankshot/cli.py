@@ -30,6 +30,7 @@ from .experiment import (
     records_to_json,
     run_experiment,
 )
+from .fields import _is_prime
 from .linalg import matrix_from_json, matrix_to_json, rank_batch
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
@@ -167,6 +168,13 @@ def cmd_channel(args) -> int:
     xs = tuple(m for m, _ in mats)
     q = mats[0][1]
     N, T = xs[0].shape
+    # each entry of A X + Z sums N products of entries below q, which must
+    # stay inside int64; checked first, it also bounds the trial division
+    # of the primality test
+    if N * (q - 1) ** 2 + q > np.iinfo(np.int64).max:
+        raise ConfigError(f"transmit q={q} is too large for {N}-row int64 products")
+    if not _is_prime(q):
+        raise ConfigError(f"transmit q={q} is not prime")
     for j, (m, mq) in enumerate(mats):
         if mq != q:
             raise ConfigError(f"transmit matrix {j} has q={mq}, matrix 0 has q={q}")

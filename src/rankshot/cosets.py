@@ -5,13 +5,15 @@ R_i generated by the first K_i generator columns.  The coset code
 [R_i / R_{i+1}] is spanned by columns K_{i+1} .. K_i - 1; every word of
 R_i splits uniquely as a coset leader from that span plus a remainder in
 R_{i+1}, which is what multistage decoding peels off level by level.
+The split reads the word's coefficients through a left inverse of each
+level's N x K_i generator, computed once per chain.
 """
 
 from __future__ import annotations
 
 from .fields import matvec
 from .gabidulin import GabidulinCode
-from .linalg import solve_field
+from .linalg import rref_field
 
 
 class PartitionChain:
@@ -26,6 +28,7 @@ class PartitionChain:
         self.code = code
         self.ks = ks
         self._subcodes: dict[int, GabidulinCode] = {}
+        self._left_inverses = tuple(self._left_inverse(i) for i in range(len(ks) - 1))
 
     @property
     def m(self) -> int:
@@ -60,6 +63,18 @@ class PartitionChain:
         lo, hi = self.ks[i + 1], self.ks[i]
         return tuple(row[lo:hi] for row in self.code.generator)
 
+    def _left_inverse(self, i: int) -> tuple:
+        """K_i x N matrix L with L G_i = I for the generator G_i of R_i.
+
+        G_i has full column rank, so the RREF of [G_i | I_N] is [I ; 0] on
+        the left, and its first K_i rows carry L on the right.
+        """
+        k, n = self.ks[i], self.code.length
+        aug = [list(row) + [int(j == r) for j in range(n)]
+               for r, row in enumerate(self.subcode_generator(i))]
+        R, _ = rref_field(self.field, aug)
+        return tuple(tuple(row[k:]) for row in R[:k])
+
     def coset_leader(self, i: int, word):
         """Decompose a word of R_i as leader + member of R_{i+1}.
 
@@ -67,12 +82,11 @@ class PartitionChain:
         and message is its delta_k coefficient tuple.  Raises ValueError
         when the word is not in R_i.
         """
-        k = self.ks[i]
-        gen = self.subcode_generator(i)
-        sol = solve_field(self.field, gen, list(word)) if k else (None if any(word) else ())
-        if sol is None:
+        word = tuple(word)
+        sol = matvec(self.field, self._left_inverses[i], word)
+        if matvec(self.field, self.subcode_generator(i), sol) != word:
             raise ValueError(f"word is not a member of the level-{i} subcode")
-        message = tuple(sol[self.ks[i + 1]: k])
+        message = sol[self.ks[i + 1]: self.ks[i]]
         leader = matvec(self.field, self.coset_code_generator(i), message)
         return leader, message
 

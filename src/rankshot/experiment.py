@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +166,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     if workers <= 1:
         batches = [_run_batch(cfg, *t) for t in tasks]
     else:
+        # imported here: the pool machinery adds about 2 MiB resident to
+        # every process that imports rankshot, and serial runs never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_run_batch, cfg, *t) for t in tasks]
             batches = [f.result() for f in futs]

@@ -7,11 +7,12 @@ JSON form records rows, cols, q and the row-major entry list.
 
 Elimination over F_q has two entry points.  rref reduces one matrix and
 serves the callers that need the echelon form itself (reduction,
-Subspace) and rank, which counts its pivots.  rank_batch ranks a stack
-(count, r, c): binary shapes with r*c <= 12 index a table of every bit
-pattern's rank, and every other shape runs one batched elimination over
-the whole stack, with rows packed into 64-bit words for q = 2 and
-c <= 64 and modular row updates otherwise.
+Subspace) and rank, which counts its pivots; it works on Python row
+lists, which beat numpy calls on matrices this small.  rank_batch ranks
+a stack (count, r, c): binary shapes with r*c <= 16 index a uint8 table
+of every bit pattern's rank, and every other shape runs one batched
+elimination over the whole stack, with rows packed into 64-bit words for
+q = 2 and c <= 64 and modular row updates otherwise.
 
 A second, tiny tool set does Gaussian elimination with elements of an
 arbitrary field object and is used for systems over extension fields.
@@ -30,31 +31,37 @@ def rref(m, q: int):
     """Reduced row echelon form of a matrix mod prime q.
 
     Returns (R, pivots) where pivots is the ordered list of pivot column
-    indices; row i of R carries the pivot at pivots[i].
+    indices; row i of R carries the pivot at pivots[i].  The elimination
+    runs on Python row lists: every caller passes a few rows of at most
+    a few dozen entries, where per-call numpy overhead would dominate.
     """
-    R = as_matrix(m, q).copy()
-    rows, cols = R.shape
+    m = as_matrix(m, q)
+    rows, cols = m.shape
+    R = m.tolist()
     pivots = []
     pr = 0
     for c in range(cols):
-        if pr == rows:
-            break
-        nz = np.nonzero(R[pr:, c])[0]
-        if nz.size == 0:
+        for pv in range(pr, rows):
+            if R[pv][c]:
+                break
+        else:
             continue
-        pv = pr + int(nz[0])
-        if pv != pr:
-            R[[pr, pv]] = R[[pv, pr]]
-        inv = pow(int(R[pr, c]), q - 2, q)
+        top = R[pv]
+        R[pv] = R[pr]
+        inv = pow(top[c], q - 2, q)
         if inv != 1:
-            R[pr] = (R[pr] * inv) % q
-        col = R[:, c].copy()
-        col[pr] = 0
-        if np.any(col):
-            R = (R - np.outer(col, R[pr])) % q
+            top = [x * inv % q for x in top]
+        R[pr] = top
+        for i in range(rows):
+            row = R[i]
+            f = row[c]
+            if f and i != pr:
+                R[i] = [(x - f * y) % q for x, y in zip(row, top)]
         pivots.append(c)
         pr += 1
-    return R, pivots
+        if pr == rows:
+            break
+    return np.array(R, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def rank(m, q: int) -> int:
@@ -110,20 +117,26 @@ _F2_RANK_TABLES: dict = {}
 
 
 def _f2_rank_table(r: int, c: int) -> np.ndarray:
+    """uint8 ranks of every binary r x c matrix, indexed by its bit pattern."""
     key = (r, c)
     tab = _F2_RANK_TABLES.get(key)
     if tab is None:
-        # row i of bit pattern idx is the c-bit word idx >> (i * c)
-        idx = np.arange(1 << (r * c), dtype=np.int64)
-        tab = _xor_ranks((idx[:, None] >> (c * np.arange(r))) & ((1 << c) - 1))
+        # row i of bit pattern idx is the c-bit word idx >> (i * c); the
+        # narrow dtypes keep the fill's transient arrays small, and the
+        # column-major words give _xor_ranks contiguous per-row columns
+        idx = np.arange(1 << (r * c), dtype=np.int32)
+        words = np.empty((idx.size, r), dtype=np.int8 if c <= 8 else np.int16, order="F")
+        for i in range(r):
+            words[:, i] = (idx >> (i * c)) & ((1 << c) - 1)
+        tab = _xor_ranks(words).astype(np.uint8)
         _F2_RANK_TABLES[key] = tab
     return tab
 
 
 def rank_batch(mats, q: int) -> np.ndarray:
-    """Ranks of a stack of matrices, shape (count, r, c) -> (count,).
+    """Ranks of a stack of matrices, shape (count, r, c) -> int64 (count,).
 
-    Binary shapes with r*c <= 12 index a lookup table of every bit
+    Binary shapes with r*c <= 16 index a lookup table of every bit
     pattern's rank; every other shape goes through one batched
     elimination over the whole stack (packed XOR rows for q = 2 and
     c <= 64, modular row updates otherwise).
@@ -134,11 +147,11 @@ def rank_batch(mats, q: int) -> np.ndarray:
     count, r, c = mats.shape
     if r == 0 or c == 0:
         return np.zeros(count, dtype=np.int64)
-    if q == 2 and r * c <= 12:
+    if q == 2 and r * c <= 16:
         tab = _f2_rank_table(r, c)
         weights = (1 << np.arange(r * c, dtype=np.int64))
         idx = mats.reshape(count, r * c) @ weights
-        return tab[idx]
+        return tab[idx].astype(np.int64)
     if q == 2 and c <= 64:
         # column 63's weight wraps to the int64 sign bit, which the XORs
         # and the lowest-set-bit trick treat like any other bit
@@ -211,8 +224,7 @@ def lifted_distances(Y, und, q: int) -> np.ndarray:
         raise ValueError("column count mismatch between Y and lifted word")
     basis = R[: len(piv)]
     h, p = basis[:, :n], basis[:, n:]
-    hu = np.einsum("ri,cik->crk", h, und) % q
-    return n + 2 * rank_batch((p[None] - hu) % q, q) - len(piv)
+    return n + 2 * rank_batch(p - h @ und, q) - len(piv)
 
 
 def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:

@@ -72,6 +72,7 @@ class OuterCode:
         self.k = k
         self.points = points
         self._codebook = None
+        self._scan_order = None
 
     @property
     def d_min(self) -> int:
@@ -113,14 +114,24 @@ class OuterCode:
         raise ValueError(f"unknown decode method {method!r}")
 
     def _decode_exhaustive(self, word, erasures):
-        live = [i for i in range(self.n) if i not in erasures]
-        best = None
-        for msg, cw in self.codewords():
-            dist = sum(1 for i in live if cw[i] != word[i])
-            key = (dist, cw)
-            if best is None or key < best[0]:
-                best = (key, msg)
-        return best[1]
+        # codewords in lexicographic codeword order, so the first strict
+        # minimum is the smallest (distance, codeword) key
+        if self._scan_order is None:
+            self._scan_order = sorted((cw, msg) for msg, cw in self.codewords())
+        live = [(i, word[i]) for i in range(self.n) if i not in erasures]
+        best, best_msg = len(live) + 1, None
+        for cw, msg in self._scan_order:
+            dist = 0
+            for i, w in live:
+                if cw[i] != w:
+                    dist += 1
+                    if dist == best:
+                        break
+            if dist < best:
+                best, best_msg = dist, msg
+                if not dist:
+                    break
+        return best_msg
 
     def _decode_gao(self, word, erasures):
         f = self.field

@@ -321,15 +321,27 @@ def test_decode_malformed_documents_exit_cleanly(spec_path, tmp_path, capsys, do
 _SHOT_2X5 = {"rows": 2, "cols": 5, "q": 2, "data": [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]}
 
 
-@pytest.mark.parametrize("second, message", [
-    ({"rows": 1, "cols": 5, "q": 2, "data": [2 ** 70, 0, 0, 0, 0]}, "bad transmit document"),
-    ({"rows": 3, "cols": 5, "q": 2, "data": [1] * 15}, "transmit matrix 1 is 3x5, matrix 0 is 2x5"),
-    ({"rows": 2, "cols": 6, "q": 2, "data": [1] * 12}, "transmit matrix 1 is 2x6, matrix 0 is 2x5"),
-    ({"rows": 2, "cols": 5, "q": 3, "data": [1] * 10}, "transmit matrix 1 has q=3, matrix 0 has q=2"),
-], ids=["entry-beyond-int64", "row-count", "column-count", "mixed-q"])
-def test_channel_rejects_inconsistent_transmit(tmp_path, capsys, second, message):
+_SHOT_2X5_Q4 = {"rows": 2, "cols": 5, "q": 4, "data": [1, 0, 3, 1, 0, 0, 1, 2, 1, 1]}
+_SHOT_2X5_Q_HUGE = {"rows": 2, "cols": 5, "q": 2 ** 61 - 1, "data": [1] * 10}
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (_SHOT_2X5, {"rows": 1, "cols": 5, "q": 2, "data": [2 ** 70, 0, 0, 0, 0]},
+     "bad transmit document"),
+    (_SHOT_2X5, {"rows": 3, "cols": 5, "q": 2, "data": [1] * 15},
+     "transmit matrix 1 is 3x5, matrix 0 is 2x5"),
+    (_SHOT_2X5, {"rows": 2, "cols": 6, "q": 2, "data": [1] * 12},
+     "transmit matrix 1 is 2x6, matrix 0 is 2x5"),
+    (_SHOT_2X5, {"rows": 2, "cols": 5, "q": 3, "data": [1] * 10},
+     "transmit matrix 1 has q=3, matrix 0 has q=2"),
+    (_SHOT_2X5_Q4, _SHOT_2X5_Q4, "transmit q=4 is not prime"),
+    # 2^61 - 1 is prime, but 2 (q - 1)^2 overflows int64
+    (_SHOT_2X5_Q_HUGE, _SHOT_2X5_Q_HUGE, "is too large"),
+], ids=["entry-beyond-int64", "row-count", "column-count", "mixed-q", "non-prime-q",
+        "q-beyond-int64-products"])
+def test_channel_rejects_inconsistent_transmit(tmp_path, capsys, first, second, message):
     p = tmp_path / "tx.json"
-    p.write_text(json.dumps({"lifted": [_SHOT_2X5, second]}))
+    p.write_text(json.dumps({"lifted": [first, second]}))
     code, out, err = run(capsys, ["channel", "--config", str(CONFIGS / "channel_example.json"),
                                   "--in", str(p)])
     assert code == 2 and out == ""

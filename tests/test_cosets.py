@@ -2,11 +2,14 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from rankshot.cosets import PartitionChain
 from rankshot.fields import matvec
 from rankshot.gabidulin import GabidulinCode
+from rankshot.linalg import solve_field
+from rankshot.multilevel import special_situation
 
 
 @pytest.fixture
@@ -96,6 +99,52 @@ def test_coset_leader_level_m_minus_1(chain):
         w = chain.subcode(1).encode((s,))
         leader, coeffs = chain.coset_leader(1, w)
         assert leader == w and coeffs == (s,)
+
+
+def _chains(f8, f9):
+    """The tiny chain, the 2^12 decode chain and a q = 3 chain over F_9."""
+    return (
+        PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0]),
+        special_situation(2, 4, 4, 2, 2, 4)[0].chain,
+        PartitionChain(GabidulinCode(f9, 2, 2), [2, 1, 0]),
+    )
+
+
+def test_left_inverses_invert_every_level(f8, f9):
+    for ch in _chains(f8, f9):
+        f = ch.field
+        for i in range(ch.m):
+            gen, inv = ch.subcode_generator(i), ch._left_inverses[i]
+            k = ch.ks[i]
+            assert len(inv) == k and all(len(row) == ch.code.length for row in inv)
+            cols = [matvec(f, gen, tuple(int(r == c) for r in range(k))) for c in range(k)]
+            product = [[matvec(f, inv, col)[r] for col in cols] for r in range(k)]
+            assert product == [[int(r == c) for c in range(k)] for r in range(k)]
+
+
+def test_coset_leader_matches_solve_field(f8, f9):
+    rng = np.random.default_rng(53)
+    for ch in _chains(f8, f9):
+        f = ch.field
+        for i in range(ch.m):
+            gen = ch.subcode_generator(i)
+            lo, hi = ch.ks[i + 1], ch.ks[i]
+            for _ in range(20):
+                msg = tuple(int(x) for x in rng.integers(0, f.size, hi))
+                word = matvec(f, gen, msg)
+                sol = solve_field(f, gen, list(word))
+                assert sol == msg
+                want = (matvec(f, ch.coset_code_generator(i), sol[lo:hi]), sol[lo:hi])
+                assert ch.coset_leader(i, word) == want
+                # a word outside R_i: solve_field finds no solution and
+                # coset_leader refuses it
+                other = tuple(int(x) for x in rng.integers(0, f.size, ch.code.length))
+                other_sol = solve_field(f, gen, list(other))
+                if other_sol is None:
+                    with pytest.raises(ValueError):
+                        ch.coset_leader(i, other)
+                else:
+                    assert ch.coset_leader(i, other)[1] == other_sol[lo:hi]
 
 
 def test_partition_refinement_exhaustive(chain):

@@ -64,6 +64,36 @@ def test_rref_idempotent():
             assert np.array_equal(r1, r2) and p1 == p2
 
 
+@st.composite
+def _matrices(draw):
+    """A matrix over F_q, 0-8 x 0-16, random or a low-rank product A B."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return q, rng.integers(0, q, (r, c))
+    k = draw(st.integers(0, min(r, c)))
+    return q, rng.integers(0, q, (r, k)) @ rng.integers(0, q, (k, c))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mat=_matrices())
+def test_rref_property(mat):
+    q, m = mat
+    R, piv = rref(m, q)
+    assert R.dtype == np.int64 and R.shape == m.shape
+    assert ((R >= 0) & (R < q)).all()
+    assert piv == sorted(set(piv))
+    for i, p in enumerate(piv):
+        assert R[i, p] == 1 and np.count_nonzero(R[:, p]) == 1
+        assert not R[i, :p].any()
+    assert not R[len(piv):].any()
+    assert len(piv) == rank_batch(m[None], q)[0]
+    # R's basis spans the row space of m: stacking it on m adds no rank
+    stacked = np.vstack([m % q, R[: len(piv)]])
+    assert rank_batch(stacked[None], q)[0] == len(piv)
+
+
 def test_rank_and_rankdef():
     assert rank(np.eye(4, dtype=np.int64), 2) == 4
     assert rankdef(np.eye(4, dtype=np.int64), 2) == 0
@@ -140,9 +170,33 @@ def test_rank_batch_binary_wide_rows():
 
 
 def test_f2_rank_tables_match_rank():
-    for r, c in ((3, 3), (3, 4), (4, 3), (2, 6), (1, 12), (12, 1)):
+    for r, c in ((3, 3), (3, 4), (4, 3), (2, 6), (1, 12), (12, 1), (4, 4), (2, 8), (1, 16)):
         want = [rank(m, 2) for m in binary_patterns(r, c)]
         assert linalg._f2_rank_table(r, c).tolist() == want
+
+
+def test_rank_batch_returns_int64_on_every_path():
+    rng = np.random.default_rng(47)
+    for shape, q in (((9, 4, 4), 2), ((9, 4, 5), 2), ((9, 4, 4), 3), ((0, 4, 4), 2)):
+        got = rank_batch(rng.integers(0, q, shape), q)
+        assert got.dtype == np.int64 and got.shape == shape[:1]
+
+
+def test_rank_batch_4x4_binary_uses_the_table(monkeypatch):
+    rng = np.random.default_rng(59)
+    mats = rng.integers(0, 2, (256, 4, 4))
+    linalg._f2_rank_table(4, 4)
+    calls = []
+    real_xor_ranks = linalg._xor_ranks
+
+    def counting_xor_ranks(words):
+        calls.append(words.shape)
+        return real_xor_ranks(words)
+
+    monkeypatch.setattr(linalg, "_xor_ranks", counting_xor_ranks)
+    got = rank_batch(mats, 2)
+    assert calls == []
+    assert got.tolist() == [rank(m, 2) for m in mats]
 
 
 def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):

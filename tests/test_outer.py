@@ -141,6 +141,26 @@ def test_decode_algebraic_with_erasures(f8):
     assert code.decode((cw[0], 0, 0, 0), erasures=(1, 2, 3), method="algebraic") is None
 
 
+def test_exhaustive_decode_matches_brute_force(f8, f9):
+    """Every word and every erasure set of [2,1] over F_8, [3,1] over F_9
+    and [3,2] over F_4: the decoder returns the message of
+    min((distance, codeword)).  At k = 2 message order and codeword order
+    differ, so the tie-break is checked on its own."""
+    f4 = ExtensionField(PrimeField(2), degree=2)
+    for field, n, k in ((f8, 2, 1), (f9, 3, 1), (f4, 3, 2)):
+        code = OuterCode(field, n, k)
+        book = code.codewords()
+        for erasures in itertools.chain.from_iterable(
+            itertools.combinations(range(n), size) for size in range(n + 1)
+        ):
+            live = [i for i in range(n) if i not in erasures]
+            for word in itertools.product(range(field.size), repeat=n):
+                _, want = min(
+                    ((sum(cw[i] != word[i] for i in live), cw), msg) for msg, cw in book
+                )
+                assert code.decode(word, erasures=erasures) == want
+
+
 def test_zero_dimension_code(f8):
     code = OuterCode(f8, 3, 0)
     assert code.encode(()) == (0, 0, 0)
