@@ -6,7 +6,8 @@ Two decoders share the reduction front end from .reduction:
   lifted image minimizes the (extended) subspace distance to the
   received row spaces.  They are exact but exponential, and guarantee
   success whenever rho + 2*tau stays below half the design subspace
-  distance.
+  distance.  Codebooks are in codeword order, so the first minimum is
+  the smallest codeword.
 
 * multistage_decode peels the partition chain level by level: per shot
   it runs the exhaustive inner decoder of the level subcode against the
@@ -38,17 +39,15 @@ __all__ = [
 
 
 def oracle_decode_oneshot(field, Y, codebook):
-    """Codeword whose lifted image is subspace-closest to <Y>.
+    """Codeword whose lifted image is subspace-closest to <Y>, as a tuple.
 
     Ties break toward the smaller entry-tuple serialization.  The
     codebook is any enumerable collection of rank words.
     """
-    words = list(codebook)
+    words = sorted(map(tuple, codebook))
     guard_enumeration(len(words), (len(words[0]), field.degree))
     dists = lifted_distances(Y, field.underline(words), field.base.size)
-    best = int(np.min(dists))
-    ties = np.flatnonzero(dists == best)
-    return words[min(ties, key=lambda i: tuple(words[i]))]
+    return words[int(np.argmin(dists))]
 
 
 def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
@@ -57,14 +56,10 @@ def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
         raise ValueError(f"need {spec.n} received matrices")
     q = spec.field.base.size
     und = spec.codeword_underlines()  # guards the stack before enumerating
-    book = spec.codewords()
-    total = np.zeros(len(book), dtype=np.int64)
+    total = np.zeros(len(und), dtype=np.int64)
     for j, y in enumerate(Ys):
         total += lifted_distances(y, und[:, j], q)
-    best = int(np.min(total))
-    ties = np.flatnonzero(total == best)
-    pick = min(ties, key=lambda i: book[i][1])
-    return book[pick][1]
+    return spec.codewords()[int(np.argmin(total))][1]
 
 
 @dataclass
@@ -72,12 +67,10 @@ class MultistageResult:
     ok: bool
     stage_failed: int | None
     messages: list | None          # per level, outer message tuples
-    outer_codewords: list | None   # per level, accepted outer codewords
     wrong_inner_counts: list       # per stage, shots overruled by the outer code
     wrong_inner_shots: list        # per stage, the overruled shot indices
     erasure_counts: list           # per stage, shots surfaced as erasures
     inner_leaders: list            # per stage, the per-shot inner coset decisions
-    inner_messages: list           # per stage, the per-shot coset coefficient tuples
 
     def to_json(self) -> dict:
         return {
@@ -116,9 +109,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     triples = [reduce_received(field, y) for y in Ys]
     residuals = [t.r for t in triples]
 
-    messages, chats = [], []
+    messages = []
     wrong_counts, wrong_shots, erasure_counts = [], [], []
-    leaders_all, inner_msgs_all = [], []
+    leaders_all = []
     for i in range(spec.m):
         sub = chain.subcode(i)
         leaders, mtuples, erased = [], [], []
@@ -136,7 +129,6 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
             leaders.append(leader)
             mtuples.append(mtup)
         leaders_all.append(leaders)
-        inner_msgs_all.append(mtuples)
         erasure_counts.append(len(erased))
         zero = (0,) * chain.delta_k(i)
         symbols = tuple(
@@ -147,10 +139,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
             wrong_counts.append(None)
             wrong_shots.append(None)
             return MultistageResult(
-                ok=False, stage_failed=i, messages=None, outer_codewords=None,
+                ok=False, stage_failed=i, messages=None,
                 wrong_inner_counts=wrong_counts, wrong_inner_shots=wrong_shots,
                 erasure_counts=erasure_counts, inner_leaders=leaders_all,
-                inner_messages=inner_msgs_all,
             )
         chat = spec.outers[i].encode(msg)
         gen = chain.coset_code_generator(i)
@@ -162,12 +153,10 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
         wrong_counts.append(len(overruled))
         wrong_shots.append(overruled)
         messages.append(tuple(msg))
-        chats.append(chat)
         residuals = [field.vec_sub(residuals[j], v_hats[j]) for j in range(spec.n)]
 
     return MultistageResult(
-        ok=True, stage_failed=None, messages=messages, outer_codewords=chats,
+        ok=True, stage_failed=None, messages=messages,
         wrong_inner_counts=wrong_counts, wrong_inner_shots=wrong_shots,
         erasure_counts=erasure_counts, inner_leaders=leaders_all,
-        inner_messages=inner_msgs_all,
     )

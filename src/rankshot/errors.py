@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the enumeration guard."""
+"""Exception types shared across the package, the enumeration guard and
+the prime field size bound."""
 
 import math
 
 ENUM_GUARD = 1 << 20           # codewords: bounds the Python codeword lists
 STACK_GUARD_BYTES = 1 << 26    # 64 MiB: bounds an int64 stack built from them
+Q_GUARD = 1 << 31              # prime q: products of two residues and their
+                               # difference stay inside int64
 
 
 class ConfigError(Exception):

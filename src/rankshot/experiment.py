@@ -173,11 +173,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_run_batch, cfg, *t) for t in tasks]
             batches = [f.result() for f in futs]
-    records = [r for batch in batches for r in batch]
-    order = {d: i for i, d in enumerate(cfg.decoders)}
-    grid_pos = {pt: i for i, pt in enumerate(cfg.grid)}
-    records.sort(key=lambda r: (grid_pos[(r.rho, r.tau)], r.trial, order[r.decoder]))
-    return records
+    # tasks run in (grid point, trial) order and each trial emits its
+    # decoders in order, so the batches are already in record order
+    return [r for batch in batches for r in batch]
 
 
 def aggregate_fer(records):

@@ -25,6 +25,8 @@ import itertools
 
 import numpy as np
 
+from .errors import Q_GUARD
+
 _TABLE_LIMIT = 1 << 12
 
 
@@ -61,6 +63,9 @@ class PrimeField:
     """The field of integers modulo a prime q."""
 
     def __init__(self, q: int):
+        # checked first: it also bounds the trial division of _is_prime
+        if q >= Q_GUARD:
+            raise ValueError(f"prime field size must be below {Q_GUARD}, got {q}")
         if not _is_prime(q):
             raise ValueError(f"prime field size must be prime, got {q}")
         self.q = q

@@ -10,8 +10,9 @@ Two decode paths are provided.  The exhaustive path is the reference
 semantics: scan the whole (guarded) codebook and return the argmin of
 the decoding objective, which is plain rank distance, or, when reduction
 side information is supplied, the subspace distance between the lifted
-candidate and the rebuilt received space.  Ties break toward the
-codeword with the smaller entry-tuple serialization.  The algebraic path
+candidate and the rebuilt received space.  The codebook is held in
+codeword order, so the first minimum is the smallest codeword: ties
+break toward the smaller entry-tuple serialization.  The algebraic path
 is an interpolation decoder for rank errors only: it corrects up to
 floor((N-K)/2) rank errors and reports failure (None) beyond that.
 """
@@ -67,13 +68,13 @@ class GabidulinCode:
         return matvec(self.field, self.generator, message)
 
     def codewords(self) -> list:
-        """All codewords, in lexicographic message order (guarded)."""
+        """All codewords, in codeword order (guarded)."""
         if self._codebook is None:
             guard_enumeration(self.field.size ** self.dim)
-            self._codebook = [
+            self._codebook = sorted(
                 self.encode(msg)
                 for msg in itertools.product(self.field.elements(), repeat=self.dim)
-            ]
+            )
         return self._codebook
 
     def _codeword_underlines(self) -> np.ndarray:
@@ -86,11 +87,8 @@ class GabidulinCode:
         """Minimum rank weight over all nonzero codewords (guarded scan)."""
         if self.dim == 0:
             raise ValueError("the zero code has no nonzero codewords")
-        q = self.field.base.size
-        und = self._codeword_underlines()
-        ranks = rank_batch(und, q)
-        words = self.codewords()
-        return int(min(r for r, w in zip(ranks, words) if any(w)))
+        # the zero codeword is the smallest, so it is entry 0
+        return int(rank_batch(self._codeword_underlines()[1:], self.field.base.size).min())
 
     def decode_bounded(self, received, side_info=None, method: str = "exhaustive"):
         """Decode a word (or reduced word plus side information).
@@ -115,15 +113,12 @@ class GabidulinCode:
 
         q = self.field.base.size
         und = self._codeword_underlines()
-        words = self.codewords()
         if side_info is None:
             ru = self.field.underline(received)
             dists = rank_batch((und - ru[None]) % q, q)
         else:
             dists = lifted_distances(reconstruct(side_info, r=received), und, q)
-        best = int(np.min(dists))
-        ties = np.flatnonzero(dists == best)
-        return words[min(ties, key=lambda i: words[i])]
+        return self.codewords()[int(np.argmin(dists))]
 
     def decode_rank_errors(self, received):
         """Interpolation decoder for rank errors.

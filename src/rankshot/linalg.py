@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import Q_GUARD
+
 
 def as_matrix(m, q: int) -> np.ndarray:
     return np.mod(np.asarray(m, dtype=np.int64), q)
@@ -139,8 +141,10 @@ def rank_batch(mats, q: int) -> np.ndarray:
     Binary shapes with r*c <= 16 index a lookup table of every bit
     pattern's rank; every other shape goes through one batched
     elimination over the whole stack (packed XOR rows for q = 2 and
-    c <= 64, modular row updates otherwise).
+    c <= 64, modular row updates otherwise).  q must be below Q_GUARD.
     """
+    if q >= Q_GUARD:
+        raise ValueError(f"rank_batch needs q below {Q_GUARD}, got {q}")
     mats = as_matrix(mats, q)
     if mats.ndim != 3:
         raise ValueError("expected a 3-d stack of matrices")

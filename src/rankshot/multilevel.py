@@ -100,17 +100,17 @@ class MultilevelCodeSpec:
         return tuple(shots)
 
     def codewords(self) -> list:
-        """All (messages, codeword) pairs (guarded)."""
+        """All (messages, codeword) pairs, in codeword order (guarded)."""
         if self._codebook is None:
             guard_enumeration(self.field.base.size ** self.cardinality_logq())
             spaces = [
                 list(itertools.product(outer.field.elements(), repeat=outer.k))
                 for outer in self.outers
             ]
-            self._codebook = [
-                (list(msgs), self.encode(list(msgs)))
-                for msgs in itertools.product(*spaces)
-            ]
+            self._codebook = sorted(
+                ((list(msgs), self.encode(list(msgs))) for msgs in itertools.product(*spaces)),
+                key=lambda pair: pair[1],
+            )
         return self._codebook
 
     def codeword_underlines(self) -> np.ndarray:

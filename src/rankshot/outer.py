@@ -4,8 +4,9 @@ Outer codes are evaluation codes: a message (f_0 .. f_{k-1}) encodes to
 the values of the polynomial at the points 1, g, g^2, ..., g^(n-1),
 where g is the alphabet field's canonical generator element.  They are
 MDS with minimum Hamming distance n - k + 1 and decoded either by an
-exhaustive nearest-codeword scan (reference semantics; ties break toward
-the smaller codeword tuple) or by a Gao-style algebraic decoder that
+exhaustive nearest-codeword scan (reference semantics; the codebook is
+held in codeword order, so the first minimum is the smallest codeword
+tuple) or by a Gao-style algebraic decoder that
 handles errors and erasures up to 2e + f <= d - 1 and reports failure
 beyond that.
 
@@ -72,7 +73,6 @@ class OuterCode:
         self.k = k
         self.points = points
         self._codebook = None
-        self._scan_order = None
 
     @property
     def d_min(self) -> int:
@@ -85,13 +85,14 @@ class OuterCode:
         return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
 
     def codewords(self) -> list:
-        """All (message, codeword) pairs in lexicographic message order."""
+        """All (message, codeword) pairs, in codeword order (guarded)."""
         if self._codebook is None:
             guard_enumeration(self.field.size ** self.k)
-            self._codebook = [
-                (msg, self.encode(msg))
-                for msg in itertools.product(self.field.elements(), repeat=self.k)
-            ]
+            self._codebook = sorted(
+                ((msg, self.encode(msg))
+                 for msg in itertools.product(self.field.elements(), repeat=self.k)),
+                key=lambda pair: pair[1],
+            )
         return self._codebook
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):
@@ -114,13 +115,11 @@ class OuterCode:
         raise ValueError(f"unknown decode method {method!r}")
 
     def _decode_exhaustive(self, word, erasures):
-        # codewords in lexicographic codeword order, so the first strict
-        # minimum is the smallest (distance, codeword) key
-        if self._scan_order is None:
-            self._scan_order = sorted((cw, msg) for msg, cw in self.codewords())
+        # the codebook is in codeword order, so the first strict minimum
+        # is the smallest (distance, codeword) key
         live = [(i, word[i]) for i in range(self.n) if i not in erasures]
         best, best_msg = len(live) + 1, None
-        for cw, msg in self._scan_order:
+        for msg, cw in self.codewords():
             dist = 0
             for i, w in live:
                 if cw[i] != w:

@@ -3,7 +3,7 @@ import pytest
 from rankshot.cosets import PartitionChain
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode
-from rankshot.multilevel import MultilevelCodeSpec
+from rankshot.multilevel import MultilevelCodeSpec, special_situation
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,10 @@ def tiny2shot(f8):
     levels: 64 codewords, design rank distance 4."""
     code = GabidulinCode(f8, 3, 2)
     return MultilevelCodeSpec(PartitionChain(code, [2, 1, 0]), 2, [1, 1])
+
+
+@pytest.fixture(scope="session")
+def decode12():
+    """special_situation(2, 4, 4, 2, 2, 4): chain 2>1>0 over F_16, two
+    shots, 2^12 codewords."""
+    return special_situation(2, 4, 4, 2, 2, 4)[0]

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
                               "Ks": [2, 0], "n": 2, "outers": [{"k": 1}]}))
     code, _, err = run(capsys, ["params", "--config", str(p2)])
     assert code == 2  # N > M is invalid
+
+    # primes beyond the q bound are refused before any primality test
+    for q in (4294967311, 2**61 - 1):
+        p2.write_text(json.dumps({**TINY_SPEC, "field": {"q": q, "M": 3}}))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, ["params", "--config", str(p2)])
+        assert code == 2 and "below" in err
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_encode_validates_messages(spec_path, tmp_path, capsys):

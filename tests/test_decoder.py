@@ -13,7 +13,8 @@ from rankshot.decoder import (
     oracle_decode_oneshot,
 )
 from rankshot.gabidulin import GabidulinCode
-from rankshot.reduction import reduce_received
+from rankshot.linalg import subspace_distance_to_lifted
+from rankshot.reduction import reconstruct, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
 
@@ -71,6 +72,66 @@ def test_oracle_multishot_within_budget(tiny2shot):
         for seed in range(40):
             msgs, word, ys = seeded_trial(spec, rho, tau, seed, rng)
             assert oracle_decode_multishot(ys, spec) == word, (rho, tau, seed)
+
+
+BEYOND_BUDGET = [(4, 0), (2, 1), (0, 2), (5, 0), (3, 1), (1, 2)]  # rho + 2*tau in {4, 5}
+
+
+def brute_force_nearest(q, spaces, words):
+    """min((total d_S, codeword)) over *words*, one received space per
+    shot, and whether the minimum distance is shared."""
+    scored = sorted(
+        (sum(subspace_distance_to_lifted(u, y, q) for u, y in zip(und, spaces)), word)
+        for und, word in words
+    )
+    return scored[0][1], len(scored) > 1 and scored[1][0] == scored[0][0]
+
+
+def test_oracle_multishot_matches_brute_force_ties(tiny2shot):
+    """Beyond the budget distances tie; the oracle must return the
+    smallest codeword at the minimum."""
+    spec = tiny2shot
+    f, q = spec.field, spec.field.base.size
+    book = []
+    for msg_combo in all_messages(spec):
+        word = spec.encode([tuple(m) for m in msg_combo])
+        book.append(([f.underline(shot) for shot in word], word))
+    rng = np.random.default_rng(41)
+    ties = 0
+    for rho, tau in BEYOND_BUDGET:
+        for seed in range(6):
+            _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
+            want, tied = brute_force_nearest(q, ys, book)
+            ties += tied
+            assert oracle_decode_multishot(ys, spec) == want, (rho, tau, seed)
+    assert ties > 0
+
+
+def test_side_info_decode_matches_brute_force_ties(tiny2shot):
+    """The side-information branch of decode_bounded returns the smallest
+    codeword at the minimum subspace distance to the rebuilt space."""
+    spec = tiny2shot
+    f, q = spec.field, spec.field.base.size
+    subs = [spec.chain.subcode(i) for i in range(spec.m)]
+    books = [
+        [([f.underline(c)], c)
+         for c in (sub.encode(m) for m in itertools.product(range(f.size), repeat=sub.dim))]
+        for sub in subs
+    ]
+    rng = np.random.default_rng(43)
+    ties = 0
+    for rho, tau in BEYOND_BUDGET:
+        for seed in range(6):
+            _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
+            for y in ys:
+                triple = reduce_received(f, y)
+                space = reconstruct(triple, r=triple.r)
+                for sub, book in zip(subs, books):
+                    want, tied = brute_force_nearest(q, [space], book)
+                    ties += tied
+                    assert sub.decode_bounded(triple.r, side_info=triple) == want, \
+                        (rho, tau, seed, sub.dim)
+    assert ties > 0
 
 
 def test_oracle_multishot_length_check(tiny2shot):

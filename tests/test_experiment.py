@@ -100,16 +100,18 @@ def test_run_trial_zero_adversity():
 
 
 def test_run_experiment_order_and_determinism():
-    cfg = parse_experiment_config(make_doc())
-    recs1 = run_experiment(cfg)
-    recs2 = run_experiment(cfg)
-    assert recs1 == recs2
-    keys = [(r.rho, r.tau, r.trial, r.decoder) for r in recs1]
-    expect = [(rho, tau, t, d)
-              for (rho, tau) in cfg.grid
-              for t in range(cfg.trials)
-              for d in cfg.decoders]
-    assert keys == expect
+    # a repeated grid point keeps its own block of trials
+    for doc in (make_doc(), make_doc(channel={"rho": [1, 1], "tau": [0]}, trials=3)):
+        cfg = parse_experiment_config(doc)
+        recs1 = run_experiment(cfg)
+        recs2 = run_experiment(cfg)
+        assert recs1 == recs2
+        keys = [(r.rho, r.tau, r.trial, r.decoder) for r in recs1]
+        expect = [(rho, tau, t, d)
+                  for (rho, tau) in cfg.grid
+                  for t in range(cfg.trials)
+                  for d in cfg.decoders]
+        assert keys == expect
 
 
 def test_run_experiment_workers_match_serial():

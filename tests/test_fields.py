@@ -1,8 +1,11 @@
 """Base/extension field arithmetic and the coordinate-matrix maps."""
 
+import time
+
 import numpy as np
 import pytest
 
+from rankshot.errors import Q_GUARD
 from rankshot.fields import (
     ExtensionField,
     PrimeField,
@@ -30,6 +33,17 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_field_refuses_q_beyond_guard():
+    # refused before the trial division, which would take minutes here
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="below"):
+        PrimeField(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ValueError, match="below"):
+        PrimeField(Q_GUARD + 11)   # 4294967311, prime
+    assert PrimeField(Q_GUARD - 1).q == 2**31 - 1
 
 
 def test_irreducibility_trial_division():

@@ -110,6 +110,18 @@ def test_decode_exhaustive_corrects_rank_one(f8):
         assert code.decode_bounded(w) == c
 
 
+def test_codewords_in_codeword_order(tiny2shot, decode12):
+    """Every subcode of both chains lists its codewords strictly
+    increasing, so an argmin's first minimum is the smallest codeword."""
+    for chain in (tiny2shot.chain, decode12.chain):
+        for i in range(chain.m):
+            sub = chain.subcode(i)
+            words = sub.codewords()
+            assert len(words) == sub.field.size ** sub.dim
+            assert all(a < b for a, b in zip(words, words[1:]))
+            assert words[0] == (0,) * sub.length
+
+
 def test_decode_tie_break_is_serialization_smallest(f8):
     # K=N code has d_R = 1: distance ties abound; pick smallest entry tuple
     code = GabidulinCode(f8, 2, 2)

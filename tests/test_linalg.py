@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankshot import linalg
+from rankshot.errors import Q_GUARD
 from rankshot.linalg import (
     Subspace,
     extended_rank_distance,
@@ -197,6 +198,19 @@ def test_rank_batch_4x4_binary_uses_the_table(monkeypatch):
     got = rank_batch(mats, 2)
     assert calls == []
     assert got.tolist() == [rank(m, 2) for m in mats]
+
+
+def test_rank_batch_q_guard():
+    """Below the bound the modular kernel's products stay inside int64;
+    at and beyond it rank_batch refuses instead of ranking wrongly."""
+    rng = np.random.default_rng(47)
+    q = Q_GUARD - 1  # 2^31 - 1, prime
+    u = rng.integers(1, q, (200, 3, 1))
+    v = rng.integers(1, q, (200, 1, 3))
+    assert rank_batch((u * v) % q, q).tolist() == [1] * 200
+    for big in (Q_GUARD, 4294967311):
+        with pytest.raises(ValueError, match="below"):
+            rank_batch(np.ones((2, 3, 3), dtype=np.int64), big)
 
 
 def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):

@@ -208,6 +208,16 @@ def test_lifted_code_preserves_cardinality_and_distance(tiny2shot):
         assert ds == 2 * extended_rank_distance(f, words[i], words[j])
 
 
+def test_codewords_in_codeword_order(tiny2shot, decode12):
+    for spec in (tiny2shot, decode12):
+        book = spec.codewords()
+        words = [w for _, w in book]
+        assert len(words) == spec.field.base.size ** spec.cardinality_logq()
+        assert all(a < b for a, b in zip(words, words[1:]))
+    for msgs, word in tiny2shot.codewords():
+        assert tiny2shot.encode(msgs) == word
+
+
 def test_underline_stack_matches_per_shot(tiny2shot):
     und = tiny2shot.codeword_underlines()
     book = tiny2shot.codewords()

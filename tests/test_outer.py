@@ -141,6 +141,17 @@ def test_decode_algebraic_with_erasures(f8):
     assert code.decode((cw[0], 0, 0, 0), erasures=(1, 2, 3), method="algebraic") is None
 
 
+def test_codewords_in_codeword_order(f8, f9):
+    f4 = ExtensionField(PrimeField(2), degree=2)
+    for field, n, k in ((f8, 2, 1), (f9, 3, 1), (f4, 3, 2), (f8, 3, 2)):
+        code = OuterCode(field, n, k)
+        book = code.codewords()
+        assert len(book) == field.size ** k
+        assert all(a < b for (_, a), (_, b) in zip(book, book[1:]))
+        for msg, cw in book:
+            assert code.encode(msg) == cw
+
+
 def test_exhaustive_decode_matches_brute_force(f8, f9):
     """Every word and every erasure set of [2,1] over F_8, [3,1] over F_9
     and [3,2] over F_4: the decoder returns the message of
