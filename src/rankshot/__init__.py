@@ -10,12 +10,7 @@ hard-decision multistage peeling decoder.
 
 from .channel import ChannelConfig, apply_channel, lift, lift_multishot, sample_channel
 from .cosets import PartitionChain
-from .decoder import (
-    MultistageResult,
-    multistage_decode,
-    oracle_decode_multishot,
-    oracle_decode_oneshot,
-)
+from .decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from .errors import ConfigError, GuardError
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json
 from .gabidulin import GabidulinCode
@@ -23,7 +18,6 @@ from .linalg import (
     Subspace,
     extended_rank_distance,
     extended_subspace_distance,
-    injection_distance,
     rank,
     subspace_distance,
 )
@@ -57,13 +51,11 @@ __all__ = [
     "extended_subspace_distance",
     "field_from_json",
     "field_to_json",
-    "injection_distance",
     "lift",
     "lift_multishot",
     "maximize_bound",
     "multistage_decode",
     "oracle_decode_multishot",
-    "oracle_decode_oneshot",
     "rank",
     "reconstruct",
     "reduce_received",

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``params``   report code parameters (per-level distances, rate, budget)
-* ``mindist``  exhaustive minimum extended rank distance (guarded)
+* ``mindist``  minimum extended rank distance: the least weight of a
+               nonzero codeword (one scan, under the enumeration guard)
 * ``encode``   outer messages -> codeword + lifted transmit matrices
 * ``channel``  apply a seeded channel draw to lifted matrices
 * ``decode``   decode received matrices (multistage or oracle)
@@ -33,8 +34,6 @@ from .experiment import (
 from .fields import _is_prime
 from .linalg import matrix_from_json, matrix_to_json, rank_batch
 from .multilevel import MultilevelCodeSpec, spec_from_json
-
-MINDIST_GUARD = 1 << 12
 
 
 def _load_json(path: str) -> dict:
@@ -103,27 +102,16 @@ def cmd_mindist(args) -> int:
     spec = _load_spec(args)
     q = spec.field.base.size
     size = q ** spec.cardinality_logq()
-    if size > MINDIST_GUARD:
-        raise GuardError(
-            f"codebook of size {size} exceeds the pairwise guard {MINDIST_GUARD}"
-        )
     design = spec.design_distance()
     report = {"codewords": size, "design_distance": design}
     if size <= 1:
         report.update({"pairs": 0, "note": "no pairs"})
     else:
-        und = spec.codeword_underlines()  # (C, n, N, M)
-        best = None
-        pairs = 0
-        for i in range(size - 1):
-            diff = (und[i + 1:] - und[i]) % q  # (C-i-1, n, N, M)
-            dist = np.zeros(diff.shape[0], dtype=np.int64)
-            for j in range(spec.n):
-                dist += rank_batch(diff[:, j], q)
-            lo = int(dist.min())
-            best = lo if best is None else min(best, lo)
-            pairs += diff.shape[0]
-        report.update({"pairs": pairs, "min_distance": best,
+        # the code is linear, so d(u, v) = w(u - v) covers every pair, and
+        # in codeword order the zero word is entry 0
+        und = spec.codeword_underlines()[1:]  # (C-1, n, N, M), guarded
+        best = int(sum(rank_batch(und[:, j], q) for j in range(spec.n)).min())
+        report.update({"pairs": size * (size - 1) // 2, "min_distance": best,
                        "meets_design": best >= design})
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
@@ -264,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("mindist", help="exhaustive minimum distance (guarded)")
+    p = sub.add_parser("mindist", help="minimum distance: least nonzero weight (guarded)")
     common(p)
     p.set_defaults(func=cmd_mindist)
 

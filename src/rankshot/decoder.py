@@ -1,21 +1,24 @@
 """Receivers for the lifted matrix channel.
 
-Two decoders share the reduction front end from .reduction:
+Two decoders of the multilevel code:
 
-* oracle decoders scan an entire codebook and return the codeword whose
-  lifted image minimizes the (extended) subspace distance to the
-  received row spaces.  They are exact but exponential, and guarantee
-  success whenever rho + 2*tau stays below half the design subspace
-  distance.  Codebooks are in codeword order, so the first minimum is
-  the smallest codeword.
+* oracle_decode_multishot scans the whole multilevel codebook and
+  returns the codeword whose lifted image minimizes the extended
+  subspace distance to the received row spaces.  It is exact but
+  exponential, and guarantees success whenever rho + 2*tau stays below
+  half the design subspace distance.  The codebook is in codeword
+  order, so the first minimum is the smallest codeword.  (A single
+  shot's exhaustive subspace-distance decode is the side-information
+  branch of GabidulinCode.decode_bounded.)
 
 * multistage_decode peels the partition chain level by level: per shot
   it runs the exhaustive inner decoder of the level subcode against the
   rebuilt received space (original erasure/deviation blocks, current
   residual word), extracts the coset leader, decodes the resulting
   symbol vector with the level's outer code, and subtracts the accepted
-  contribution before the next level.  Diagnostics record, per stage,
-  which shots' inner decisions the outer decoder overruled.
+  level contribution (MultilevelCodeSpec.level_contribution) before the
+  next level.  Diagnostics record, per stage, which shots' inner
+  decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -24,30 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import guard_enumeration
-from .fields import matvec
 from .linalg import lifted_distances
 from .multilevel import MultilevelCodeSpec
 from .reduction import reduce_received
 
 __all__ = [
-    "oracle_decode_oneshot",
     "oracle_decode_multishot",
     "MultistageResult",
     "multistage_decode",
 ]
-
-
-def oracle_decode_oneshot(field, Y, codebook):
-    """Codeword whose lifted image is subspace-closest to <Y>, as a tuple.
-
-    Ties break toward the smaller entry-tuple serialization.  The
-    codebook is any enumerable collection of rank words.
-    """
-    words = sorted(map(tuple, codebook))
-    guard_enumeration(len(words), (len(words[0]), field.degree))
-    dists = lifted_distances(Y, field.underline(words), field.base.size)
-    return words[int(np.argmin(dists))]
 
 
 def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
@@ -143,9 +131,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
                 wrong_inner_counts=wrong_counts, wrong_inner_shots=wrong_shots,
                 erasure_counts=erasure_counts, inner_leaders=leaders_all,
             )
-        chat = spec.outers[i].encode(msg)
-        gen = chain.coset_code_generator(i)
-        v_hats = [matvec(field, gen, spec.maps[i].to_tuple(s)) for s in chat]
+        v_hats = spec.level_contribution(i, msg)
         overruled = tuple(
             j for j in range(spec.n)
             if leaders[j] is not None and leaders[j] != v_hats[j]

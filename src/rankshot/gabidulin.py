@@ -83,13 +83,6 @@ class GabidulinCode:
             self._underlines = self.field.underline(self.codewords())
         return self._underlines
 
-    def min_rank_distance_exhaustive(self) -> int:
-        """Minimum rank weight over all nonzero codewords (guarded scan)."""
-        if self.dim == 0:
-            raise ValueError("the zero code has no nonzero codewords")
-        # the zero codeword is the smallest, so it is entry 0
-        return int(rank_batch(self._codeword_underlines()[1:], self.field.base.size).min())
-
     def decode_bounded(self, received, side_info=None, method: str = "exhaustive"):
         """Decode a word (or reduced word plus side information).
 

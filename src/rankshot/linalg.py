@@ -1,6 +1,6 @@
 """Dense linear algebra over prime fields, plus the distance functions used
-throughout: rank distance, subspace distance, injection distance and their
-multishot (per-shot summed) extensions.
+throughout: rank distance, subspace distance and their multishot
+(per-shot summed) extensions.
 
 Matrices over F_q are numpy int64 arrays with entries reduced mod q; the
 JSON form records rows, cols, q and the row-major entry list.
@@ -205,13 +205,6 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     _check_pair(u, v)
     dim_sum = rank(np.vstack([u.basis, v.basis]), u.q)
     return 2 * dim_sum - u.dim - v.dim
-
-
-def injection_distance(u: Subspace, v: Subspace) -> int:
-    """max(dim U, dim V) - dim(U intersect V)."""
-    _check_pair(u, v)
-    dim_sum = rank(np.vstack([u.basis, v.basis]), u.q)
-    return dim_sum - min(u.dim, v.dim)
 
 
 def lifted_distances(Y, und, q: int) -> np.ndarray:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankshot.cli import MINDIST_GUARD, main
-from rankshot.linalg import matrix_to_json
-from rankshot.multilevel import MultilevelCodeSpec
+from rankshot import errors
+from rankshot.cli import main
+from rankshot.linalg import extended_rank_distance, matrix_to_json
+from rankshot.multilevel import MultilevelCodeSpec, spec_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,15 +66,50 @@ def test_params_to_file(spec_path, tmp_path, capsys):
     assert json.loads(out_path.read_text())["correctable_budget"] == 3
 
 
-def test_mindist(spec_path, capsys):
-    code, out, _ = run(capsys, ["mindist", "--config", spec_path])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["codewords"] == 64
-    assert doc["pairs"] == 64 * 63 // 2
-    assert doc["design_distance"] == 4
-    assert doc["min_distance"] >= 4
-    assert doc["meets_design"] is True
+def pairwise_min_distance(doc):
+    """Least extended rank distance over all codeword pairs, pair by pair."""
+    spec = spec_from_json(doc)
+    words = [w for _, w in spec.codewords()]
+    return min(
+        extended_rank_distance(spec.field, u, v)
+        for i, u in enumerate(words) for v in words[i + 1:]
+    )
+
+
+def test_mindist(tmp_path, capsys):
+    # the tiny code, its width-2 single-level variant and a small q = 3 code
+    cases = [
+        (TINY_SPEC, 64, 4),
+        (dict(TINY_SPEC, Ks=[2, 0], outers=[{"n": 2, "k": 1}]), 64, 4),
+        ({"field": {"q": 3, "M": 2}, "N": 2, "K": 2, "Ks": [2, 1, 0], "n": 2,
+          "outers": [{"n": 2, "k": 1}, {"n": 2, "k": 1}]}, 81, 2),
+    ]
+    for doc, size, design in cases:
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["mindist", "--config", str(p)])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["codewords"] == size
+        assert rep["pairs"] == size * (size - 1) // 2
+        assert rep["design_distance"] == design
+        assert rep["min_distance"] == pairwise_min_distance(doc) >= design
+        assert rep["meets_design"] is True
+
+
+def test_mindist_beyond_4096_codewords(tmp_path, capsys):
+    # 3^8 = 6561 codewords: only the enumeration guard bounds the scan
+    doc = {"field": {"q": 3, "M": 2}, "N": 2, "K": 2, "Ks": [2, 1, 0], "n": 4,
+           "outers": [{"n": 4, "k": 2}, {"n": 4, "k": 2}]}
+    p = tmp_path / "q3.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["mindist", "--config", str(p)])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["codewords"] == 6561 and rep["pairs"] == 6561 * 6560 // 2
+    # a weight-3 level-0 outer word times a rank-1 coset column reaches it
+    assert rep["min_distance"] == rep["design_distance"] == 3
+    assert rep["meets_design"] is True
 
 
 def test_mindist_single_codeword(tmp_path, capsys):
@@ -93,7 +129,7 @@ def test_mindist_guard(tmp_path, capsys):
     code, out, err = run(capsys, ["mindist", "--config", str(p)])
     assert code == 3
     assert "refused" in err
-    assert str(MINDIST_GUARD) in err
+    assert str(errors.STACK_GUARD_BYTES) in err
 
 
 def test_pipeline_encode_channel_decode(spec_path, tmp_path, capsys):

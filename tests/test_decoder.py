@@ -5,14 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from rankshot.channel import ChannelConfig, apply_channel, lift, lift_multishot, sample_channel
-from rankshot.decoder import (
-    MultistageResult,
-    multistage_decode,
-    oracle_decode_multishot,
-    oracle_decode_oneshot,
-)
-from rankshot.gabidulin import GabidulinCode
+from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
+from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.linalg import subspace_distance_to_lifted
 from rankshot.reduction import reconstruct, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
@@ -38,22 +32,6 @@ def seeded_trial(spec, rho, tau, seed, rng):
 
 
 # --- oracle -----------------------------------------------------------------
-
-
-def test_oracle_oneshot_identity(f8):
-    code = GabidulinCode(f8, 3, 1)
-    book = [code.encode((m,)) for m in range(8)]
-    for w in book:
-        y = lift(f8, w)
-        assert oracle_decode_oneshot(f8, y, book) == w
-
-
-def test_oracle_oneshot_tie_break(f8):
-    # Y spans the zero word's lift exactly; with a codebook of two words at
-    # equal distance the smaller entry tuple must win.
-    y = lift(f8, (0, 0, 0))
-    got = oracle_decode_oneshot(f8, y[:1], [(1, 2, 4), (1, 2, 5)])
-    assert got == (1, 2, 4)
 
 
 def test_oracle_multishot_zero_adversity(tiny2shot):

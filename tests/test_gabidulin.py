@@ -65,13 +65,6 @@ def test_encode_linear_and_injective(f8):
             )
 
 
-def test_mrd_tiny_codes(f8):
-    assert GabidulinCode(f8, 2, 1).min_rank_distance_exhaustive() == 2
-    assert GabidulinCode(f8, 3, 2).min_rank_distance_exhaustive() == 2
-    assert GabidulinCode(f8, 3, 3).min_rank_distance_exhaustive() == 1
-    assert GabidulinCode(f8, 3, 1).min_rank_distance_exhaustive() == 3
-
-
 def test_enumeration_guard():
     f = ExtensionField(PrimeField(2), degree=11)
     code = GabidulinCode(f, 2, 2)

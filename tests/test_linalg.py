@@ -11,7 +11,6 @@ from rankshot.linalg import (
     Subspace,
     extended_rank_distance,
     extended_subspace_distance,
-    injection_distance,
     kernel_field,
     lifted_distances,
     matrix_from_json,
@@ -257,16 +256,10 @@ def test_subspace_distance_hand_examples():
         subspace_distance(u, w)
 
 
-def test_injection_distance():
-    u = Subspace(np.array([[1, 0]]), 2)
-    v = Subspace(np.array([[0, 1]]), 2)
-    assert injection_distance(u, u) == 0
-    assert injection_distance(u, v) == 1
-
-
 def test_distance_relations_exhaustive_f2_cubed():
-    """d_I <= d_S <= 2 d_I, and d_S = 2 d_I at equal dimensions, over all
-    subspace pairs of F_2^3."""
+    """|dim U - dim V| <= d_S <= dim U + dim V with the parity of
+    dim U + dim V, symmetric, zero only on equal spaces, over all subspace
+    pairs of F_2^3."""
     spaces = {}
     for m in all_matrices(3, 3, 2):
         s = Subspace(m, 2)
@@ -276,10 +269,10 @@ def test_distance_relations_exhaustive_f2_cubed():
     for u in spaces:
         for v in spaces:
             ds = subspace_distance(u, v)
-            di = injection_distance(u, v)
-            assert di <= ds <= 2 * di or (ds == di == 0)
-            if u.dim == v.dim:
-                assert ds == 2 * di
+            assert ds == subspace_distance(v, u)
+            assert abs(u.dim - v.dim) <= ds <= u.dim + v.dim
+            assert (ds - u.dim - v.dim) % 2 == 0
+            assert (ds == 0) == (u == v)
 
 
 def test_rank_distance(f8):

@@ -1,19 +1,26 @@
-"""The names perfbench/ relies on still exist in the package.
+"""The names and call shapes perfbench/ relies on still exist in the package.
 
 perfbench/spans.py wraps package functions by module attribute and
-methods through their class's own __dict__, and perfbench/run.py reads
-per-stage diagnostics off MultistageResult.  A rename here would break
-only the traced benchmark run, so this checks the names directly.
+methods through their class's own __dict__, splits a span by the value
+of a parameter named ``method``, and perfbench/run.py calls the decoders
+and run_trial with fixed argument lists and reads per-stage diagnostics
+off MultistageResult.  A rename here would break only the traced
+benchmark run, or silently zero its per-method layer counts, so this
+checks the names and signatures directly.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from rankshot.decoder import MultistageResult
+from rankshot import experiment
+from rankshot.decoder import MultistageResult, multistage_decode
+from rankshot.gabidulin import GabidulinCode
+from rankshot.outer import OuterCode
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +47,22 @@ def test_method_targets_are_defined_on_their_class(spans):
 def test_multistage_result_diagnostics():
     fields = {f.name for f in dataclasses.fields(MultistageResult)}
     assert {"inner_leaders", "erasure_counts", "wrong_inner_counts"} <= fields
+
+
+def test_multistage_decode_takes_method_keywords():
+    # Algebraic20.decode passes both keywords
+    inspect.signature(multistage_decode).bind(
+        (), None, inner_method="algebraic", outer_method="algebraic"
+    )
+
+
+@pytest.mark.parametrize("fn", [GabidulinCode.decode_bounded, OuterCode.decode])
+def test_decoders_split_by_method(spans, fn):
+    # the *.exhaustive.* and *.algebraic.* layers read this parameter
+    assert "method" in inspect.signature(fn).parameters
+    assert spans._method_picker(fn) is not None
+
+
+def test_run_trial_binds_sim_tiny_arguments():
+    # SimTiny.setup: run_trial(spec, rho, tau, "first", seed, gi, 0, decoders)
+    inspect.signature(experiment.run_trial).bind(None, 1, 0, "first", 7, 0, 0, ("oracle",))
