@@ -1,24 +1,22 @@
 """Receivers for the lifted matrix channel.
 
-Two decoders of the multilevel code:
+Two decoders of the multilevel code, both scoring candidates by the
+subspace distance to the received row space (linalg.lifted_distances):
 
 * oracle_decode_multishot scans the whole multilevel codebook and
   returns the codeword whose lifted image minimizes the extended
   subspace distance to the received row spaces.  It is exact but
   exponential, and guarantees success whenever rho + 2*tau stays below
   half the design subspace distance.  The codebook is in codeword
-  order, so the first minimum is the smallest codeword.  (A single
-  shot's exhaustive subspace-distance decode is the side-information
-  branch of GabidulinCode.decode_bounded.)
+  order, so the first minimum is the smallest codeword.
 
 * multistage_decode peels the partition chain level by level: per shot
-  it runs the exhaustive inner decoder of the level subcode against the
-  rebuilt received space (original erasure/deviation blocks, current
-  residual word), extracts the coset leader, decodes the resulting
-  symbol vector with the level's outer code, and subtracts the accepted
-  level contribution (MultilevelCodeSpec.level_contribution) before the
-  next level.  Diagnostics record, per stage, which shots' inner
-  decisions the outer decoder overruled.
+  it picks the word x of the level subcode R_i minimizing
+  d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
+  contributions already accepted (MultilevelCodeSpec.level_contribution),
+  extracts the coset leader, and decodes the resulting symbol vector
+  with the level's outer code.  Diagnostics record, per stage, how many
+  shots' inner decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class MultistageResult:
     stage_failed: int | None
     messages: list | None          # per level, outer message tuples
     wrong_inner_counts: list       # per stage, shots overruled by the outer code
-    wrong_inner_shots: list        # per stage, the overruled shot indices
     erasure_counts: list           # per stage, shots surfaced as erasures
     inner_leaders: list            # per stage, the per-shot inner coset decisions
 
@@ -77,37 +74,41 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
                       inner_method: str = "exhaustive") -> MultistageResult:
     """Hard-decision multistage decoding of the multilevel code.
 
-    Stage i inner-decodes each shot's residual word within the level
-    subcode R_i, hands the per-shot coset symbols to outer code i, and
-    subtracts the accepted contribution from every residual:
-    r^(i+1) = r^(i) - v_hat^(i).  A stage whose outer decoder fails ends
-    the run with ok=False and that stage index.
+    Stage i inner-decodes each shot within the level subcode R_i, hands
+    the per-shot coset symbols to outer code i, and adds the accepted
+    contribution v_hat^(i) to each shot's accepted sum V_j.  A stage
+    whose outer decoder fails ends the run with ok=False and that stage
+    index.
 
-    The reference inner path is the exhaustive argmin against the
-    reconstruction built from the shot's original (L, E) blocks and the
-    current residual; it always commits to a decision, so no erasures
-    arise.  inner_method="algebraic" uses the fast rank-error decoder
-    instead (no side information); its failures are handed to the outer
-    decoder as erasures.
+    The reference inner path takes the first minimum, in codeword order,
+    of d_S(<Y_j>, lift(V_j + x)) over x in R_i; it always commits to a
+    decision, so no erasures arise.  inner_method="algebraic" instead
+    runs the rank-error decoder on r_j - V_j, r_j the rank word of the
+    reduced shot (reduction.reduce_received); its failures are handed
+    to the outer decoder as erasures.
     """
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
     field = spec.field
+    q = field.base.size
     chain = spec.chain
-    triples = [reduce_received(field, y) for y in Ys]
-    residuals = [t.r for t in triples]
+    exhaustive = inner_method == "exhaustive"
+    words = None if exhaustive else [reduce_received(field, y).r for y in Ys]
+    accepted = [(0,) * spec.shot_length] * spec.n
 
     messages = []
-    wrong_counts, wrong_shots, erasure_counts = [], [], []
+    wrong_counts, erasure_counts = [], []
     leaders_all = []
     for i in range(spec.m):
         sub = chain.subcode(i)
         leaders, mtuples, erased = [], [], []
         for j in range(spec.n):
-            if inner_method == "exhaustive":
-                decided = sub.decode_bounded(residuals[j], side_info=triples[j])
+            if exhaustive:
+                shifted = sub.codeword_underlines() + field.underline(accepted[j])
+                decided = sub.codewords()[int(np.argmin(lifted_distances(Ys[j], shifted, q)))]
             else:
-                decided = sub.decode_bounded(residuals[j], method=inner_method)
+                decided = sub.decode_bounded(field.vec_sub(words[j], accepted[j]),
+                                             method=inner_method)
             if decided is None:
                 erased.append(j)
                 leaders.append(None)
@@ -125,24 +126,19 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
         msg = spec.outers[i].decode(symbols, erasures=tuple(erased), method=outer_method)
         if msg is None:
             wrong_counts.append(None)
-            wrong_shots.append(None)
             return MultistageResult(
-                ok=False, stage_failed=i, messages=None,
-                wrong_inner_counts=wrong_counts, wrong_inner_shots=wrong_shots,
+                ok=False, stage_failed=i, messages=None, wrong_inner_counts=wrong_counts,
                 erasure_counts=erasure_counts, inner_leaders=leaders_all,
             )
         v_hats = spec.level_contribution(i, msg)
-        overruled = tuple(
-            j for j in range(spec.n)
+        wrong_counts.append(sum(
+            1 for j in range(spec.n)
             if leaders[j] is not None and leaders[j] != v_hats[j]
-        )
-        wrong_counts.append(len(overruled))
-        wrong_shots.append(overruled)
+        ))
         messages.append(tuple(msg))
-        residuals = [field.vec_sub(residuals[j], v_hats[j]) for j in range(spec.n)]
+        accepted = [field.vec_add(accepted[j], v_hats[j]) for j in range(spec.n)]
 
     return MultistageResult(
-        ok=True, stage_failed=None, messages=messages,
-        wrong_inner_counts=wrong_counts, wrong_inner_shots=wrong_shots,
+        ok=True, stage_failed=None, messages=messages, wrong_inner_counts=wrong_counts,
         erasure_counts=erasure_counts, inner_leaders=leaders_all,
     )

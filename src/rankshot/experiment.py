@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -89,9 +90,12 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not grid:
             raise ConfigError("empty (rho, tau) grid")
+        master_seed = int(doc.get("master_seed", 0))
+        if master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         return ExperimentConfig(
             spec_doc=spec_doc, grid=grid, split=split, trials=trials,
-            master_seed=int(doc.get("master_seed", 0)), decoders=decoders,
+            master_seed=master_seed, decoders=decoders,
             timing=bool(doc.get("timing", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -157,12 +161,18 @@ def _run_batch(cfg: ExperimentConfig, grid_index: int, lo: int, hi: int):
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1):
-    """All trial records, ordered by (grid point, trial, decoder)."""
+    """All trial records, ordered by (grid point, trial, decoder).
+
+    The pool gets at most one process per CPU and per task; the records
+    do not depend on the worker count.
+    """
+    workers = min(workers, os.cpu_count() or 1)
     tasks = []
     chunk = max(1, cfg.trials // max(1, workers * 4))
     for gi in range(len(cfg.grid)):
         for lo in range(0, cfg.trials, chunk):
             tasks.append((gi, lo, min(lo + chunk, cfg.trials)))
+    workers = min(workers, len(tasks))
     if workers <= 1:
         batches = [_run_batch(cfg, *t) for t in tasks]
     else:

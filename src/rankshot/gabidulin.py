@@ -7,14 +7,12 @@ exactly the evaluation of the linearized polynomial sum(m_j x^(q^j)) at
 the points.  These codes are maximum rank distance: d_R = N - K + 1.
 
 Two decode paths are provided.  The exhaustive path is the reference
-semantics: scan the whole (guarded) codebook and return the argmin of
-the decoding objective, which is plain rank distance, or, when reduction
-side information is supplied, the subspace distance between the lifted
-candidate and the rebuilt received space.  The codebook is held in
-codeword order, so the first minimum is the smallest codeword: ties
-break toward the smaller entry-tuple serialization.  The algebraic path
-is an interpolation decoder for rank errors only: it corrects up to
-floor((N-K)/2) rank errors and reports failure (None) beyond that.
+semantics: scan the whole (guarded) codebook and return the codeword at
+the least rank distance.  The codebook is held in codeword order, so the
+first minimum is the smallest codeword: ties break toward the smaller
+entry-tuple serialization.  The algebraic path is an interpolation
+decoder for rank errors only: it corrects up to floor((N-K)/2) rank
+errors and reports failure (None) beyond that.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .errors import guard_enumeration
 from .fields import PrimeField, matvec, field_from_json, field_to_json
-from .linalg import kernel_field, lifted_distances, rank, rank_batch, solve_field
+from .linalg import kernel_field, rank, rank_batch, solve_field
 
 
 class GabidulinCode:
@@ -77,41 +75,30 @@ class GabidulinCode:
             )
         return self._codebook
 
-    def _codeword_underlines(self) -> np.ndarray:
+    def codeword_underlines(self) -> np.ndarray:
+        """Stack of codeword coordinate matrices, shape (|C|, N, M) (guarded)."""
         if self._underlines is None:
             guard_enumeration(self.field.size ** self.dim, (self.length, self.field.degree))
             self._underlines = self.field.underline(self.codewords())
         return self._underlines
 
-    def decode_bounded(self, received, side_info=None, method: str = "exhaustive"):
-        """Decode a word (or reduced word plus side information).
+    def decode_bounded(self, received, method: str = "exhaustive"):
+        """Decode a word.
 
-        method="exhaustive" is the reference argmin scan; it always
-        returns a codeword.  method="algebraic" is the fast rank-error
-        decoder; it returns None outside its radius and does not accept
-        side information.
+        method="exhaustive" is the reference argmin of the rank distance;
+        it always returns a codeword.  method="algebraic" is the fast
+        rank-error decoder; it returns None outside its radius.
         """
         if len(received) != self.length:
             raise ValueError("received word has the wrong length")
         if method == "exhaustive":
-            return self._decode_exhaustive(received, side_info)
+            q = self.field.base.size
+            ru = self.field.underline(received)
+            dists = rank_batch((self.codeword_underlines() - ru[None]) % q, q)
+            return self.codewords()[int(np.argmin(dists))]
         if method == "algebraic":
-            if side_info is not None:
-                raise ValueError("the algebraic decoder does not take side information")
             return self.decode_rank_errors(received)
         raise ValueError(f"unknown decode method {method!r}")
-
-    def _decode_exhaustive(self, received, side_info):
-        from .reduction import reconstruct
-
-        q = self.field.base.size
-        und = self._codeword_underlines()
-        if side_info is None:
-            ru = self.field.underline(received)
-            dists = rank_batch((und - ru[None]) % q, q)
-        else:
-            dists = lifted_distances(reconstruct(side_info, r=received), und, q)
-        return self.codewords()[int(np.argmin(dists))]
 
     def decode_rank_errors(self, received):
         """Interpolation decoder for rank errors.

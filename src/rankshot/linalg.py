@@ -213,7 +213,9 @@ def lifted_distances(Y, und, q: int) -> np.ndarray:
     und is a stack of shape (count, N, M) and Y any matrix with N + M
     columns.  With [H | P] the RREF basis of Y, dim([I|U] + <Y>) =
     N + rank(P - H U) because the left block of the lifted matrix is a
-    full identity, so d_S = N + 2 rank(P - H U) - rank(Y).
+    full identity, so d_S = N + 2 rank(P - H U) - rank(Y).  Entries of
+    und may be any integers, reduced mod q inside, as long as H U stays
+    inside int64: a sum of two underlines need not be reduced first.
     """
     _, n, m = und.shape
     R, piv = rref(Y, q)

@@ -1,4 +1,4 @@
-"""Reduction of a received channel matrix to decoder side information.
+"""Reduction of a received channel matrix to an (r, L, E) triple.
 
 A received Y with N + M columns is row-reduced and split into three
 pieces: a corrupted rank word r (payload rows under header pivots), an
@@ -9,7 +9,9 @@ payload block.  reconstruct() inverts the split: the row space of
     [ (I + L S_erased^T) | underline(r) ]
     [         0          |      E       ]
 
-equals the row space of the original Y.
+equals the row space of the original Y.  The algebraic inner path of
+decoder.multistage_decode decodes the rank word r; the exhaustive
+decoders score the received matrix itself (linalg.lifted_distances).
 """
 
 from __future__ import annotations
@@ -69,23 +71,16 @@ def reduce_received(field, Y) -> ReductionTriple:
     return ReductionTriple(field=field, r=field.overline(payload), L=L, E=E, erased=erased)
 
 
-def reconstruct(triple: ReductionTriple, r=None) -> np.ndarray:
-    """Rebuild a matrix whose row space equals that of the reduced Y.
-
-    An alternative word may be substituted for triple.r; the erasure and
-    deviation blocks always come from the triple.
-    """
+def reconstruct(triple: ReductionTriple) -> np.ndarray:
+    """Rebuild a matrix whose row space equals that of the reduced Y."""
     field = triple.field
     q = field.base.size
     n = triple.L.shape[0]
-    word = triple.r if r is None else r
-    if len(word) != n:
-        raise ValueError("word length mismatch")
     head = np.eye(n, dtype=np.int64)
     if triple.erased:
         idx = list(triple.erased)
         head[:, idx] = (head[:, idx] + triple.L) % q
-    top = np.hstack([head, field.underline(word)])
+    top = np.hstack([head, field.underline(triple.r)])
     delta = triple.delta
     if delta:
         bottom = np.hstack([np.zeros((delta, n), dtype=np.int64), triple.E])

@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from rankshot import decoder
 from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.linalg import subspace_distance_to_lifted
-from rankshot.reduction import reconstruct, reduce_received
+from rankshot.reduction import reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
 
@@ -82,33 +83,6 @@ def test_oracle_multishot_matches_brute_force_ties(tiny2shot):
             want, tied = brute_force_nearest(q, ys, book)
             ties += tied
             assert oracle_decode_multishot(ys, spec) == want, (rho, tau, seed)
-    assert ties > 0
-
-
-def test_side_info_decode_matches_brute_force_ties(tiny2shot):
-    """The side-information branch of decode_bounded returns the smallest
-    codeword at the minimum subspace distance to the rebuilt space."""
-    spec = tiny2shot
-    f, q = spec.field, spec.field.base.size
-    subs = [spec.chain.subcode(i) for i in range(spec.m)]
-    books = [
-        [([f.underline(c)], c)
-         for c in (sub.encode(m) for m in itertools.product(range(f.size), repeat=sub.dim))]
-        for sub in subs
-    ]
-    rng = np.random.default_rng(43)
-    ties = 0
-    for rho, tau in BEYOND_BUDGET:
-        for seed in range(6):
-            _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
-            for y in ys:
-                triple = reduce_received(f, y)
-                space = reconstruct(triple, r=triple.r)
-                for sub, book in zip(subs, books):
-                    want, tied = brute_force_nearest(q, [space], book)
-                    ties += tied
-                    assert sub.decode_bounded(triple.r, side_info=triple) == want, \
-                        (rho, tau, seed, sub.dim)
     assert ties > 0
 
 
@@ -188,6 +162,75 @@ def test_multistage_truth_conditional_guarantee(tiny2shot):
                 assert res.ok and [tuple(m) for m in res.messages] == msgs, \
                     (rho, tau, seed, counts)
     assert checked > 50  # the condition actually fires often
+
+
+@pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
+def test_multistage_inner_leaders_match_brute_force(code, request):
+    """At every stage each inner leader is the coset leader of the first
+    minimum of d_S(<Y_j>, lift(V_j + x)) over x in R_i, where V_j sums the
+    level contributions the decoder accepted before that stage."""
+    spec = request.getfixturevalue(code)
+    f, q, chain = spec.field, spec.field.base.size, spec.chain
+    books = [
+        [chain.subcode(i).encode(m)
+         for m in itertools.product(range(f.size), repeat=chain.subcode(i).dim)]
+        for i in range(spec.m)
+    ]
+    rng = np.random.default_rng(47)
+    late_erasures = 0  # shots with mu > 0 checked at a stage >= 1
+    for rho, tau in [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (4, 0), (2, 1)]:
+        for seed in range(8):
+            _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
+            mus = [reduce_received(f, y).mu for y in ys]
+            res = multistage_decode(ys, spec)
+            assert res.ok  # the exhaustive outer decoder always answers
+            accepted = [(0,) * spec.shot_length] * spec.n
+            for i, book in enumerate(books):
+                for j, y in enumerate(ys):
+                    _, x = min(
+                        (subspace_distance_to_lifted(f.underline(f.vec_add(accepted[j], x)),
+                                                     y, q), x)
+                        for x in book
+                    )
+                    assert res.inner_leaders[i][j] == chain.coset_leader(i, x)[0], \
+                        (rho, tau, seed, i, j)
+                    late_erasures += i >= 1 and mus[j] > 0
+                v_hats = spec.level_contribution(i, res.messages[i])
+                accepted = [f.vec_add(a, v) for a, v in zip(accepted, v_hats)]
+    assert late_erasures > 0
+
+
+def test_multistage_corrects_one_erasure_on_shot_0(tiny2shot):
+    """One erasure on shot 0 and a clean shot 1: at every level the true
+    word is the unique nearest, so the transmitted messages come back."""
+    spec = tiny2shot
+    rng = np.random.default_rng(29)
+    for seed in range(150):
+        msgs = spec.random_messages(rng)
+        xs = lift_multishot(spec.field, spec.encode(msgs))
+        cfg = ChannelConfig(rho=1, tau=0, n=2, seed=seed, N=3, T=6, q=2, split="first")
+        ys = apply_channel(sample_channel(cfg), xs, 2)
+        assert reduce_received(spec.field, ys[0]).mu == 1
+        res = multistage_decode(ys, spec)
+        assert res.ok and res.messages == [tuple(m) for m in msgs], seed
+
+
+def test_only_the_algebraic_inner_path_reduces(tiny2shot, monkeypatch):
+    """The exhaustive inner path scores the received matrices themselves;
+    the algebraic one reduces each shot once."""
+    spec = tiny2shot
+    calls = []
+
+    def counting(field, y):
+        calls.append(1)
+        return reduce_received(field, y)
+
+    monkeypatch.setattr(decoder, "reduce_received", counting)
+    _, _, ys = seeded_trial(spec, 1, 1, 3, np.random.default_rng(3))
+    multistage_decode(ys, spec)
+    assert calls == []
+    multistage_decode(ys, spec, inner_method="algebraic")
+    assert len(calls) == spec.n
 
 
 def test_multistage_algebraic_inner_erasures(tiny2shot):

@@ -1,6 +1,8 @@
 """Seeded trial runner: config parsing, determinism, aggregation."""
 
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
@@ -74,6 +76,8 @@ def test_parse_rejects_bad_docs():
     bad_spec = dict(TINY_SPEC, Ks=[2, 1])  # chain must end at 0
     with pytest.raises(ConfigError):
         parse_experiment_config(make_doc(spec=bad_spec))
+    with pytest.raises(ConfigError, match="master_seed"):
+        parse_experiment_config(make_doc(master_seed=-1))
 
 
 def test_trial_seeds_deterministic_and_distinct():
@@ -117,6 +121,39 @@ def test_run_experiment_order_and_determinism():
 def test_run_experiment_workers_match_serial():
     cfg = parse_experiment_config(make_doc(trials=6))
     assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+
+def test_run_experiment_caps_the_pool(monkeypatch):
+    """At most one pool process per CPU and per task; an inline stand-in
+    for the pool records its size and starts no process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = parse_experiment_config(make_doc(trials=4))
+    serial = run_experiment(cfg, workers=1)
+    assert run_experiment(cfg, workers=100000) == serial
+    assert sizes == [3]
+    one_task = parse_experiment_config(make_doc(channel={"rho": 0, "tau": 0}, trials=1))
+    assert len(run_experiment(one_task, workers=100000)) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_experiment(cfg, workers=8) == serial
+    assert sizes == [3]  # one task, or an unknown CPU count, runs serially
 
 
 def test_fer_zero_at_zero_adversity():

@@ -69,12 +69,3 @@ def test_reconstruct_channel_shapes(f8):
             (y,) = apply_channel(sample_channel(cfg), (x,), 2)
             t = reduce_received(f8, y)
             assert spans_equal(reconstruct(t), y, 2)
-
-
-def test_reconstruct_with_substituted_word(f8):
-    y = np.array([[1, 0, 0, 1, 0]], dtype=np.int64)
-    t = reduce_received(f8, y)
-    w = reconstruct(t, r=(0, 0))
-    # header block is I + L S^T (erased diagonal cancels over F_2), payload zeroed
-    assert w[:, :2].tolist() == [[1, 0], [0, 0]]
-    assert not w[:, 2:].any()
