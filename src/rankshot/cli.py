@@ -19,11 +19,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .channel import apply_channel, config_from_json, lift_multishot, sample_channel
 from .decoder import multistage_decode, oracle_decode_multishot
-from .errors import ConfigError, GuardError
+from .errors import ConfigError, GuardError, int64_products_fit
 from .experiment import (
     fer_table,
     parse_experiment_config,
@@ -159,7 +157,7 @@ def cmd_channel(args) -> int:
     # each entry of A X + Z sums N products of entries below q, which must
     # stay inside int64; checked first, it also bounds the trial division
     # of the primality test
-    if N * (q - 1) ** 2 + q > np.iinfo(np.int64).max:
+    if not int64_products_fit(N, q):
         raise ConfigError(f"transmit q={q} is too large for {N}-row int64 products")
     if not _is_prime(q):
         raise ConfigError(f"transmit q={q} is not prime")

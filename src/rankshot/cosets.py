@@ -7,10 +7,18 @@ R_i splits uniquely as a coset leader from that span plus a remainder in
 R_{i+1}, which is what multistage decoding peels off level by level.
 The split reads the word's coefficients through a left inverse of each
 level's N x K_i generator, computed once per chain.
+
+coset_table(i) holds that split for every word of R_i at once, in R_i's
+codeword order, so an exhaustive decoder's argmin over R_i's codeword
+stack reads its decision by index.  It is built once per level with
+coset_leader and held as int64 arrays under the enumeration guard.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .errors import guard_enumeration
 from .fields import matvec
 from .gabidulin import GabidulinCode
 from .linalg import rref_field
@@ -28,6 +36,7 @@ class PartitionChain:
         self.code = code
         self.ks = ks
         self._subcodes: dict[int, GabidulinCode] = {}
+        self._tables: dict[int, tuple] = {}
         self._left_inverses = tuple(self._left_inverse(i) for i in range(len(ks) - 1))
 
     @property
@@ -89,6 +98,22 @@ class PartitionChain:
         message = sol[self.ks[i + 1]: self.ks[i]]
         leader = matvec(self.field, self.coset_code_generator(i), message)
         return leader, message
+
+    def coset_table(self, i: int) -> tuple:
+        """(leaders, messages) of every word of R_i, in R_i's codeword order.
+
+        Row k of the int64 arrays, shapes (|R_i|, N) and (|R_i|, delta_k),
+        is coset_leader(i, w) for the k-th word w of
+        subcode(i).codewords().  Built on first use under the enumeration
+        guard, which bounds both arrays' bytes.
+        """
+        if i not in self._tables:
+            sub = self.subcode(i)
+            guard_enumeration(self.field.size ** sub.dim, (sub.length + self.delta_k(i),))
+            leaders, messages = zip(*(self.coset_leader(i, w) for w in sub.codewords()))
+            self._tables[i] = (np.array(leaders, dtype=np.int64),
+                               np.array(messages, dtype=np.int64))
+        return self._tables[i]
 
     def __repr__(self):
         return f"PartitionChain(ks={self.ks}, code={self.code!r})"

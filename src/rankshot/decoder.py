@@ -14,9 +14,13 @@ subspace distance to the received row space (linalg.lifted_distances):
   it picks the word x of the level subcode R_i minimizing
   d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
   contributions already accepted (MultilevelCodeSpec.level_contribution),
-  extracts the coset leader, and decodes the resulting symbol vector
-  with the level's outer code.  Diagnostics record, per stage, how many
-  shots' inner decisions the outer decoder overruled.
+  and decodes the resulting coset symbols with the level's outer code.
+  Each received matrix is row-reduced once per decode, to its basis
+  [H | P]; stage i scores the shifted basis [H | P - H underline(V_j)]
+  against R_i's codeword stack, and the first minimum's coset leader and
+  message come from the level's coset table (PartitionChain.coset_table).
+  Diagnostics record, per stage, how many shots' inner decisions the
+  outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lifted_distances
+from .linalg import basis_distances, lifted_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import reduce_received
 
@@ -82,7 +86,11 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
 
     The reference inner path takes the first minimum, in codeword order,
     of d_S(<Y_j>, lift(V_j + x)) over x in R_i; it always commits to a
-    decision, so no erasures arise.  inner_method="algebraic" instead
+    decision, so no erasures arise.  It reads each Y_j once: one RREF
+    basis [H | P] per shot, shifted at stage i >= 1 to
+    [H | P - H underline(V_j)] (reduced mod q before the distance core
+    takes its own product), and the decision's split from the level's
+    coset table.  inner_method="algebraic" instead
     runs the rank-error decoder on r_j - V_j, r_j the rank word of the
     reduced shot (reduction.reduce_received); its failures are handed
     to the outer decoder as erasures.
@@ -93,7 +101,10 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     q = field.base.size
     chain = spec.chain
     exhaustive = inner_method == "exhaustive"
-    words = None if exhaustive else [reduce_received(field, y).r for y in Ys]
+    if exhaustive:
+        bases = [received_basis(y, spec.shot_length, q) for y in Ys]
+    else:
+        words = [reduce_received(field, y).r for y in Ys]
     accepted = [(0,) * spec.shot_length] * spec.n
 
     messages = []
@@ -101,14 +112,21 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     leaders_all = []
     for i in range(spec.m):
         sub = chain.subcode(i)
+        if exhaustive:
+            und = sub.codeword_underlines()
+            leader_tab, message_tab = chain.coset_table(i)
         leaders, mtuples, erased = [], [], []
         for j in range(spec.n):
             if exhaustive:
-                shifted = sub.codeword_underlines() + field.underline(accepted[j])
-                decided = sub.codewords()[int(np.argmin(lifted_distances(Ys[j], shifted, q)))]
-            else:
-                decided = sub.decode_bounded(field.vec_sub(words[j], accepted[j]),
-                                             method=inner_method)
+                h, p = bases[j]
+                if i:
+                    p = (p - h @ field.underline(accepted[j])) % q
+                k = int(np.argmin(basis_distances(h, p, und, q)))
+                leaders.append(tuple(leader_tab[k].tolist()))
+                mtuples.append(tuple(message_tab[k].tolist()))
+                continue
+            decided = sub.decode_bounded(field.vec_sub(words[j], accepted[j]),
+                                         method=inner_method)
             if decided is None:
                 erased.append(j)
                 leaders.append(None)

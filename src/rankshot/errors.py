@@ -1,5 +1,5 @@
 """Exception types shared across the package, the enumeration guard and
-the prime field size bound."""
+the bounds on the prime field size q."""
 
 import math
 
@@ -7,6 +7,7 @@ ENUM_GUARD = 1 << 20           # codewords: bounds the Python codeword lists
 STACK_GUARD_BYTES = 1 << 26    # 64 MiB: bounds an int64 stack built from them
 Q_GUARD = 1 << 31              # prime q: products of two residues and their
                                # difference stay inside int64
+INT64_MAX = (1 << 63) - 1
 
 
 class ConfigError(Exception):
@@ -30,3 +31,13 @@ def guard_enumeration(count: int, word_shape: tuple = ()) -> None:
             f"enumerating {count} codewords with {stack_bytes} stack bytes exceeds the "
             f"enumeration guard of {ENUM_GUARD} codewords or {STACK_GUARD_BYTES} stack bytes"
         )
+
+
+def int64_products_fit(terms: int, q: int) -> bool:
+    """Whether terms * (q - 1)^2 + q stays inside int64.
+
+    That bounds a sum of *terms* products of two residues mod q, less or
+    plus one more residue: one entry of a matrix product over F_q taken
+    in int64 before its reduction.
+    """
+    return terms * (q - 1) ** 2 + q <= INT64_MAX

@@ -83,6 +83,8 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             split = tuple((int(a), int(b)) for a, b in split)
         trials = int(doc.get("trials", 100))
         decoders = tuple(doc.get("decoders", list(DECODERS)))
+        if not decoders:
+            raise ConfigError("decoders must name at least one decoder")
         for d in decoders:
             if d not in DECODERS:
                 raise ConfigError(f"unknown decoder {d!r}")

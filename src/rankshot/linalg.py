@@ -7,12 +7,18 @@ JSON form records rows, cols, q and the row-major entry list.
 
 Elimination over F_q has two entry points.  rref reduces one matrix and
 serves the callers that need the echelon form itself (reduction,
-Subspace) and rank, which counts its pivots; it works on Python row
+Subspace, received_basis) and rank, which counts its pivots; it works on Python row
 lists, which beat numpy calls on matrices this small.  rank_batch ranks
 a stack (count, r, c): binary shapes with r*c <= 16 index a uint8 table
 of every bit pattern's rank, and every other shape runs one batched
 elimination over the whole stack, with rows packed into 64-bit words for
 q = 2 and c <= 64 and modular row updates otherwise.
+
+The subspace distance from a received space to lifted words has one
+formula, basis_distances, which takes the received space's basis
+[H | P] (received_basis, one rref).  lifted_distances is the two in one
+call; a multistage decoder row-reduces each shot once and scores the
+shifted basis [H | P - H underline(V)] at every later stage.
 
 A second, tiny tool set does Gaussian elimination with elements of an
 arbitrary field object and is used for systems over extension fields.
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Q_GUARD
+from .errors import Q_GUARD, int64_products_fit
 
 
 def as_matrix(m, q: int) -> np.ndarray:
@@ -207,23 +213,44 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return 2 * dim_sum - u.dim - v.dim
 
 
+def received_basis(Y, n: int, q: int):
+    """RREF basis [H | P] of <Y>, split after column n: returns (H, P).
+
+    A decoder row-reduces each received matrix once and scores every
+    candidate against this basis (basis_distances).
+    """
+    R, piv = rref(Y, q)
+    basis = R[: len(piv)]
+    return basis[:, :n], basis[:, n:]
+
+
+def basis_distances(h, p, und, q: int) -> np.ndarray:
+    """Subspace distances from <[H | P]> to the lifted [I | U] of every U in und.
+
+    [H | P] is a basis of the received space, rank(Y) independent rows,
+    and und a stack (count, N, M) of residues mod q.  Subtracting H [I | U]
+    from [H | P] leaves [0 | P - H U], so dim([I|U] + <Y>) =
+    N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y).  Any basis
+    will do, not only the RREF one: [H | P - H underline(V)], the image of
+    <Y> under the column operation that maps [I | underline(V) + U] to
+    [I | U], scores lift(V + x) for every x in und.  H U is taken in int64,
+    so N (q-1)^2 + q must stay inside it; a ValueError says when not.
+    """
+    _, n, m = und.shape
+    if h.shape[1] != n or p.shape[1] != m:
+        raise ValueError("column count mismatch between Y and lifted word")
+    if not int64_products_fit(n, q):
+        raise ValueError(f"q={q} is too large for {n}-term int64 products")
+    return n + 2 * rank_batch(p - h @ und, q) - len(h)
+
+
 def lifted_distances(Y, und, q: int) -> np.ndarray:
     """Subspace distances from <Y> to the lifted [I | U] of every U in und.
 
-    und is a stack of shape (count, N, M) and Y any matrix with N + M
-    columns.  With [H | P] the RREF basis of Y, dim([I|U] + <Y>) =
-    N + rank(P - H U) because the left block of the lifted matrix is a
-    full identity, so d_S = N + 2 rank(P - H U) - rank(Y).  Entries of
-    und may be any integers, reduced mod q inside, as long as H U stays
-    inside int64: a sum of two underlines need not be reduced first.
+    und is a stack of shape (count, N, M) of residues mod q and Y any
+    matrix with N + M columns: one RREF of Y, then basis_distances.
     """
-    _, n, m = und.shape
-    R, piv = rref(Y, q)
-    if R.shape[1] != n + m:
-        raise ValueError("column count mismatch between Y and lifted word")
-    basis = R[: len(piv)]
-    h, p = basis[:, :n], basis[:, n:]
-    return n + 2 * rank_batch(p - h @ und, q) - len(piv)
+    return basis_distances(*received_basis(Y, und.shape[1], q), und, q)
 
 
 def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:

@@ -221,6 +221,15 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     assert "master_seed" in err and "Traceback" not in err
 
 
+def test_simulate_rejects_empty_decoder_list(tmp_path, capsys):
+    sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0}, "decoders": []}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 2 and out == ""
+    assert "at least one decoder" in err and "Traceback" not in err
+
+
 def test_simulate_json_format(spec_path, tmp_path, capsys):
     sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0},
            "trials": 2, "master_seed": 1, "decoders": ["multistage"]}

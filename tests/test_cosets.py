@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from rankshot import errors
 from rankshot.cosets import PartitionChain
 from rankshot.fields import matvec
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import solve_field
-from rankshot.multilevel import special_situation
 
 
 @pytest.fixture
@@ -101,17 +101,17 @@ def test_coset_leader_level_m_minus_1(chain):
         assert leader == w and coeffs == (s,)
 
 
-def _chains(f8, f9):
+def _chains(f8, f9, decode12):
     """The tiny chain, the 2^12 decode chain and a q = 3 chain over F_9."""
     return (
         PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0]),
-        special_situation(2, 4, 4, 2, 2, 4)[0].chain,
+        decode12.chain,
         PartitionChain(GabidulinCode(f9, 2, 2), [2, 1, 0]),
     )
 
 
-def test_left_inverses_invert_every_level(f8, f9):
-    for ch in _chains(f8, f9):
+def test_left_inverses_invert_every_level(f8, f9, decode12):
+    for ch in _chains(f8, f9, decode12):
         f = ch.field
         for i in range(ch.m):
             gen, inv = ch.subcode_generator(i), ch._left_inverses[i]
@@ -122,9 +122,9 @@ def test_left_inverses_invert_every_level(f8, f9):
             assert product == [[int(r == c) for c in range(k)] for r in range(k)]
 
 
-def test_coset_leader_matches_solve_field(f8, f9):
+def test_coset_leader_matches_solve_field(f8, f9, decode12):
     rng = np.random.default_rng(53)
-    for ch in _chains(f8, f9):
+    for ch in _chains(f8, f9, decode12):
         f = ch.field
         for i in range(ch.m):
             gen = ch.subcode_generator(i)
@@ -145,6 +145,32 @@ def test_coset_leader_matches_solve_field(f8, f9):
                         ch.coset_leader(i, other)
                 else:
                     assert ch.coset_leader(i, other)[1] == other_sol[lo:hi]
+
+
+def test_coset_table_matches_coset_leader(f8, f9, decode12):
+    """Row k of level i's table is the split of the k-th word of R_i in
+    codeword order, the order of R_i's underline stack."""
+    for ch in _chains(f8, f9, decode12):
+        for i in range(ch.m):
+            words = ch.subcode(i).codewords()
+            leaders, messages = ch.coset_table(i)
+            assert leaders.dtype == messages.dtype == np.int64
+            assert leaders.shape == (len(words), ch.code.length)
+            assert messages.shape == (len(words), ch.delta_k(i))
+            table = [(tuple(ld.tolist()), tuple(msg.tolist()))
+                     for ld, msg in zip(leaders, messages)]
+            assert table == [ch.coset_leader(i, w) for w in words]
+
+
+def test_coset_table_guard_counts_both_arrays(f8, monkeypatch):
+    # the tiny level-0 table is 64 words x (N + delta_k) = 4 int64 entries
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 4 * 8 - 1)
+    fresh = PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0])
+    with pytest.raises(errors.GuardError, match="2048 stack bytes"):
+        fresh.coset_table(0)
+    assert fresh.subcode(0)._codebook is None
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 4 * 8)
+    assert fresh.coset_table(0)[0].shape == (64, 3)
 
 
 def test_partition_refinement_exhaustive(chain):

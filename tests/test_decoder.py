@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from rankshot import decoder
+from rankshot import decoder, linalg
 from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
+from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.linalg import subspace_distance_to_lifted
 from rankshot.reduction import reduce_received
@@ -231,6 +232,31 @@ def test_only_the_algebraic_inner_path_reduces(tiny2shot, monkeypatch):
     assert calls == []
     multistage_decode(ys, spec, inner_method="algebraic")
     assert len(calls) == spec.n
+
+
+@pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
+def test_multistage_reads_each_shot_once(code, request, monkeypatch):
+    """Once the per-level coset tables exist, a default decode row-reduces
+    each received matrix once and reads every inner decision's split from
+    the tables, with no coset_leader call."""
+    spec = request.getfixturevalue(code)
+    _, _, ys = seeded_trial(spec, 2, 1, 5, np.random.default_rng(59))
+    first = multistage_decode(ys, spec)  # builds the tables
+    rrefs, splits = [], []
+    real_rref, real_leader = linalg.rref, PartitionChain.coset_leader
+
+    def counting_rref(m, q):
+        rrefs.append(1)
+        return real_rref(m, q)
+
+    def counting_leader(chain, i, word):
+        splits.append(i)
+        return real_leader(chain, i, word)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
+    assert multistage_decode(ys, spec) == first
+    assert len(rrefs) == spec.n and splits == []
 
 
 def test_multistage_algebraic_inner_erasures(tiny2shot):

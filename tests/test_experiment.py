@@ -78,6 +78,8 @@ def test_parse_rejects_bad_docs():
         parse_experiment_config(make_doc(spec=bad_spec))
     with pytest.raises(ConfigError, match="master_seed"):
         parse_experiment_config(make_doc(master_seed=-1))
+    with pytest.raises(ConfigError, match="at least one decoder"):
+        parse_experiment_config(make_doc(decoders=[]))
 
 
 def test_trial_seeds_deterministic_and_distinct():

@@ -342,6 +342,23 @@ def test_lifted_distances_stack(f8, f9):
         lifted_distances(np.zeros((2, 5), dtype=np.int64), und, 3)
 
 
+def test_lifted_distances_int64_bound():
+    """Over q = 2^31 - 1, H U sums N products of residues near 2^62: exact
+    for N = 2, a ValueError for N = 4 instead of a wrapped sum."""
+    q = (1 << 31) - 1
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        und = rng.integers(0, q, (4, 2, 3))
+        lifts = [np.hstack([np.eye(2, dtype=np.int64), u]) for u in und]
+        a = rng.integers(1, q, (1, 2))
+        y = np.array((a.astype(object) @ lifts[0].astype(object)) % q, dtype=np.int64)
+        want = [subspace_distance(Subspace(x, q), Subspace(y, q)) for x in lifts]
+        assert lifted_distances(y, und, q).tolist() == want
+    y4 = np.hstack([np.eye(4, dtype=np.int64), rng.integers(0, q, (4, 3))])[:1]
+    with pytest.raises(ValueError, match="too large"):
+        lifted_distances(y4, rng.integers(0, q, (3, 4, 3)), q)
+
+
 def test_matrix_json_roundtrip():
     m = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
     doc = matrix_to_json(m, 2)
