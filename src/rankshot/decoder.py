@@ -1,7 +1,7 @@
 """Receivers for the lifted matrix channel.
 
 Two decoders of the multilevel code, both scoring candidates by the
-subspace distance to the received row space (linalg.lifted_distances):
+subspace distance to the received row space (linalg.basis_distances):
 
 * oracle_decode_multishot scans the whole multilevel codebook and
   returns the codeword whose lifted image minimizes the extended

@@ -36,8 +36,8 @@ def guard_enumeration(count: int, word_shape: tuple = ()) -> None:
 def int64_products_fit(terms: int, q: int) -> bool:
     """Whether terms * (q - 1)^2 + q stays inside int64.
 
-    That bounds a sum of *terms* products of two residues mod q, less or
-    plus one more residue: one entry of a matrix product over F_q taken
-    in int64 before its reduction.
+    It bounds one entry of a matrix product over F_q, a sum of *terms*
+    products of two residues mod q, taken in int64 before its reduction,
+    and that entry subtracted from or added to one more residue.
     """
     return terms * (q - 1) ** 2 + q <= INT64_MAX

@@ -7,8 +7,8 @@ JSON form records rows, cols, q and the row-major entry list.
 
 Elimination over F_q has two entry points.  rref reduces one matrix and
 serves the callers that need the echelon form itself (reduction,
-Subspace, received_basis) and rank, which counts its pivots; it works on Python row
-lists, which beat numpy calls on matrices this small.  rank_batch ranks
+Subspace, received_basis) and rank, which counts its pivots; it works on
+Python row lists, which beat numpy calls on matrices this small.  rank_batch ranks
 a stack (count, r, c): binary shapes with r*c <= 16 index a uint8 table
 of every bit pattern's rank, and every other shape runs one batched
 elimination over the whole stack, with rows packed into 64-bit words for
