@@ -10,8 +10,9 @@ level's N x K_i generator, computed once per chain.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
 codeword order, so an exhaustive decoder's argmin over R_i's codeword
-stack reads its decision by index.  It is built once per level with
-coset_leader and held as int64 arrays under the enumeration guard.
+stack reads its decision by index.  It is read off R_i's enumeration,
+whose message indices carry each word's coset message, with no
+coset_leader call, and held as int64 arrays under the enumeration guard.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import guard_enumeration
 from .fields import matvec
 from .gabidulin import GabidulinCode
-from .linalg import rref_field
+from .linalg import element_ints, mixed_radix_digits, rref_field
 
 
 class PartitionChain:
@@ -103,16 +104,26 @@ class PartitionChain:
         """(leaders, messages) of every word of R_i, in R_i's codeword order.
 
         Row k of the int64 arrays, shapes (|R_i|, N) and (|R_i|, delta_k),
-        is coset_leader(i, w) for the k-th word w of
-        subcode(i).codewords().  Built on first use under the enumeration
-        guard, which bounds both arrays' bytes.
+        is coset_leader(i, w) for the k-th word w of R_i in codeword
+        order, read from R_i's enumeration (GabidulinCode.codebook_arrays):
+        a word's coset message is the last delta_k elements of its
+        message, the low digits of its product index, and its leader is
+        the word whose product index is those digits alone.  Built on
+        first use; the guard bounds both arrays and the index copy, and
+        runs before R_i is enumerated.
         """
         if i not in self._tables:
-            sub = self.subcode(i)
-            guard_enumeration(self.field.size ** sub.dim, (sub.length + self.delta_k(i),))
-            leaders, messages = zip(*(self.coset_leader(i, w) for w in sub.codewords()))
-            self._tables[i] = (np.array(leaders, dtype=np.int64),
-                               np.array(messages, dtype=np.int64))
+            sub, delta = self.subcode(i), self.delta_k(i)
+            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta,), transient=2)
+            und, index = sub.codebook_arrays()
+            cosets = self.children_count(i)
+            coset_index = index % cosets
+            # the words with product index below `cosets` are the leaders
+            at = np.flatnonzero(index < cosets)
+            by_index = np.empty((cosets, sub.length), dtype=np.int64)
+            by_index[index[at]] = element_ints(und[at], self.field.base.size)
+            self._tables[i] = (by_index[coset_index],
+                               mixed_radix_digits(coset_index, [self.field.size] * delta))
         return self._tables[i]
 
     def __repr__(self):

@@ -49,7 +49,7 @@ def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     total = np.zeros(len(und), dtype=np.int64)
     for j, y in enumerate(Ys):
         total += lifted_distances(y, und[:, j], q)
-    return spec.codewords()[int(np.argmin(total))][1]
+    return spec.codeword(int(np.argmin(total)))
 
 
 @dataclass

@@ -10,8 +10,9 @@ ExtensionField may itself be an ExtensionField.
 Moduli are monic irreducible polynomials kept as low-degree-first
 coefficient tuples.  When no modulus is given, the lexicographically
 smallest irreducible monic polynomial of the requested degree is used
-(coefficients compared low-degree-first), with irreducibility checked by
-trial division against every monic polynomial of degree <= M/2.
+(coefficients compared low-degree-first).  Irreducibility is Rabin's
+test, polynomial in the degree and in log q: no field element is
+enumerated, so a large q costs no more than its bit length.
 
 Fields of size at most _TABLE_LIMIT build exp/log tables at construction
 for constant-time multiplication; larger fields fall back to polynomial
@@ -170,32 +171,61 @@ def poly_eval(field, a, x):
     return acc
 
 
+def _poly_mulmod(field, a, b, mod):
+    return poly_divmod(field, poly_mul(field, a, b), mod)[1]
+
+
+def _poly_gcd(field, a, b):
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return a
+
+
 def is_irreducible(field, coeffs) -> bool:
-    """Trial division of a monic polynomial by all monic polynomials of
-    degree at most deg/2 over *field*."""
-    coeffs = list(coeffs)
-    deg = len(poly_trim(coeffs)) - 1
-    if deg < 1:
+    """Rabin's test of a polynomial f of degree n >= 1 over F_Q, Q = field.size.
+
+    f is irreducible iff it divides x^(Q^n) - x and shares no factor
+    with x^(Q^(n/p)) - x for any prime p dividing n.  The powers come
+    from n Q-th powerings mod f, each log2(Q) squarings: polynomial in
+    n and log Q, and no field element is enumerated.
+    """
+    f = poly_trim(coeffs)
+    n = len(f) - 1
+    if n < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(field.elements(), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = poly_divmod(field, coeffs, divisor)
-            if not rem:
-                return False
-    return True
+    x = poly_divmod(field, [0, 1], f)[1]
+    frobenius = [x]                   # frobenius[k] = x^(Q^k) mod f
+    for _ in range(n):
+        e, base, out = field.size, frobenius[-1], [1]
+        while e:
+            if e & 1:
+                out = _poly_mulmod(field, out, base, f)
+            base = _poly_mulmod(field, base, base, f)
+            e >>= 1
+        frobenius.append(out)
+    if poly_sub(field, frobenius[n], x):
+        return False
+    return all(len(_poly_gcd(field, f, poly_sub(field, frobenius[n // p], x))) == 1
+               for p in _prime_factors(n))
 
 
 def default_modulus(field, degree: int) -> tuple:
     """Lexicographically smallest monic irreducible polynomial of the
-    given degree (coefficients compared low-degree-first)."""
+    given degree (coefficients compared low-degree-first).
+
+    Candidates are counted off as base-|field| numerals, c_0 the most
+    significant digit, so the base field is never materialised.  Above
+    degree 1 every candidate with c_0 = 0 is divisible by x, and the
+    count starts at c_0 = 1.
+    """
     if degree < 1:
         raise ValueError("extension degree must be >= 1")
-    for low in itertools.product(field.elements(), repeat=degree):
-        cand = list(low) + [1]
+    size = field.size
+    for idx in itertools.count(0 if degree == 1 else size ** (degree - 1)):
+        cand = [idx // size ** (degree - 1 - t) % size for t in range(degree)] + [1]
         if is_irreducible(field, cand):
             return tuple(cand)
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
 class ExtensionField:

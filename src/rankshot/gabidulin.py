@@ -8,22 +8,27 @@ the points.  These codes are maximum rank distance: d_R = N - K + 1.
 
 Two decode paths are provided.  The exhaustive path is the reference
 semantics: scan the whole (guarded) codebook and return the codeword at
-the least rank distance.  The codebook is held in codeword order, so the
-first minimum is the smallest codeword: ties break toward the smaller
-entry-tuple serialization.  The algebraic path is an interpolation
-decoder for rank errors only: it corrects up to floor((N-K)/2) rank
-errors and reports failure (None) beyond that.
+the least rank distance.  The codebook is the F_q-span of the K*M
+encodings of the single-digit messages, built as one coordinate stack
+by linalg.span_codebook and held in codeword order, so the first
+minimum is the smallest codeword: ties break toward the smaller
+entry-tuple serialization.  The decoder reads its answer from the stack
+row; the Python codeword list is built only when codewords() is called.
+The algebraic path is an interpolation decoder for rank errors only: it
+corrects up to floor((N-K)/2) rank errors and reports failure (None)
+beyond that.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import guard_enumeration
+from .errors import INT64_MAX
 from .fields import PrimeField, matvec, field_from_json, field_to_json
-from .linalg import kernel_field, rank, rank_batch, solve_field
+from .linalg import (
+    element_ints, kernel_field, rank, rank_batch, single_digit_messages, solve_field,
+    span_codebook,
+)
 
 
 class GabidulinCode:
@@ -32,6 +37,9 @@ class GabidulinCode:
             # frobenius raises to powers of the characteristic and rref
             # inverts modulo the base size: both need a prime base
             raise ValueError("Gabidulin codes need an extension of a prime field")
+        if field.size - 1 > INT64_MAX:
+            # underline and every codebook stack hold element ints in int64
+            raise ValueError(f"field size q^M = {field.size} leaves int64")
         m = field.degree
         if not 1 <= length <= m:
             raise ValueError(f"length must satisfy 1 <= N <= M, got N={length}, M={m}")
@@ -55,6 +63,7 @@ class GabidulinCode:
         )
         self._codebook = None
         self._underlines = None
+        self._index = None
 
     @property
     def designed_distance(self) -> int:
@@ -65,22 +74,39 @@ class GabidulinCode:
             raise ValueError(f"message must have length {self.dim}")
         return matvec(self.field, self.generator, message)
 
-    def codewords(self) -> list:
-        """All codewords, in codeword order (guarded)."""
-        if self._codebook is None:
-            guard_enumeration(self.field.size ** self.dim)
-            self._codebook = sorted(
-                self.encode(msg)
-                for msg in itertools.product(self.field.elements(), repeat=self.dim)
-            )
-        return self._codebook
+    def codebook_arrays(self) -> tuple:
+        """(stack, index) of the codebook in codeword order (guarded).
+
+        stack holds the codeword coordinate matrices, shape (|C|, N, M),
+        and index[r] is the product-order index of row r's message.
+        Both come from one span_codebook call over the K*M encodings of
+        the messages with a single base-q digit, never one encode per
+        codeword.
+        """
+        if self._underlines is None:
+            f = self.field
+            q = f.base.size
+            rows = (f.underline(self.encode(msg))
+                    for msg in single_digit_messages(self.dim, f.degree, q))
+            self._underlines, self._index = span_codebook(
+                rows, self.dim * f.degree, q, (self.length, f.degree))
+        return self._underlines, self._index
 
     def codeword_underlines(self) -> np.ndarray:
         """Stack of codeword coordinate matrices, shape (|C|, N, M) (guarded)."""
-        if self._underlines is None:
-            guard_enumeration(self.field.size ** self.dim, (self.length, self.field.degree))
-            self._underlines = self.field.underline(self.codewords())
-        return self._underlines
+        return self.codebook_arrays()[0]
+
+    def codeword(self, k: int) -> tuple:
+        """The k-th codeword in codeword order, read from the stack."""
+        return tuple(element_ints(self.codeword_underlines()[k], self.field.base.size).tolist())
+
+    def codewords(self) -> list:
+        """All codewords, in codeword order (guarded); built from the stack
+        on first call."""
+        if self._codebook is None:
+            und = self.codeword_underlines()
+            self._codebook = [tuple(w) for w in element_ints(und, self.field.base.size).tolist()]
+        return self._codebook
 
     def decode_bounded(self, received, method: str = "exhaustive"):
         """Decode a word.
@@ -95,7 +121,7 @@ class GabidulinCode:
             q = self.field.base.size
             ru = self.field.underline(received)
             dists = rank_batch((self.codeword_underlines() - ru[None]) % q, q)
-            return self.codewords()[int(np.argmin(dists))]
+            return self.codeword(int(np.argmin(dists)))
         if method == "algebraic":
             return self.decode_rank_errors(received)
         raise ValueError(f"unknown decode method {method!r}")

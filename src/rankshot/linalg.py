@@ -20,15 +20,22 @@ formula, basis_distances, which takes the received space's basis
 call; a multistage decoder row-reduces each shot once and scores the
 shifted basis [H | P - H underline(V)] at every later stage.
 
+span_codebook is the one codebook enumerator: every code here is the
+F_q-span of the encodings of its single-digit messages, so one numpy
+broadcast step per message digit and one lexsort build any codebook's
+coordinate stack in codeword order, under the enumeration guard.
+
 A second, tiny tool set does Gaussian elimination with elements of an
 arbitrary field object and is used for systems over extension fields.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import Q_GUARD, int64_products_fit
+from .errors import Q_GUARD, guard_enumeration, int64_products_fit
 
 
 def as_matrix(m, q: int) -> np.ndarray:
@@ -277,6 +284,68 @@ def extended_subspace_distance(us, vs) -> int:
     if len(us) != len(vs):
         raise ValueError("shot count mismatch")
     return sum(subspace_distance(u, v) for u, v in zip(us, vs))
+
+
+def element_ints(coords, q: int) -> np.ndarray:
+    """Element ints sum_t c_t q^t of base-q coordinates held along the last axis."""
+    return coords @ (q ** np.arange(coords.shape[-1], dtype=np.int64))
+
+
+def span_codebook(rows, digits: int, q: int, word_shape: tuple):
+    """Every F_q-combination of *digits* basis words, in codeword order (guarded).
+
+    *rows* yields the basis, *digits* words of prod(word_shape) residues
+    mod q: word p is the one of the message whose only nonzero base-q
+    digit is a 1 of weight q^(digits-1-p).  The words run from the most
+    significant digit of the message's itertools.product index down, so
+    one broadcast step per word, each appending a less significant
+    digit, builds the q^digits words in product order.  The last axis of
+    *word_shape* holds one element's base-q coordinates, low first; one
+    stable lexsort on the element ints puts the words in codeword order,
+    lexicographic in their elements.
+
+    Returns (stack, index): the C-contiguous int64 stack, shape
+    (q^digits, *word_shape), and per row the product index of its
+    message.  The guard checks the bytes held at once (the unsorted and
+    sorted stacks, the index and the sort's work array) before *rows* is
+    read or anything allocated.
+    """
+    count = q ** digits
+    width = math.prod(word_shape)
+    guard_enumeration(count, word_shape, transient=width + 2)
+    stack = np.zeros((1, width), dtype=np.int64)
+    steps = np.arange(q, dtype=np.int64)[:, None]
+    for row in rows:
+        grown = stack[:, None, :] + steps * np.asarray(row, dtype=np.int64).reshape(width)
+        np.remainder(grown, q, out=grown)
+        stack = grown.reshape(-1, width)
+    # one contiguous row of element ints per key, last element first:
+    # lexsort copies strided keys
+    keys = element_ints(stack.reshape(count, -1, word_shape[-1])[:, ::-1].transpose(1, 0, 2), q)
+    index = np.lexsort(keys)
+    del keys
+    return stack[index].reshape(count, *word_shape), index
+
+
+def single_digit_messages(k: int, width: int, q: int):
+    """The k-element messages with one nonzero base-q digit, a 1, over an
+    alphabet of q^width elements, from the most significant digit of the
+    product index down: the basis order span_codebook takes."""
+    for j in range(k):
+        for t in reversed(range(width)):
+            yield tuple(q ** t if i == j else 0 for i in range(k))
+
+
+def mixed_radix_digits(index, radices) -> np.ndarray:
+    """Digits of product indices in the mixed radix *radices*, most
+    significant first: shape (len(index), len(radices)), int64."""
+    weights, w = [], 1
+    for r in reversed(radices):
+        weights.append(w)
+        w *= r
+    out = np.asarray(index, dtype=np.int64)[:, None] // np.array(weights[::-1], dtype=np.int64)
+    out %= np.array(radices, dtype=np.int64)
+    return out
 
 
 def matrix_to_json(m, q: int) -> dict:

@@ -5,7 +5,11 @@ chain with an outer Reed-Solomon code over an alphabet of matching size.
 Encoding runs every outer code, maps each outer symbol to a coefficient
 tuple, forms the per-shot coset contribution with the corresponding
 generator columns, and sums the contributions: the codeword is an
-n-tuple of rank words, one per channel use.
+n-tuple of rank words, one per channel use.  Every one of those maps is
+F_q-linear, so the codebook is the F_q-span of the contributions of the
+log_q |C| single-digit level messages; linalg.span_codebook builds it as
+one coordinate stack in codeword order, and the Python (messages,
+codeword) list only when codewords() is called.
 
 Size and distance bookkeeping:
 
@@ -22,16 +26,15 @@ closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .cosets import PartitionChain
-from .errors import guard_enumeration
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
 from .gabidulin import GabidulinCode
+from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
 from .outer import OuterCode, SymbolMap
 
 
@@ -50,6 +53,7 @@ class MultilevelCodeSpec:
         )
         self._codebook = None
         self._underlines = None
+        self._index = None
 
     @property
     def field(self):
@@ -100,29 +104,49 @@ class MultilevelCodeSpec:
             shots = [self.field.vec_add(u, v) for u, v in zip(shots, contrib)]
         return tuple(shots)
 
-    def codewords(self) -> list:
-        """All (messages, codeword) pairs, in codeword order (guarded)."""
-        if self._codebook is None:
-            guard_enumeration(self.field.base.size ** self.cardinality_logq())
-            spaces = [
-                list(itertools.product(outer.field.elements(), repeat=outer.k))
-                for outer in self.outers
-            ]
-            self._codebook = sorted(
-                ((list(msgs), self.encode(list(msgs))) for msgs in itertools.product(*spaces)),
-                key=lambda pair: pair[1],
-            )
-        return self._codebook
+    def codebook_arrays(self) -> tuple:
+        """(stack, index) of the codebook in codeword order (guarded).
+
+        stack holds the per-shot coordinate matrices, shape
+        (|C|, n, N, M), and index[r] is the product-order index of row
+        r's level messages (level 0 most significant).  The code is the
+        F_q-span of the level contributions of the messages with a single
+        base-q digit, so one span_codebook call builds both from
+        log_q |C| encodings.
+        """
+        if self._underlines is None:
+            f = self.field
+            q = f.base.size
+            rows = (f.underline(self.level_contribution(i, msg))
+                    for i, outer in enumerate(self.outers)
+                    for msg in single_digit_messages(outer.k, f.degree * self.chain.delta_k(i), q))
+            self._underlines, self._index = span_codebook(
+                rows, self.cardinality_logq(), q, (self.n, self.shot_length, f.degree))
+        return self._underlines, self._index
 
     def codeword_underlines(self) -> np.ndarray:
-        """Stack of per-shot coordinate matrices, shape (|C|, n, N, M)."""
-        if self._underlines is None:
-            guard_enumeration(
-                self.field.base.size ** self.cardinality_logq(),
-                (self.n, self.shot_length, self.field.degree),
-            )
-            self._underlines = self.field.underline([word for _, word in self.codewords()])
-        return self._underlines
+        """Stack of per-shot coordinate matrices, shape (|C|, n, N, M) (guarded)."""
+        return self.codebook_arrays()[0]
+
+    def codeword(self, k: int) -> tuple:
+        """The k-th codeword in codeword order, read from the stack."""
+        rows = element_ints(self.codeword_underlines()[k], self.field.base.size).tolist()
+        return tuple(map(tuple, rows))
+
+    def codewords(self) -> list:
+        """All (messages, codeword) pairs, in codeword order (guarded);
+        built from the arrays on first call."""
+        if self._codebook is None:
+            und, index = self.codebook_arrays()
+            words = element_ints(und, self.field.base.size).tolist()
+            sizes = [outer.field.size for outer in self.outers for _ in range(outer.k)]
+            digits = mixed_radix_digits(index, sizes).tolist()
+            cuts = np.cumsum([0] + [outer.k for outer in self.outers]).tolist()
+            self._codebook = [
+                ([tuple(msg[a:b]) for a, b in zip(cuts, cuts[1:])], tuple(map(tuple, word)))
+                for msg, word in zip(digits, words)
+            ]
+        return self._codebook
 
     # -- parameters ---------------------------------------------------------
 

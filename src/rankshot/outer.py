@@ -4,9 +4,10 @@ Outer codes are evaluation codes: a message (f_0 .. f_{k-1}) encodes to
 the values of the polynomial at the points 1, g, g^2, ..., g^(n-1),
 where g is the alphabet field's canonical generator element.  They are
 MDS with minimum Hamming distance n - k + 1 and decoded either by an
-exhaustive nearest-codeword scan (reference semantics; the codebook is
-held in codeword order, so the first minimum is the smallest codeword
-tuple) or by a Gao-style algebraic decoder that
+exhaustive nearest-codeword scan (reference semantics; the codebook,
+the F_q-span of the encodings of the single-digit messages built by
+linalg.span_codebook, is held in codeword order, so the first minimum
+is the smallest codeword tuple) or by a Gao-style algebraic decoder that
 handles errors and erasures up to 2e + f <= d - 1 and reports failure
 beyond that.
 
@@ -19,8 +20,19 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import guard_enumeration
+import numpy as np
+
 from .fields import ExtensionField, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim
+from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
+
+
+def _base_digits(size: int, q: int) -> int:
+    """Number of base-q digits of the elements of a field of *size* elements."""
+    digits = 0
+    while size > 1:
+        size //= q
+        digits += 1
+    return digits
 
 
 class SymbolMap:
@@ -85,14 +97,23 @@ class OuterCode:
         return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
 
     def codewords(self) -> list:
-        """All (message, codeword) pairs, in codeword order (guarded)."""
+        """All (message, codeword) pairs, in codeword order (guarded).
+
+        One span_codebook call over the encodings of the messages with a
+        single base-q digit builds the codewords, as base-q coordinate
+        stacks, and their product-order message indices.
+        """
         if self._codebook is None:
-            guard_enumeration(self.field.size ** self.k)
-            self._codebook = sorted(
-                ((msg, self.encode(msg))
-                 for msg in itertools.product(self.field.elements(), repeat=self.k)),
-                key=lambda pair: pair[1],
-            )
+            f, k = self.field, self.k
+            q = f.characteristic
+            width = _base_digits(f.size, q)
+            place = q ** np.arange(width, dtype=np.int64)
+            rows = (np.array(self.encode(msg), dtype=np.int64)[:, None] // place % q
+                    for msg in single_digit_messages(k, width, q))
+            stack, index = span_codebook(rows, k * width, q, (self.n, width))
+            words = element_ints(stack, q).tolist()
+            messages = mixed_radix_digits(index, [f.size] * k).tolist()
+            self._codebook = [(tuple(m), tuple(w)) for m, w in zip(messages, words)]
         return self._codebook
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):

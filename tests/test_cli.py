@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,31 @@ def test_params(spec_path, capsys):
         "K_i": 2, "K_next": 1, "delta_k": 1, "inner_d_R": 2,
         "children": 8, "outer_n": 2, "outer_k": 1, "outer_d_H": 2,
     }
+
+
+def test_params_large_q_modulus_exits_2_without_enumerating(tmp_path, capsys):
+    # x^2 + 7 over F_(2^31 - 1) factors (-7 is a square); the check must
+    # not materialise the 2^31 base elements on the way to saying so
+    doc = {"field": {"q": 2147483647, "M": 2, "modulus": [7, 0, 1]},
+           "N": 2, "K": 1, "Ks": [1, 0], "n": 2, "outers": [{"n": 2, "k": 1}]}
+    p = tmp_path / "big_q.json"
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["params", "--config", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "reducible" in err and "Traceback" not in err
+    assert peak < 1 << 20
+    # an irreducible modulus builds the field, whose q^4 elements leave int64
+    doc["field"] = {"q": 2147483647, "M": 4}
+    doc.update(N=4, K=2, Ks=[2, 1, 0], outers=[{"n": 2, "k": 1}, {"n": 2, "k": 1}])
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["params", "--config", str(p)])
+    assert code == 2 and out == ""
+    assert "leaves int64" in err
 
 
 def test_params_to_file(spec_path, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Base/extension field arithmetic and the coordinate-matrix maps."""
 
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,47 @@ def test_default_modulus_is_lex_smallest():
     assert default_modulus(f2, 3) == (1, 0, 1, 1)
     assert default_modulus(f2, 1) == (0, 1)        # x itself is monic irreducible
     assert default_modulus(PrimeField(3), 2) == (1, 0, 1)
+
+
+def _has_root_factor_brute(field, coeffs) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. deg/2."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(field.size), repeat=d):
+            if not poly_divmod(field, coeffs, list(tail) + [1])[1]:
+                return True
+    return False
+
+
+def test_rabin_test_matches_trial_division():
+    f4 = ExtensionField(PrimeField(2), modulus=[1, 1, 1])
+    for field, top in ((PrimeField(2), 6), (PrimeField(3), 4), (PrimeField(5), 3), (f4, 3)):
+        for deg in range(1, top + 1):
+            lex_first = None
+            for low in itertools.product(range(field.size), repeat=deg):
+                cand = list(low) + [1]
+                irreducible = not _has_root_factor_brute(field, cand)
+                assert is_irreducible(field, cand) == irreducible, (field, cand)
+                if irreducible and lex_first is None:
+                    lex_first = tuple(cand)
+            assert default_modulus(field, deg) == lex_first
+
+
+def test_irreducibility_never_enumerates_the_base_field():
+    big = PrimeField(Q_GUARD - 1)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        # -7 is a square mod 2^31 - 1, -1 is not
+        assert not is_irreducible(big, [7, 0, 1])
+        assert default_modulus(big, 2) == (1, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    modulus = default_modulus(PrimeField(2), 40)
+    assert time.perf_counter() - t0 < 20.0
+    assert modulus[0] == 1 and modulus[-1] == 1 and len(modulus) == 41
 
 
 def test_modulus_validation():
