@@ -66,7 +66,7 @@ def test_default_modulus_is_lex_smallest():
     assert default_modulus(PrimeField(3), 2) == (1, 0, 1)
 
 
-def _has_root_factor_brute(field, coeffs) -> bool:
+def _has_factor_brute(field, coeffs) -> bool:
     """Trial division by every monic polynomial of degree 1 .. deg/2."""
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
@@ -83,7 +83,7 @@ def test_rabin_test_matches_trial_division():
             lex_first = None
             for low in itertools.product(range(field.size), repeat=deg):
                 cand = list(low) + [1]
-                irreducible = not _has_root_factor_brute(field, cand)
+                irreducible = not _has_factor_brute(field, cand)
                 assert is_irreducible(field, cand) == irreducible, (field, cand)
                 if irreducible and lex_first is None:
                     lex_first = tuple(cand)

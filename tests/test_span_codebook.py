@@ -1,8 +1,8 @@
 """The one codebook enumerator, linalg.span_codebook, against brute force.
 
 Every codebook (Gabidulin, outer, multilevel) and every coset table is
-built from it; the brute force here is the per-message build it
-replaced: encode every message in itertools.product order, then sort.
+built from it.  The brute force encodes every message in
+itertools.product order and sorts the codewords.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from rankshot import errors
 from rankshot.channel import lift_multishot
 from rankshot.cosets import PartitionChain
 from rankshot.decoder import multistage_decode, oracle_decode_multishot
-from rankshot.fields import ExtensionField, PrimeField
+from rankshot.fields import PrimeField
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import span_codebook
 from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
