@@ -216,6 +216,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = parse_experiment_config(_load_json(args.config))
     records = run_experiment(cfg, workers=args.workers)
     if args.format == "csv":

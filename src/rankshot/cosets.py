@@ -6,7 +6,8 @@ R_i generated by the first K_i generator columns.  The coset code
 R_i splits uniquely as a coset leader from that span plus a remainder in
 R_{i+1}, which is what multistage decoding peels off level by level.
 The split reads the word's coefficients through a left inverse of each
-level's N x K_i generator, computed once per chain.
+level's N x K_i generator; the inverses and the generators' column
+blocks are computed once per chain.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
 codeword order, so an exhaustive decoder's argmin over R_i's codeword
@@ -38,6 +39,11 @@ class PartitionChain:
         self.ks = ks
         self._subcodes: dict[int, GabidulinCode] = {}
         self._tables: dict[int, tuple] = {}
+        gen = code.generator
+        self._subcode_generators = tuple(tuple(row[:k] for row in gen) for k in ks)
+        self._coset_generators = tuple(
+            tuple(row[lo:hi] for row in gen) for hi, lo in zip(ks, ks[1:])
+        )
         self._left_inverses = tuple(self._left_inverse(i) for i in range(len(ks) - 1))
 
     @property
@@ -65,13 +71,11 @@ class PartitionChain:
 
     def subcode_generator(self, i: int) -> tuple:
         """First K_i generator columns, as N row tuples."""
-        k = self.ks[i]
-        return tuple(row[:k] for row in self.code.generator)
+        return self._subcode_generators[i]
 
     def coset_code_generator(self, i: int) -> tuple:
         """Generator columns K_{i+1} .. K_i - 1, as N row tuples."""
-        lo, hi = self.ks[i + 1], self.ks[i]
-        return tuple(row[lo:hi] for row in self.code.generator)
+        return self._coset_generators[i]
 
     def _left_inverse(self, i: int) -> tuple:
         """K_i x N matrix L with L G_i = I for the generator G_i of R_i.
@@ -94,10 +98,10 @@ class PartitionChain:
         """
         word = tuple(word)
         sol = matvec(self.field, self._left_inverses[i], word)
-        if matvec(self.field, self.subcode_generator(i), sol) != word:
+        if matvec(self.field, self._subcode_generators[i], sol) != word:
             raise ValueError(f"word is not a member of the level-{i} subcode")
         message = sol[self.ks[i + 1]: self.ks[i]]
-        leader = matvec(self.field, self.coset_code_generator(i), message)
+        leader = matvec(self.field, self._coset_generators[i], message)
         return leader, message
 
     def coset_table(self, i: int) -> tuple:

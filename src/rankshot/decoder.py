@@ -16,11 +16,15 @@ subspace distance to the received row space (linalg.basis_distances):
   contributions already accepted (MultilevelCodeSpec.level_contribution),
   and decodes the resulting coset symbols with the level's outer code.
   Each received matrix is row-reduced once per decode, to its basis
-  [H | P]; stage i scores the shifted basis [H | P - H underline(V_j)]
-  against R_i's codeword stack, and the first minimum's coset leader and
-  message come from the level's coset table (PartitionChain.coset_table).
-  Diagnostics record, per stage, how many shots' inner decisions the
-  outer decoder overruled.
+  [H | P] (linalg.received_basis), on both inner paths.  The exhaustive
+  inner path scores the shifted basis [H | P - H underline(V_j)] at stage
+  i against R_i's codeword stack, and the first minimum's coset leader
+  and message come from the level's coset table
+  (PartitionChain.coset_table).  The algebraic inner path reads the rank
+  word r_j off the same basis (reduction.rank_word: the payload rows
+  under header pivots) and decodes r_j - V_j with the Gabidulin
+  interpolation decoder.  Diagnostics record, per stage, how many shots'
+  inner decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .linalg import basis_distances, lifted_distances, received_basis
 from .multilevel import MultilevelCodeSpec
-from .reduction import reduce_received
+from .reduction import rank_word
 
 __all__ = [
     "oracle_decode_multishot",
@@ -91,9 +95,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     [H | P - H underline(V_j)] (reduced mod q before the distance core
     takes its own product), and the decision's split from the level's
     coset table.  inner_method="algebraic" instead
-    runs the rank-error decoder on r_j - V_j, r_j the rank word of the
-    reduced shot (reduction.reduce_received); its failures are handed
-    to the outer decoder as erasures.
+    runs the rank-error decoder on r_j - V_j, r_j the rank word read off
+    the same basis (reduction.rank_word, the rule reduce_received
+    applies); its failures are handed to the outer decoder as erasures.
     """
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
@@ -101,10 +105,11 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     q = field.base.size
     chain = spec.chain
     exhaustive = inner_method == "exhaustive"
-    if exhaustive:
-        bases = [received_basis(y, spec.shot_length, q) for y in Ys]
-    else:
-        words = [reduce_received(field, y).r for y in Ys]
+    bases = [received_basis(y, spec.shot_length, q) for y in Ys]
+    if any(p.shape[1] != field.degree for _, p in bases):
+        raise ValueError(f"received matrices need N + M = {spec.lifted_length} columns")
+    if not exhaustive:
+        words = [rank_word(h, p, q)[1] for h, p in bases]
     accepted = [(0,) * spec.shot_length] * spec.n
 
     messages = []

@@ -14,10 +14,23 @@ smallest irreducible monic polynomial of the requested degree is used
 test, polynomial in the degree and in log q: no field element is
 enumerated, so a large q costs no more than its bit length.
 
-Fields of size at most _TABLE_LIMIT build exp/log tables at construction
-for constant-time multiplication; larger fields fall back to polynomial
-arithmetic.  Field objects are immutable after construction and safe to
-share between threads.
+Fields of size at most _TABLE_LIMIT build exp/log tables at construction;
+larger fields keep polynomial arithmetic, and that size test is the only
+place the two paths are chosen.  The table format is private: the exp
+table is doubled, so a product reads exp[log a + log b] with no modulo,
+and zero's log points past it into a run of zeros, so a product with a
+zero factor needs no branch either.  frobenius reads the log table with
+the precomputed exponents p^j mod (size - 1), whose period is
+log_p(size), the degree over the prime field, not the degree over the
+immediate base, so tower fields keep the right period.
+
+Both field classes offer two row primitives, scale_row(f, row) = f * row
+and sub_scaled_row(row, f, top) = row - f * top, entry by entry; in
+characteristic 2 a table field computes the second as one fused XOR
+comprehension.  linalg.rref_field (and so kernel_field, solve_field and
+the coset left inverses), matvec and poly_divmod do their row work
+through them.  Field objects are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -90,6 +103,16 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.q - 2, self.q)
 
+    def scale_row(self, f: int, row) -> list:
+        """f * row, entry by entry."""
+        q = self.q
+        return [f * x % q for x in row]
+
+    def sub_scaled_row(self, row, f: int, top) -> list:
+        """row - f * top, entry by entry."""
+        q = self.q
+        return [(x - f * y) % q for x, y in zip(row, top)]
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -156,8 +179,7 @@ def poly_divmod(field, a, b):
         coef = field.mul(rem[-1], lead_inv)
         shift = len(rem) - len(b)
         quot[shift] = coef
-        for i, bc in enumerate(b):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(coef, bc))
+        rem[shift:] = field.sub_scaled_row(rem[shift:], coef, b)
         rem = poly_trim(rem)
         if not rem:
             break
@@ -270,6 +292,7 @@ class ExtensionField:
         self.gen = base.size if self.degree >= 2 else base.neg(modulus[0])
         self._exp = None
         self._log = None
+        self._frobenius_e = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -366,20 +389,45 @@ class ExtensionField:
         log = [0] * self.size
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log, self._order = exp, log, order
+        # the sum of two logs of nonzero elements stays below 2 * order;
+        # zero's log, 2 * order, puts any sum with it in the zero run
+        log[0] = 2 * order
+        self._exp = exp * 2 + [0] * (2 * order + 1)
+        self._log, self._order = log, order
+        p, digits = self.characteristic, 0
+        while p ** digits < self.size:
+            digits += 1
+        self._frobenius_e = tuple(pow(p, j, order) for j in range(digits))
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % self._order]
+            return self._exp[self._log[a] + self._log[b]]
         return self._mul_poly(a, b)
+
+    def scale_row(self, f: int, row) -> list:
+        """f * row, entry by entry."""
+        exp = self._exp
+        if exp is None:
+            return [self._mul_poly(f, x) for x in row]
+        log = self._log
+        lf = log[f]
+        return [exp[lf + log[x]] for x in row]
+
+    def sub_scaled_row(self, row, f: int, top) -> list:
+        """row - f * top, entry by entry: one XOR comprehension for a
+        characteristic-2 table field."""
+        exp = self._exp
+        if exp is None or self.characteristic != 2:
+            return [self.sub(x, self.mul(f, y)) for x, y in zip(row, top)]
+        log = self._log
+        lf = log[f]
+        return [x ^ exp[lf + log[y]] for x, y in zip(row, top)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
-            return self._exp[(-self._log[a]) % self._order]
+            return self._exp[self._order - self._log[a]]
         return self._pow_poly(a, self.size - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -400,8 +448,10 @@ class ExtensionField:
         """a raised to the power p^j, p the field characteristic."""
         if a == 0:
             return 0
-        e = pow(self.characteristic, j, self.size - 1) if self.size > 2 else 1
-        return self.pow(a, e)
+        es = self._frobenius_e
+        if es is not None:
+            return self._exp[self._log[a] * es[j % len(es)] % self._order]
+        return self._pow_poly(a, pow(self.characteristic, j, self.size - 1))
 
     # -- words and their coordinate matrices ------------------------------
 
@@ -431,11 +481,15 @@ class ExtensionField:
     def vec_add(self, u, v) -> tuple:
         if len(u) != len(v):
             raise ValueError("length mismatch")
+        if self.characteristic == 2:
+            return tuple(a ^ b for a, b in zip(u, v))
         return tuple(self.add(a, b) for a, b in zip(u, v))
 
     def vec_sub(self, u, v) -> tuple:
         if len(u) != len(v):
             raise ValueError("length mismatch")
+        if self.characteristic == 2:
+            return tuple(a ^ b for a, b in zip(u, v))
         return tuple(self.sub(a, b) for a, b in zip(u, v))
 
     def __eq__(self, other):
@@ -453,16 +507,19 @@ class ExtensionField:
 
 
 def matvec(field, rows, vec) -> tuple:
-    """Multiply a matrix (sequence of row sequences over *field*) by a vector."""
-    out = []
+    """Multiply a matrix (sequence of row sequences over *field*) by a vector.
+
+    The product is the sum of vec[c] times column c: one sub_scaled_row
+    call per nonzero entry of vec whose column is not zero.
+    """
+    width = len(vec)
     for row in rows:
-        if len(row) != len(vec):
+        if len(row) != width:
             raise ValueError("matrix/vector size mismatch")
-        acc = 0
-        for a, x in zip(row, vec):
-            if a and x:
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
+    out = [0] * len(rows)
+    for x, col in zip(vec, zip(*rows)):
+        if x and any(col):
+            out = field.sub_scaled_row(out, field.neg(x), col)
     return tuple(out)
 
 

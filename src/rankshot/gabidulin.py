@@ -14,9 +14,13 @@ by linalg.span_codebook and held in codeword order, so the first
 minimum is the smallest codeword: ties break toward the smaller
 entry-tuple serialization.  The decoder reads its answer from the stack
 row; the Python codeword list is built only when codewords() is called.
-The algebraic path is an interpolation decoder for rank errors only: it
-corrects up to floor((N-K)/2) rank errors and reports failure (None)
-beyond that.
+The algebraic path is an interpolation decoder for rank errors only
+(Loidreau's Welch-Berlekamp analogue): it corrects up to
+floor((N-K)/2) rank errors and reports failure (None) beyond that.  The
+right half of every interpolation row, -g_i^(q^l), depends only on the
+code and is stored once per code; the received word contributes only its
+t + 1 Frobenius powers.  The final check ranks the coordinate matrix of
+the one difference cand - received.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ class GabidulinCode:
         self.points = points
         self.generator = tuple(
             tuple(field.frobenius(g, j) for j in range(dim)) for g in points
+        )
+        # -g_i^(q^l) for l < N: the constant half of every interpolation row
+        self._neg_powers = tuple(
+            tuple(field.neg(field.frobenius(g, l)) for l in range(length)) for g in points
         )
         self._codebook = None
         self._underlines = None
@@ -146,11 +154,8 @@ class GabidulinCode:
             except ValueError:
                 msg = None
             return tuple(received) if msg is not None else None
-        rows = []
-        for i in range(n):
-            row = [f.frobenius(received[i], l) for l in range(t + 1)]
-            row += [f.neg(f.frobenius(self.points[i], l)) for l in range(k + t)]
-            rows.append(row)
+        rows = [[f.frobenius(r, l) for l in range(t + 1)] + list(neg[: k + t])
+                for r, neg in zip(received, self._neg_powers)]
         kern = kernel_field(f, rows)
         if not kern:
             return None
@@ -162,9 +167,7 @@ class GabidulinCode:
             return None
         msg = tuple(msg) + (0,) * (k - len(msg))
         cand = self.encode(msg)
-        q = f.base.size
-        diff = (f.underline(cand) - f.underline(received)) % q
-        if rank(diff, q) <= t:
+        if rank(f.underline(f.vec_sub(cand, received)), f.base.size) <= t:
             return cand
         return None
 

@@ -373,7 +373,11 @@ def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
 # Gaussian elimination with elements of an arbitrary field object
 
 def rref_field(field, rows):
-    """RREF of a list-of-lists matrix over *field*; returns (rows, pivots)."""
+    """RREF of a list-of-lists matrix over *field*; returns (rows, pivots).
+
+    Row operations go through the field's row primitives (scale_row,
+    sub_scaled_row), so the per-element work stays inside the field.
+    """
     R = [list(r) for r in rows]
     nrows = len(R)
     ncols = len(R[0]) if R else 0
@@ -385,14 +389,16 @@ def rref_field(field, rows):
         pv = next((i for i in range(pr, nrows) if R[i][c] != 0), None)
         if pv is None:
             continue
-        R[pr], R[pv] = R[pv], R[pr]
-        inv = field.inv(R[pr][c])
+        top = R[pv]
+        R[pv] = R[pr]
+        inv = field.inv(top[c])
         if inv != 1:
-            R[pr] = [field.mul(inv, x) for x in R[pr]]
+            top = field.scale_row(inv, top)
+        R[pr] = top
         for i in range(nrows):
-            if i != pr and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[pr])]
+            f = R[i][c]
+            if f and i != pr:
+                R[i] = field.sub_scaled_row(R[i], f, top)
         pivots.append(c)
         pr += 1
     return R, pivots

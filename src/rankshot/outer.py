@@ -9,7 +9,12 @@ the F_q-span of the encodings of the single-digit messages built by
 linalg.span_codebook, is held in codeword order, so the first minimum
 is the smallest codeword tuple) or by a Gao-style algebraic decoder that
 handles errors and erasures up to 2e + f <= d - 1 and reports failure
-beyond that.
+beyond that.  Gao's decoder interpolates the live positions in Lagrange
+form from per-code data, computed once: each point's linear factor
+x - x_i and the inverse differences 1 / (x_i - x_j).  A decode multiplies
+the live factors into g0, divides out each point's factor by synthetic
+division and scales by the product of its inverse differences; it
+inverts no element and keeps nothing between calls.
 
 A SymbolMap carries level messages between width-w coefficient tuples
 over F_{q^M} and symbols of the level alphabet, which for w > 1 is a
@@ -17,8 +22,6 @@ freshly constructed degree-w extension of F_{q^M}.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -84,6 +87,13 @@ class OuterCode:
         self.n = n
         self.k = k
         self.points = points
+        # Gao's per-code data: the linear factor x - x_i of every point and
+        # the inverse differences 1 / (x_i - x_j), i != j
+        self._factors = tuple([field.neg(x), 1] for x in points)
+        self._inv_diffs = tuple(
+            tuple(field.inv(field.sub(x, y)) if x != y else 0 for y in points)
+            for x in points
+        )
         self._codebook = None
 
     @property
@@ -163,22 +173,27 @@ class OuterCode:
             return () if 2 * errors + n_erased <= self.d_min - 1 else None
         if n_live < self.k:
             return None
-        xs = [self.points[i] for i in live]
-        ys = [word[i] for i in live]
         g0 = [1]
-        for x in xs:
-            g0 = poly_mul(f, g0, [f.neg(x), 1])
-        g1 = []
-        for x, y in zip(xs, ys):
-            if y == 0:
+        for i in live:
+            g0 = poly_mul(f, g0, self._factors[i])
+        # Lagrange interpolation through the live points: the numerator of
+        # point i is g0 / (x - x_i), its denominator the product of the
+        # differences x_i - x_j over the other live points
+        g1 = [0] * n_live
+        for i in live:
+            if word[i] == 0:
                 continue
-            num, _ = poly_divmod(f, g0, [f.neg(x), 1])
-            denom = poly_eval(f, num, x)
-            scale = f.div(y, denom)
-            g1 = poly_trim(
-                [f.add(a, f.mul(scale, b)) for a, b in
-                 itertools.zip_longest(g1, num, fillvalue=0)]
-            )
+            x, inv_diffs = self.points[i], self._inv_diffs[i]
+            num, acc = [0] * n_live, 0
+            for t in range(n_live, 0, -1):
+                acc = f.add(g0[t], f.mul(x, acc))
+                num[t - 1] = acc
+            scale = word[i]
+            for j in live:
+                if j != i:
+                    scale = f.mul(scale, inv_diffs[j])
+            g1 = f.sub_scaled_row(g1, f.neg(scale), num)
+        g1 = poly_trim(g1)
         # partial extended Euclid until the remainder degree drops below
         # (n_live + k) / 2; v tracks the g1 cofactor.
         stop = (n_live + self.k) / 2

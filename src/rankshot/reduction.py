@@ -9,9 +9,11 @@ payload block.  reconstruct() inverts the split: the row space of
     [ (I + L S_erased^T) | underline(r) ]
     [         0          |      E       ]
 
-equals the row space of the original Y.  The algebraic inner path of
-decoder.multistage_decode decodes the rank word r; the exhaustive
-decoders score the received matrix itself (linalg.lifted_distances).
+equals the row space of the original Y.  The split starts from the RREF
+basis [H | P] of linalg.received_basis, and rank_word reads r off it;
+the algebraic inner path of decoder.multistage_decode calls rank_word on
+the one basis per shot it shares with the exhaustive inner path, which
+scores [H | P] itself (linalg.basis_distances).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, rref
+from .linalg import as_matrix, element_ints, received_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,35 +42,42 @@ class ReductionTriple:
         return self.E.shape[0]
 
 
+def rank_word(h, p, q: int):
+    """Header pivots and rank word of an RREF basis [H | P] (linalg.received_basis).
+
+    The basis rows with a pivot among the N header columns come first.
+    Row k's pivot is its first nonzero header entry (a 1), and the rank
+    word r holds row k's payload, as an element int, at that position;
+    positions without a header pivot hold 0.  Returns (pivots, r), the
+    pivots in increasing order.  This is the one copy of the rule that
+    both reduce_received and the algebraic multistage path read.
+    """
+    word = [0] * h.shape[1]
+    pivots = []
+    for head, value in zip(h.tolist(), element_ints(p, q).tolist()):
+        if not any(head):
+            break
+        k = head.index(1)
+        pivots.append(k)
+        word[k] = value
+    return pivots, tuple(word)
+
+
 def reduce_received(field, Y) -> ReductionTriple:
     """Split a received matrix into (r, L, E) plus the erased index set."""
     q = field.base.size
-    m = field.degree
     Y = as_matrix(Y, q)
-    n = Y.shape[1] - m
+    n = Y.shape[1] - field.degree
     if n <= 0:
         raise ValueError("received matrix has too few columns")
-    R, piv = rref(Y, q)
+    h, p = received_basis(Y, n, q)
+    pivots, r = rank_word(h, p, q)
     head = np.zeros((n, n), dtype=np.int64)
-    payload = np.zeros((n, m), dtype=np.int64)
-    dev_rows = []
-    header_pivots = set()
-    for k, p in enumerate(piv):
-        if p < n:
-            head[p] = R[k, :n]
-            payload[p] = R[k, n:]
-            header_pivots.add(p)
-        else:
-            dev_rows.append(R[k, n:])
-    erased = tuple(i for i in range(n) if i not in header_pivots)
+    head[pivots] = h[: len(pivots)]
+    erased = tuple(sorted(set(range(n)) - set(pivots)))
     eye = np.eye(n, dtype=np.int64)
     L = (head - eye)[:, list(erased)] % q if erased else np.zeros((n, 0), dtype=np.int64)
-    E = (
-        np.array(dev_rows, dtype=np.int64).reshape(len(dev_rows), m)
-        if dev_rows
-        else np.zeros((0, m), dtype=np.int64)
-    )
-    return ReductionTriple(field=field, r=field.overline(payload), L=L, E=E, erased=erased)
+    return ReductionTriple(field=field, r=r, L=L, E=p[len(pivots):], erased=erased)
 
 
 def reconstruct(triple: ReductionTriple) -> np.ndarray:

@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -254,6 +257,24 @@ def test_simulate_rejects_empty_decoder_list(tmp_path, capsys):
     code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
     assert code == 2 and out == ""
     assert "at least one decoder" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_workers_below_one(workers, capsys):
+    code, out, err = run(capsys, ["simulate", "--config",
+                                  str(CONFIGS / "simulate_tiny.json"), "--workers", workers])
+    assert code == 2 and out == ""
+    assert "--workers" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """python -m rankshot works from a checkout, with src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "rankshot", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "simulate" in proc.stdout
 
 
 def test_simulate_json_format(spec_path, tmp_path, capsys):

@@ -216,22 +216,50 @@ def test_multistage_corrects_one_erasure_on_shot_0(tiny2shot):
         assert res.ok and res.messages == [tuple(m) for m in msgs], seed
 
 
-def test_only_the_algebraic_inner_path_reduces(tiny2shot, monkeypatch):
-    """The exhaustive inner path scores the received matrices themselves;
-    the algebraic one reduces each shot once."""
+@pytest.mark.parametrize("inner", ["exhaustive", "algebraic"])
+def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
+    """Both inner paths row-reduce each received shot once, to the RREF
+    basis [H | P] of linalg.received_basis, and never call
+    reduce_received.  The algebraic path reads its rank word off that
+    basis with reduction.rank_word, the rule reduce_received applies, so
+    the word equals reduce_received(field, y).r, also on shots with
+    erasures (mu > 0) and deviations (delta > 0)."""
     spec = tiny2shot
-    calls = []
+    assert not hasattr(decoder, "reduce_received")
+    received_rrefs, words = [], []
+    real_rref, real_rank_word = linalg.rref, decoder.rank_word
 
-    def counting(field, y):
-        calls.append(1)
-        return reduce_received(field, y)
+    def counting_rref(m, q):
+        # the Gabidulin decoder's final rank check row-reduces N x M
+        # matrices; only the N + M column ones are received shots
+        if np.shape(m)[1] == spec.lifted_length:
+            received_rrefs.append(1)
+        return real_rref(m, q)
 
-    monkeypatch.setattr(decoder, "reduce_received", counting)
-    _, _, ys = seeded_trial(spec, 1, 1, 3, np.random.default_rng(3))
-    multistage_decode(ys, spec)
-    assert calls == []
-    multistage_decode(ys, spec, inner_method="algebraic")
-    assert len(calls) == spec.n
+    def recording_rank_word(h, p, q):
+        out = real_rank_word(h, p, q)
+        words.append(out[1])
+        return out
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(decoder, "rank_word", recording_rank_word)
+    rng = np.random.default_rng(3)
+    saw_mu = saw_delta = False
+    for rho, tau in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+        for seed in range(6):
+            _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
+            triples = [reduce_received(spec.field, y) for y in ys]
+            received_rrefs.clear()
+            words.clear()
+            multistage_decode(ys, spec, inner_method=inner)
+            assert len(received_rrefs) == spec.n, (rho, tau, seed)
+            if inner == "exhaustive":
+                assert words == []
+            else:
+                assert words == [t.r for t in triples], (rho, tau, seed)
+                saw_mu |= any(t.mu for t in triples)
+                saw_delta |= any(t.delta for t in triples)
+    assert inner == "exhaustive" or (saw_mu and saw_delta)
 
 
 @pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
@@ -310,6 +338,12 @@ def test_multistage_outer_failure_reports_stage(tiny2shot):
 def test_multistage_length_check(tiny2shot):
     with pytest.raises(ValueError):
         multistage_decode([np.zeros((6, 6), dtype=np.int64)], tiny2shot)
+    # both inner paths refuse shots without N + M columns
+    for inner in ("exhaustive", "algebraic"):
+        for cols in (5, 7):
+            with pytest.raises(ValueError, match="columns"):
+                multistage_decode([np.eye(3, cols, dtype=np.int64)] * 2, tiny2shot,
+                                  inner_method=inner)
 
 
 def test_multistage_matches_oracle_zero_adversity(tiny2shot):

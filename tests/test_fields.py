@@ -9,6 +9,7 @@ import pytest
 
 from rankshot.errors import Q_GUARD
 from rankshot.fields import (
+    _TABLE_LIMIT,
     ExtensionField,
     PrimeField,
     default_modulus,
@@ -257,3 +258,81 @@ def test_field_json_roundtrip(f8):
     assert again == f8
     defaulted = field_from_json({"q": 2, "M": 3})
     assert defaulted.modulus == (1, 0, 1, 1)
+
+
+def _row_fields():
+    """F_8, F_9, F_16, a tower F_64 over F_8, and F_{2^13}, which is above
+    the table limit and keeps polynomial arithmetic."""
+    f2 = PrimeField(2)
+    f8 = ExtensionField(f2, modulus=[1, 1, 0, 1])
+    return [
+        f8,
+        ExtensionField(PrimeField(3), modulus=[1, 0, 1]),
+        ExtensionField(f2, degree=4),
+        ExtensionField(f8, degree=2),
+        ExtensionField(f2, degree=13),
+    ]
+
+
+def _sample(field, rng, count):
+    # zeros and ones drawn often: they are the special cases of a table
+    return [int(x) for x in rng.choice(
+        [0, 1, int(rng.integers(0, field.size))] + [int(v) for v in
+                                                    rng.integers(0, field.size, 5)],
+        count)]
+
+
+def test_row_primitives_match_elementwise_arithmetic():
+    assert _TABLE_LIMIT < 2 ** 13
+    rng = np.random.default_rng(41)
+    for field in _row_fields() + [PrimeField(2), PrimeField(7)]:
+        for _ in range(60):
+            f = _sample(field, rng, 1)[0]
+            row, top = _sample(field, rng, 6), _sample(field, rng, 6)
+            assert field.scale_row(f, row) == [field.mul(f, x) for x in row]
+            assert field.sub_scaled_row(row, f, top) == [
+                field.sub(x, field.mul(f, y)) for x, y in zip(row, top)]
+
+
+def _matvec_reference(field, rows, vec):
+    out = []
+    for row in rows:
+        acc = 0
+        for a, x in zip(row, vec):
+            acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def test_matvec_matches_elementwise_reference():
+    rng = np.random.default_rng(43)
+    for field in _row_fields() + [PrimeField(5)]:
+        for shape in [(4, 2), (2, 4), (3, 3), (4, 1), (1, 4), (3, 0), (0, 2)]:
+            for _ in range(8):
+                rows = tuple(tuple(_sample(field, rng, shape[1])) for _ in range(shape[0]))
+                vec = tuple(_sample(field, rng, shape[1]))
+                assert matvec(field, rows, vec) == _matvec_reference(field, rows, vec)
+        with pytest.raises(ValueError, match="mismatch"):
+            matvec(field, ((1, 0), (0, 1)), (1, 1, 1))
+
+
+def test_frobenius_matches_power_of_the_characteristic():
+    """frobenius(a, j) == a^(p^j) for j beyond the degree and, on the tower
+    F_64 over F_8 (degree 2, period log_2 64 = 6), for j that a period of
+    `degree` would fold onto the wrong power."""
+    rng = np.random.default_rng(47)
+    for field in _row_fields():
+        p = field.characteristic
+        period = round(np.log(field.size) / np.log(p))
+        assert p ** period == field.size
+        xs = [0, 1, field.gen] + [int(x) for x in rng.integers(0, field.size, 6)]
+        for j in range(-1, 2 * period + 2):
+            for a in xs:
+                assert field.frobenius(a, j) == field.pow(a, p ** j if j >= 0 else
+                                                          pow(p, j, field.size - 1)), \
+                    (field, a, j)
+    tower = _row_fields()[3]
+    assert tower.degree == 2 and tower.size == 64
+    # the degree-2 period would read a^(2^2) as a^(2^0) = a, wrong outside F_4
+    a = next(x for x in tower.elements() if tower.pow(x, 4) != x)
+    assert tower.frobenius(a, 2) == tower.pow(a, 4) != a

@@ -9,6 +9,7 @@ from rankshot.errors import GuardError
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode, code_from_json
 from rankshot.linalg import rank, rank_distance
+from rankshot.multilevel import special_situation
 
 
 def test_generator_hand_example(f8):
@@ -165,3 +166,51 @@ def test_json_roundtrip(f8):
     assert doc["N"] == 3 and doc["K"] == 2 and doc["points"] == [1, 2, 4]
     again = code_from_json(doc)
     assert again.generator == code.generator
+
+
+def _preset_subcodes():
+    """The special preset's level subcodes over F_16 (N = 4, K = 2 and 1)."""
+    chain = special_situation(2, 4, 4, 2, 3, 4)[0].chain
+    return [chain.subcode(0), chain.subcode(1)]
+
+
+def _low_rank_errors(field, n):
+    """Every N x M coordinate matrix of rank <= 1: the outer products."""
+    q = field.base.size
+    seen = {}
+    for col in itertools.product(range(q), repeat=n):
+        for row in itertools.product(range(q), repeat=field.degree):
+            e = np.outer(col, row) % q
+            seen.setdefault(e.tobytes(), e)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("which", ["preset-K2", "preset-K1", "q3"])
+def test_decode_rank_errors_matches_exhaustive(which):
+    """Every error of rank <= t = 1 on three codewords of the special
+    preset's F_16 subcodes and of an N = 3, K = 1 code over F_27: the
+    algebraic decoder returns the exhaustive decode, the sent codeword.
+    On sampled words farther than t from every codeword it returns None."""
+    if which == "q3":
+        code = GabidulinCode(ExtensionField(PrimeField(3), degree=3), 3, 1)
+    else:
+        code = _preset_subcodes()[0 if which == "preset-K2" else 1]
+    f, q = code.field, code.field.base.size
+    t = (code.length - code.dim) // 2
+    assert t == 1
+    rng = np.random.default_rng(53)
+    msgs = [(0,) * code.dim] + [tuple(int(x) for x in rng.integers(0, f.size, code.dim))
+                                for _ in range(2)]
+    errors = _low_rank_errors(f, code.length)
+    for msg in msgs:
+        c = code.encode(msg)
+        for e in errors:
+            w = f.overline((f.underline(c) + e) % q)
+            assert code.decode_rank_errors(w) == code.decode_bounded(w) == c
+    beyond = 0
+    for _ in range(300):
+        w = tuple(int(x) for x in rng.integers(0, f.size, code.length))
+        if rank_distance(f, w, code.decode_bounded(w)) > t:
+            beyond += 1
+            assert code.decode_rank_errors(w) is None, w
+    assert beyond > 20

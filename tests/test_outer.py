@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankshot.fields import ExtensionField, PrimeField
+from rankshot.multilevel import special_situation
 from rankshot.outer import OuterCode, SymbolMap
 
 
@@ -195,3 +196,42 @@ def test_symbol_map_wide():
         assert smap.to_tuple(s) == t
         seen.add(s)
     assert len(seen) == 16
+
+
+def _outer_codes():
+    """The special preset's outer codes ([3,2] and [3,3] over F_16) and a
+    [6,2,5] code over F_9, whose primitive modulus x^2 + x + 2 gives the
+    generator order 8."""
+    spec = special_situation(2, 4, 4, 2, 3, 4)[0]
+    f9 = ExtensionField(PrimeField(3), modulus=[2, 1, 1])
+    return list(spec.outers) + [OuterCode(f9, 6, 2)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_gao_matches_exhaustive_inside_the_radius(which):
+    """Every erasure set and every error pattern (positions and nonzero
+    values) with 2e + f <= d - 1 on two codewords: the algebraic decoder
+    returns the exhaustive decode, the sent message."""
+    code = _outer_codes()[which]
+    f, n = code.field, code.n
+    rng = np.random.default_rng(61 + which)
+    checked = 0
+    for _ in range(2):
+        msg = tuple(int(x) for x in rng.integers(0, f.size, code.k))
+        cw = code.encode(msg)
+        for n_erased in range(code.d_min):
+            for erasures in itertools.combinations(range(n), n_erased):
+                live = [i for i in range(n) if i not in erasures]
+                for n_err in range((code.d_min - 1 - n_erased) // 2 + 1):
+                    for where in itertools.combinations(live, n_err):
+                        for shifts in itertools.product(range(1, f.size), repeat=n_err):
+                            word = list(cw)
+                            for i in erasures:
+                                word[i] = int(rng.integers(0, f.size))
+                            for i, s in zip(where, shifts):
+                                word[i] = f.add(word[i], s)
+                            word = tuple(word)
+                            got = code.decode(word, erasures=erasures, method="algebraic")
+                            assert got == code.decode(word, erasures=erasures) == msg
+                            checked += 1
+    assert checked >= 2
