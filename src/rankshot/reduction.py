@@ -74,7 +74,7 @@ def reduce_received(field, Y) -> ReductionTriple:
     pivots, r = rank_word(h, p, q)
     head = np.zeros((n, n), dtype=np.int64)
     head[pivots] = h[: len(pivots)]
-    erased = tuple(sorted(set(range(n)) - set(pivots)))
+    erased = tuple(i for i in range(n) if i not in pivots)
     eye = np.eye(n, dtype=np.int64)
     L = (head - eye)[:, list(erased)] % q if erased else np.zeros((n, 0), dtype=np.int64)
     return ReductionTriple(field=field, r=r, L=L, E=p[len(pivots):], erased=erased)
