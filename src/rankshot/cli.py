@@ -21,7 +21,7 @@ import sys
 
 from .channel import apply_channel, config_from_json, lift_multishot, sample_channel
 from .decoder import multistage_decode, oracle_decode_multishot
-from .errors import ConfigError, GuardError, int64_products_fit
+from .errors import Q_GUARD, ConfigError, GuardError, int64_products_fit
 from .experiment import (
     fer_table,
     parse_experiment_config,
@@ -155,10 +155,13 @@ def cmd_channel(args) -> int:
     q = mats[0][1]
     N, T = xs[0].shape
     # each entry of A X + Z sums N products of entries below q, which must
-    # stay inside int64; checked first, it also bounds the trial division
-    # of the primality test
+    # stay inside int64, and the sampler's full-rank test eliminates over
+    # PrimeField(q), which needs q below Q_GUARD; both bounds are checked
+    # before the primality test, whose trial division they bound
     if not int64_products_fit(N, q):
         raise ConfigError(f"transmit q={q} is too large for {N}-row int64 products")
+    if q >= Q_GUARD:
+        raise ConfigError(f"transmit q={q} must be below {Q_GUARD}")
     if not _is_prime(q):
         raise ConfigError(f"transmit q={q} is not prime")
     for j, (m, mq) in enumerate(mats):

@@ -27,9 +27,9 @@ immediate base, so tower fields keep the right period.
 Both field classes offer two row primitives, scale_row(f, row) = f * row
 and sub_scaled_row(row, f, top) = row - f * top, entry by entry; in
 characteristic 2 a table field computes the second as one fused XOR
-comprehension.  linalg.rref_field (and so kernel_field, solve_field and
-the coset left inverses), matvec and poly_divmod do their row work
-through them.  Field objects are immutable after construction and safe
+comprehension.  linalg.rref_field (and so rref over PrimeField(q),
+kernel_field, solve_field and the coset left inverses), matvec and
+poly_divmod do their row work through them.  Field objects are immutable after construction and safe
 to share between threads.
 """
 

@@ -5,14 +5,19 @@ throughout: rank distance, subspace distance and their multishot
 Matrices over F_q are numpy int64 arrays with entries reduced mod q; the
 JSON form records rows, cols, q and the row-major entry list.
 
-Elimination over F_q has two entry points.  rref reduces one matrix and
-serves the callers that need the echelon form itself (reduction,
-Subspace, received_basis) and rank, which counts its pivots; it works on
-Python row lists, which beat numpy calls on matrices this small.  rank_batch ranks
-a stack (count, r, c): binary shapes with r*c <= 16 index a uint8 table
-of every bit pattern's rank, and every other shape runs one batched
-elimination over the whole stack, with rows packed into 64-bit words for
-q = 2 and c <= 64 and modular row updates otherwise.
+Every single-matrix elimination runs one routine, rref_field, on
+Python row lists through a field object's row primitives; on matrices
+of a few rows and at most a few dozen columns that beats per-call numpy
+overhead.  rref(m, q) is its numpy adapter over the cached
+PrimeField(q), so q must be a prime below Q_GUARD; rank counts its
+pivots, and reduction, Subspace, received_basis and the channel
+sampler's full-rank test read it.  solve_field, kernel_field and the
+coset left inverses (cosets) run rref_field over extension fields.
+rank_batch ranks a stack (count, r, c) without it: binary shapes with
+r*c <= 16 index a uint8 table of every bit pattern's rank, and every
+other shape runs one batched elimination over the whole stack, with
+rows packed into 64-bit words for q = 2 and c <= 64 and modular row
+updates otherwise.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
@@ -24,18 +29,17 @@ span_codebook is the one codebook enumerator: every code here is the
 F_q-span of the encodings of its single-digit messages, so one numpy
 broadcast step per message digit and one lexsort build any codebook's
 coordinate stack in codeword order, under the enumeration guard.
-
-A second, tiny tool set does Gaussian elimination with elements of an
-arbitrary field object and is used for systems over extension fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import Q_GUARD, guard_enumeration, int64_products_fit
+from .fields import PrimeField
 
 
 def as_matrix(m, q: int) -> np.ndarray:
@@ -46,37 +50,18 @@ def rref(m, q: int):
     """Reduced row echelon form of a matrix mod prime q.
 
     Returns (R, pivots) where pivots is the ordered list of pivot column
-    indices; row i of R carries the pivot at pivots[i].  The elimination
-    runs on Python row lists: every caller passes a few rows of at most
-    a few dozen entries, where per-call numpy overhead would dominate.
+    indices; row i of R carries the pivot at pivots[i].  A numpy adapter
+    over rref_field on the cached PrimeField(q), which raises ValueError
+    unless q is a prime below Q_GUARD.
     """
     m = as_matrix(m, q)
-    rows, cols = m.shape
-    R = m.tolist()
-    pivots = []
-    pr = 0
-    for c in range(cols):
-        for pv in range(pr, rows):
-            if R[pv][c]:
-                break
-        else:
-            continue
-        top = R[pv]
-        R[pv] = R[pr]
-        inv = pow(top[c], q - 2, q)
-        if inv != 1:
-            top = [x * inv % q for x in top]
-        R[pr] = top
-        for i in range(rows):
-            row = R[i]
-            f = row[c]
-            if f and i != pr:
-                R[i] = [(x - f * y) % q for x, y in zip(row, top)]
-        pivots.append(c)
-        pr += 1
-        if pr == rows:
-            break
-    return np.array(R, dtype=np.int64).reshape(rows, cols), pivots
+    R, pivots = rref_field(_prime_field(q), m.tolist())
+    return np.array(R, dtype=np.int64).reshape(m.shape), pivots
+
+
+@functools.lru_cache(maxsize=16)
+def _prime_field(q: int) -> PrimeField:
+    return PrimeField(int(q))
 
 
 def rank(m, q: int) -> int:
@@ -375,32 +360,38 @@ def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
 def rref_field(field, rows):
     """RREF of a list-of-lists matrix over *field*; returns (rows, pivots).
 
-    Row operations go through the field's row primitives (scale_row,
-    sub_scaled_row), so the per-element work stays inside the field.
+    The one single-matrix elimination of the package.  Row operations go
+    through the field's row primitives (scale_row, sub_scaled_row), so
+    the per-element work stays inside the field; a pivot that is already
+    1 is neither inverted nor scaled.  The primitives return new rows and
+    no row is changed in place, so a row no operation touched comes back
+    as the caller's own object.
     """
-    R = [list(r) for r in rows]
+    R = list(rows)
     nrows = len(R)
     ncols = len(R[0]) if R else 0
+    sub_scaled_row = field.sub_scaled_row
     pivots = []
     pr = 0
     for c in range(ncols):
-        if pr == nrows:
-            break
-        pv = next((i for i in range(pr, nrows) if R[i][c] != 0), None)
-        if pv is None:
+        for pv in range(pr, nrows):
+            if R[pv][c]:
+                break
+        else:
             continue
         top = R[pv]
         R[pv] = R[pr]
-        inv = field.inv(top[c])
-        if inv != 1:
-            top = field.scale_row(inv, top)
+        if top[c] != 1:
+            top = field.scale_row(field.inv(top[c]), top)
         R[pr] = top
         for i in range(nrows):
             f = R[i][c]
             if f and i != pr:
-                R[i] = field.sub_scaled_row(R[i], f, top)
+                R[i] = sub_scaled_row(R[i], f, top)
         pivots.append(c)
         pr += 1
+        if pr == nrows:
+            break
     return R, pivots
 
 
@@ -408,7 +399,9 @@ def solve_field(field, rows, rhs):
     """Solve A x = b for a full-column-rank A over *field*.
 
     Returns the solution tuple, or None when the system is inconsistent.
-    Raises ValueError if A does not have full column rank.
+    Raises ValueError if A does not have full column rank.  No decoder
+    calls it: it stays for the tests, which check coset leaders against
+    it, and for perfbench/spans.py, which traces it by name.
     """
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]

@@ -433,6 +433,8 @@ _SHOT_2X5 = {"rows": 2, "cols": 5, "q": 2, "data": [1, 0, 1, 1, 0, 0, 1, 0, 1, 1
 
 _SHOT_2X5_Q4 = {"rows": 2, "cols": 5, "q": 4, "data": [1, 0, 3, 1, 0, 0, 1, 2, 1, 1]}
 _SHOT_2X5_Q_HUGE = {"rows": 2, "cols": 5, "q": 2 ** 61 - 1, "data": [1] * 10}
+# 2147483659 is prime and one row keeps its int64 products in range
+_SHOT_1X5_Q_GUARD = {"rows": 1, "cols": 5, "q": 2147483659, "data": [1, 0, 0, 0, 0]}
 
 
 @pytest.mark.parametrize("first, second, message", [
@@ -447,8 +449,9 @@ _SHOT_2X5_Q_HUGE = {"rows": 2, "cols": 5, "q": 2 ** 61 - 1, "data": [1] * 10}
     (_SHOT_2X5_Q4, _SHOT_2X5_Q4, "transmit q=4 is not prime"),
     # 2^61 - 1 is prime, but 2 (q - 1)^2 overflows int64
     (_SHOT_2X5_Q_HUGE, _SHOT_2X5_Q_HUGE, "is too large"),
+    (_SHOT_1X5_Q_GUARD, _SHOT_1X5_Q_GUARD, "transmit q=2147483659 must be below"),
 ], ids=["entry-beyond-int64", "row-count", "column-count", "mixed-q", "non-prime-q",
-        "q-beyond-int64-products"])
+        "q-beyond-int64-products", "q-beyond-guard"])
 def test_channel_rejects_inconsistent_transmit(tmp_path, capsys, first, second, message):
     p = tmp_path / "tx.json"
     p.write_text(json.dumps({"lifted": [first, second]}))

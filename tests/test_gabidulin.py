@@ -160,6 +160,66 @@ def test_algebraic_decoder_full_rate(f8):
     assert code.decode_bounded((3, 6), method="algebraic") == (3, 6)
 
 
+@pytest.mark.parametrize("field, n, k", [("f8", 3, 2), ("f8", 3, 3), ("f9", 2, 1)])
+def test_decode_rank_errors_t0_decides_membership(request, field, n, k):
+    """With t = 0 the interpolation step alone decides: every word of the
+    code's ambient space decodes to itself if it is a codeword, else to
+    None.  The tiny code's level-0 subcode is the F_8 N = 3, K = 2 code."""
+    f = request.getfixturevalue(field)
+    code = GabidulinCode(f, n, k)
+    assert (n - k) // 2 == 0
+    codewords = set(code.codewords())
+    for w in itertools.product(range(f.size), repeat=n):
+        assert code.decode_rank_errors(w) == (w if w in codewords else None), w
+
+
+def _within_t_words(code, rng, count):
+    """Sampled words: uniform ones, and codewords plus an error of rank
+    t or t + 1, just inside and just beyond the decoding radius."""
+    f, q = code.field, code.field.base.size
+    t = (code.length - code.dim) // 2
+    for i in range(count):
+        if i % 3 == 0:
+            yield tuple(int(x) for x in rng.integers(0, f.size, code.length))
+            continue
+        r = t + i % 3 - 1
+        e = rng.integers(0, q, (code.length, r)) @ rng.integers(0, q, (r, f.degree))
+        c = code.encode(tuple(int(x) for x in rng.integers(0, f.size, code.dim)))
+        yield f.overline((f.underline(c) + e) % q)
+
+
+@pytest.mark.parametrize("which", ["f8-N3K1", "preset-K2", "preset-K1", "f27-N3K1",
+                                   "f32-N5K1"])
+def test_decode_rank_errors_stays_within_t(f8, which):
+    """Every answer of the algebraic decoder lies within rank t of its
+    input, with no rank check inside the decoder: on every word of the
+    F_8 N = 3, K = 1 code's space, and on sampled words of the special
+    preset's F_16 subcodes, an F_27 N = 3, K = 1 code and an F_32
+    N = 5, K = 1 (t = 2) code."""
+    rng = np.random.default_rng(59)
+    if which == "f8-N3K1":
+        code = GabidulinCode(f8, 3, 1)
+        words = itertools.product(range(8), repeat=3)
+    else:
+        if which.startswith("preset"):
+            code = _preset_subcodes()[0 if which == "preset-K2" else 1]
+        elif which == "f27-N3K1":
+            code = GabidulinCode(ExtensionField(PrimeField(3), degree=3), 3, 1)
+        else:
+            code = GabidulinCode(ExtensionField(PrimeField(2), degree=5), 5, 1)
+        words = _within_t_words(code, rng, 300)
+    t = (code.length - code.dim) // 2
+    answered = refused = 0
+    for w in words:
+        got = code.decode_rank_errors(w)
+        if got is None:
+            refused += 1
+        else:
+            answered += 1
+            assert rank_distance(code.field, got, w) <= t, w
+    assert answered > 10 and refused > 10
+
+
 def test_json_roundtrip(f8):
     code = GabidulinCode(f8, 3, 2)
     doc = code.to_json()

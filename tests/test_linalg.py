@@ -212,6 +212,16 @@ def test_rank_batch_q_guard():
             rank_batch(np.ones((2, 3, 3), dtype=np.int64), big)
 
 
+def test_rref_q_guard():
+    """rref eliminates over PrimeField(q): it reduces just below Q_GUARD
+    and refuses q at the bound."""
+    m = np.array([[2, 4, 6], [1, 1, 1]], dtype=np.int64)
+    R, piv = rref(m, Q_GUARD - 1)  # 2^31 - 1, prime
+    assert piv == [0, 1] and R.tolist() == [[1, 0, Q_GUARD - 2], [0, 1, 2]]
+    with pytest.raises(ValueError, match="below"):
+        rref(m, Q_GUARD)
+
+
 def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):
     spec, _ = special_situation(2, 4, 4, 2, 2, 4)
     und = spec.codeword_underlines()[:, 0]
