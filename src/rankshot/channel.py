@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, json_int
+from .linalg import rank
 
 
 def lift(field, word) -> np.ndarray:
@@ -62,13 +63,18 @@ class ChannelConfig:
                 "split": split}
 
 
+def split_from_json(split):
+    """A split mode name as is, or a per-shot list as (rho_j, tau_j) int pairs."""
+    if isinstance(split, str):
+        return split
+    return tuple((json_int(a, "split rho_j"), json_int(b, "split tau_j")) for a, b in split)
+
+
 def config_from_json(doc: dict, N: int, T: int, q: int) -> ChannelConfig:
-    split = doc.get("split", "uniform")
-    if not isinstance(split, str):
-        split = tuple((int(a), int(b)) for a, b in split)
     return ChannelConfig(
-        rho=int(doc["rho"]), tau=int(doc["tau"]), n=int(doc["n"]),
-        seed=int(doc.get("seed", 0)), N=N, T=T, q=q, split=split,
+        rho=json_int(doc["rho"], "rho"), tau=json_int(doc["tau"], "tau"),
+        n=json_int(doc["n"], "n"), seed=json_int(doc.get("seed", 0), "seed"),
+        N=N, T=T, q=q, split=split_from_json(doc.get("split", "uniform")),
     )
 
 
@@ -98,8 +104,6 @@ def _random_composition(rng: np.random.Generator, total: int, parts: int, cap: i
 
 
 def _random_full_rank(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.ndarray:
-    from .linalg import rank
-
     target = min(rows, cols)
     if target == 0:
         return np.zeros((rows, cols), dtype=np.int64)

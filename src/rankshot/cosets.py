@@ -7,7 +7,11 @@ R_i splits uniquely as a coset leader from that span plus a remainder in
 R_{i+1}, which is what multistage decoding peels off level by level.
 The split reads the word's coefficients through a left inverse of each
 level's N x K_i generator; the inverses and the generators' column
-blocks are computed once per chain.
+blocks are computed once per chain.  coset_leader stays as the
+reference split, for the tests and for perfbench/spans.py; no decode
+path calls it.  The algebraic multistage path already holds the
+message polynomial and reads the split off it, and the exhaustive path
+reads coset_table.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
 codeword order, so an exhaustive decoder's argmin over R_i's codeword
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import guard_enumeration
+from .errors import guard_enumeration, json_int
 from .fields import matvec
 from .gabidulin import GabidulinCode
 from .linalg import element_ints, mixed_radix_digits, rref_field
@@ -28,7 +32,7 @@ from .linalg import element_ints, mixed_radix_digits, rref_field
 
 class PartitionChain:
     def __init__(self, code: GabidulinCode, ks):
-        ks = tuple(int(k) for k in ks)
+        ks = tuple(json_int(k, "chain dimension") for k in ks)
         if not ks or ks[0] != code.dim:
             raise ValueError("chain must start at the code dimension")
         if ks[-1] != 0:

@@ -23,8 +23,13 @@ subspace distance to the received row space (linalg.basis_distances):
   (PartitionChain.coset_table).  The algebraic inner path reads the rank
   word r_j off the same basis (reduction.rank_word: the payload rows
   under header pivots) and decodes r_j - V_j with the Gabidulin
-  interpolation decoder.  Diagnostics record, per stage, how many shots'
-  inner decisions the outer decoder overruled.
+  interpolation decoder to its message polynomial f
+  (GabidulinCode.decode_message).  R_i is generated by the first K_i
+  generator columns, so the coset message is f[K_{i+1}:K_i] and the
+  coset leader its product with the coset code's generator: no
+  codeword is re-encoded and no coset_leader split runs.  Diagnostics
+  record, per stage, how many shots' inner decisions the outer decoder
+  overruled.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import matvec
 from .linalg import basis_distances, lifted_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import rank_word
@@ -97,13 +103,19 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     coset table.  inner_method="algebraic" instead
     runs the rank-error decoder on r_j - V_j, r_j the rank word read off
     the same basis (reduction.rank_word, the rule reduce_received
-    applies); its failures are handed to the outer decoder as erasures.
+    applies), and splits the decoded message polynomial f: the coset
+    message is f[K_{i+1}:K_i] and the leader its image under the coset
+    code's generator, exactly PartitionChain.coset_leader's split of
+    the encoded word.  Its failures are handed to the outer decoder as
+    erasures.
     """
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
     field = spec.field
     q = field.base.size
     chain = spec.chain
+    if inner_method not in ("exhaustive", "algebraic"):
+        raise ValueError(f"unknown inner method {inner_method!r}")
     exhaustive = inner_method == "exhaustive"
     bases = [received_basis(y, spec.shot_length, q) for y in Ys]
     if any(p.shape[1] != field.degree for _, p in bases):
@@ -130,15 +142,14 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
                 leaders.append(tuple(leader_tab[k].tolist()))
                 mtuples.append(tuple(message_tab[k].tolist()))
                 continue
-            decided = sub.decode_bounded(field.vec_sub(words[j], accepted[j]),
-                                         method=inner_method)
-            if decided is None:
+            msg = sub.decode_message(field.vec_sub(words[j], accepted[j]))
+            if msg is None:
                 erased.append(j)
                 leaders.append(None)
                 mtuples.append(None)
                 continue
-            leader, mtup = chain.coset_leader(i, decided)
-            leaders.append(leader)
+            mtup = msg[chain.ks[i + 1]:]
+            leaders.append(matvec(field, chain.coset_code_generator(i), mtup))
             mtuples.append(mtup)
         leaders_all.append(leaders)
         erasure_counts.append(len(erased))

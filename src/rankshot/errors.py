@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the enumeration guard and
-the bounds on the prime field size q."""
+"""Exception types shared across the package, the enumeration guard,
+the bounds on the prime field size q and the reader of JSON integers."""
 
 import math
+import operator
 
 ENUM_GUARD = 1 << 20           # codewords: bounds the Python codeword lists
 STACK_GUARD_BYTES = 1 << 26    # 64 MiB: bounds the int64 arrays a build holds at once
@@ -35,6 +36,21 @@ def guard_enumeration(count: int, word_shape: tuple = (), transient: int = 0) ->
             f"({held_bytes} bytes held while building) exceeds the enumeration guard "
             f"of {ENUM_GUARD} codewords or {STACK_GUARD_BYTES} bytes held"
         )
+
+
+def json_int(value, what: str) -> int:
+    """*value* as an int, for a count, dimension or seed read from JSON.
+
+    A bool, float or str raises TypeError rather than being coerced:
+    int() would truncate 2.7 to 2 or parse "12", and iterating "12"
+    would read it as the list [1, 2].
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def int64_products_fit(terms: int, q: int) -> bool:

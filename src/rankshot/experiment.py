@@ -23,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
+from .channel import (
+    ChannelConfig, apply_channel, lift_multishot, sample_channel, split_from_json,
+)
 from .decoder import multistage_decode, oracle_decode_multishot
-from .errors import ConfigError
+from .errors import ConfigError, json_int
 from .linalg import subspace_distance_to_lifted
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
@@ -71,17 +73,11 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         spec_doc = json.dumps(doc["spec"], sort_keys=True)
         _build_spec(spec_doc)  # validate eagerly
         chan = doc["channel"]
-        rhos = chan["rho"]
-        taus = chan["tau"]
-        if isinstance(rhos, int):
-            rhos = [rhos]
-        if isinstance(taus, int):
-            taus = [taus]
-        grid = tuple((int(r), int(t)) for r in rhos for t in taus)
-        split = chan.get("split", "uniform")
-        if not isinstance(split, str):
-            split = tuple((int(a), int(b)) for a, b in split)
-        trials = int(doc.get("trials", 100))
+        rhos = _budgets(chan["rho"], "channel rho")
+        taus = _budgets(chan["tau"], "channel tau")
+        grid = tuple((r, t) for r in rhos for t in taus)
+        split = split_from_json(chan.get("split", "uniform"))
+        trials = json_int(doc.get("trials", 100), "trials")
         decoders = tuple(doc.get("decoders", list(DECODERS)))
         if not decoders:
             raise ConfigError("decoders must name at least one decoder")
@@ -92,7 +88,7 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not grid:
             raise ConfigError("empty (rho, tau) grid")
-        master_seed = int(doc.get("master_seed", 0))
+        master_seed = json_int(doc.get("master_seed", 0), "master_seed")
         if master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         return ExperimentConfig(
@@ -104,6 +100,12 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad experiment config: {exc}") from exc
+
+
+def _budgets(value, what: str) -> list:
+    """One budget or a list of them, as ints."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return [json_int(v, what) for v in values]
 
 
 def trial_seeds(master_seed: int, grid_index: int, trial_index: int):

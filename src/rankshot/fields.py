@@ -39,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from .errors import Q_GUARD
+from .errors import Q_GUARD, json_int
 
 _TABLE_LIMIT = 1 << 12
 
@@ -524,9 +524,11 @@ def matvec(field, rows, vec) -> tuple:
 
 
 def field_from_json(doc: dict) -> ExtensionField:
-    q = int(doc["q"])
-    m = int(doc["M"])
+    q = json_int(doc["q"], "field q")
+    m = json_int(doc["M"], "field M")
     modulus = doc.get("modulus")
+    if modulus is not None:
+        modulus = [json_int(c, "modulus coefficient") for c in modulus]
     return ExtensionField(PrimeField(q), modulus=modulus, degree=m)
 
 

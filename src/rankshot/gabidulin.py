@@ -16,10 +16,13 @@ entry-tuple serialization.  The decoder reads its answer from the stack
 row; the Python codeword list is built only when codewords() is called.
 The algebraic path is an interpolation decoder for rank errors only
 (Loidreau's Welch-Berlekamp analogue): it corrects up to
-floor((N-K)/2) rank errors and reports failure (None) beyond that.  The
-right half of every interpolation row, -g_i^(q^l), depends only on the
-code and is stored once per code; the received word contributes only its
-t + 1 Frobenius powers.  It is one path for every t, with no final
+floor((N-K)/2) rank errors and reports failure (None) beyond that.
+decode_message ends at the message polynomial f, the K coefficients a
+multistage decoder splits into coset messages; decode_rank_errors
+encodes f back into the codeword.  The right half of every
+interpolation row, -g_i^(q^l), depends only on the code and is stored
+once per code; the received word contributes only its t + 1 Frobenius
+powers.  It is one path for every t, with no final
 check: once W = V o f holds exactly, every error e_i = r_i - c_i is a
 root of V (V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of
 q-degree <= t span at most t dimensions over F_q, so the codeword
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import INT64_MAX
+from .errors import INT64_MAX, json_int
 from .fields import PrimeField, matvec, field_from_json, field_to_json
 from .linalg import (
     element_ints, kernel_field, rank, rank_batch, single_digit_messages, span_codebook,
@@ -55,7 +58,7 @@ class GabidulinCode:
         if points is None:
             points = tuple(field.pow(field.gen, i) for i in range(length))
         else:
-            points = tuple(int(p) for p in points)
+            points = tuple(json_int(p, "evaluation point") for p in points)
             if len(points) != length:
                 raise ValueError("need exactly N evaluation points")
         q = field.base.size
@@ -137,14 +140,15 @@ class GabidulinCode:
             return self.decode_rank_errors(received)
         raise ValueError(f"unknown decode method {method!r}")
 
-    def decode_rank_errors(self, received):
-        """Interpolation decoder for rank errors.
+    def decode_message(self, received):
+        """Interpolation decoder for rank errors, ending in the message.
 
         Finds linearized polynomials V (q-degree <= t) and W (q-degree
         <= K + t - 1) with V(r_i) = W(g_i) for all points, then recovers
-        the message polynomial as the exact left quotient W = V o f.
-        Returns the codeword, or None when no codeword lies within
-        t = floor((N - K) / 2) rank errors.
+        the message polynomial f as the exact left quotient W = V o f.
+        Returns f's K coefficients, zero-padded (the message m with
+        encode(m) the decoded codeword), or None when no codeword lies
+        within t = floor((N - K) / 2) rank errors.
         """
         f = self.field
         n, k = self.length, self.dim
@@ -160,7 +164,12 @@ class GabidulinCode:
         msg = _lin_left_divide(f, list(vec[: t + 1]), list(vec[t + 1:]))
         if msg is None or len(msg) > k:
             return None
-        return self.encode(tuple(msg) + (0,) * (k - len(msg)))
+        return tuple(msg) + (0,) * (k - len(msg))
+
+    def decode_rank_errors(self, received):
+        """The codeword of decode_message's answer, or None with it."""
+        msg = self.decode_message(received)
+        return None if msg is None else self.encode(msg)
 
     def to_json(self) -> dict:
         doc = field_to_json(self.field)
@@ -173,7 +182,8 @@ class GabidulinCode:
 
 def code_from_json(doc: dict) -> GabidulinCode:
     field = field_from_json(doc)
-    return GabidulinCode(field, int(doc["N"]), int(doc["K"]), doc.get("points"))
+    return GabidulinCode(field, json_int(doc["N"], "N"), json_int(doc["K"], "K"),
+                         doc.get("points"))
 
 
 def _lin_left_divide(field, v_poly, w_poly):

@@ -65,7 +65,9 @@ def _prime_field(q: int) -> PrimeField:
 
 
 def rank(m, q: int) -> int:
-    return len(rref(m, q)[1])
+    """Rank mod prime q: the pivot count of rref_field, with no int64
+    result array built."""
+    return len(rref_field(_prime_field(q), as_matrix(m, q).tolist())[1])
 
 
 def rankdef(m, q: int) -> int:

@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cosets import PartitionChain
+from .errors import json_int
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
 from .gabidulin import GabidulinCode
 from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
@@ -195,18 +196,19 @@ def spec_from_json(doc: dict) -> MultilevelCodeSpec:
     if "special" in doc:
         s = doc["special"]
         spec, _ = special_situation(
-            int(s["q"]), int(s["M"]), int(s["N"]), int(s["K"]), int(s["n"]), int(s["d"])
+            *(json_int(s[key], f"special {key}") for key in ("q", "M", "N", "K", "n", "d"))
         )
         return spec
     field = field_from_json(doc["field"])
-    code = GabidulinCode(field, int(doc["N"]), int(doc["K"]), doc.get("points"))
+    code = GabidulinCode(field, json_int(doc["N"], "N"), json_int(doc["K"], "K"),
+                         doc.get("points"))
     chain = PartitionChain(code, doc["Ks"])
     outers = doc["outers"]
-    n = int(doc["n"])
+    n = json_int(doc["n"], "n")
     for o in outers:
-        if "n" in o and int(o["n"]) != n:
+        if "n" in o and json_int(o["n"], "outer n") != n:
             raise ValueError("outer block length disagrees with the shot count n")
-    return MultilevelCodeSpec(chain, n, [int(o["k"]) for o in outers])
+    return MultilevelCodeSpec(chain, n, [json_int(o["k"], "outer k") for o in outers])
 
 
 def special_situation(q: int, M: int, N: int, K: int, n: int, d: int):

@@ -1,5 +1,7 @@
 """Lifting and the budgeted multiplicative-additive matrix channel."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,34 @@ def test_draw_deterministic():
     d2 = sample_channel(cfg)
     for a, b in zip(d1.As + d1.Zs, d2.As + d2.Zs):
         assert np.array_equal(a, b)
+
+
+def test_channel_stream_pinned():
+    """The sampler's draws are byte-identical to the pinned stream.
+
+    One sha256 over the shapes and int64 bytes of every A_j and Z_j and
+    the realized splits, for q in {2, 3, 5}, three (N, T) shapes, a
+    rho/tau grid reaching the per-shot cap, both split modes and seeds
+    0-5.  A sampler speed-up must keep every RNG call, so it keeps this
+    digest.
+    """
+    h = hashlib.sha256()
+    for q in (2, 3, 5):
+        for N, T in ((3, 6), (4, 8), (2, 5)):
+            for rho in (0, 1, N):
+                for tau in (0, 1, N):
+                    for split in ("uniform", "first"):
+                        for seed in range(6):
+                            draw = sample_channel(ChannelConfig(
+                                rho=rho, tau=tau, n=2, seed=seed, N=N, T=T, q=q,
+                                split=split))
+                            for m in draw.As + draw.Zs:
+                                h.update(repr(m.shape).encode())
+                                h.update(np.ascontiguousarray(m, dtype="<i8").tobytes())
+                            h.update(repr((draw.rho_split, draw.tau_split)).encode())
+    assert h.hexdigest() == (
+        "e8dc178c5bc2dc77be745d09e29148ecc5255cf234824f539b51d6c4ccc20062"
+    )
 
 
 def test_apply_channel_identity(f8):

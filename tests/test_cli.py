@@ -259,6 +259,23 @@ def test_simulate_rejects_empty_decoder_list(tmp_path, capsys):
     assert "at least one decoder" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("channel, over", [
+    ({"rho": "12", "tau": 0}, {}),
+    ({"rho": [1.9], "tau": 0}, {}),
+    ({"rho": 1, "tau": 0, "split": [[0.9, 0], [0.1, 0]]}, {}),
+    ({"rho": 0, "tau": 0}, {"trials": 2.7}),
+    ({"rho": 0, "tau": 0}, {"master_seed": 1.5}),
+    ({"rho": 0, "tau": 0}, {"spec": {**TINY_SPEC, "n": 2.5}}),
+], ids=["rho-str", "rho-float", "split-float", "trials-float", "seed-float", "spec-n-float"])
+def test_simulate_rejects_non_integer_counts(channel, over, tmp_path, capsys):
+    sim = {"spec": TINY_SPEC, "channel": channel, "trials": 1, **over}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 2 and out == ""
+    assert "must be an integer" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_workers_below_one(workers, capsys):
     code, out, err = run(capsys, ["simulate", "--config",
@@ -459,6 +476,20 @@ def test_channel_rejects_inconsistent_transmit(tmp_path, capsys, first, second, 
                                   "--in", str(p)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("over", [
+    {"rho": 1.9}, {"rho": "1"}, {"tau": False}, {"n": 2.5}, {"seed": 3.7},
+    {"rho": 1, "split": [[0.9, 0], [0.1, 0]]},
+], ids=["rho-float", "rho-str", "tau-bool", "n-float", "seed-float", "split-float"])
+def test_channel_rejects_non_integer_counts(over, tmp_path, capsys):
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(json.dumps({"rho": 0, "tau": 0, "n": 2, "seed": 0, **over}))
+    p = tmp_path / "tx.json"
+    p.write_text(json.dumps({"lifted": [_SHOT_2X5, _SHOT_2X5]}))
+    code, out, err = run(capsys, ["channel", "--config", str(cfg), "--in", str(p)])
+    assert code == 2 and out == ""
+    assert "must be an integer" in err and "Traceback" not in err
 
 
 def test_channel_rejects_non_object_config(tmp_path, capsys):

@@ -9,8 +9,9 @@ from rankshot import decoder, linalg
 from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
 from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
-from rankshot.linalg import subspace_distance_to_lifted
-from rankshot.reduction import reduce_received
+from rankshot.linalg import received_basis, subspace_distance_to_lifted
+from rankshot.multilevel import special_situation
+from rankshot.reduction import rank_word, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
 
@@ -285,6 +286,72 @@ def test_multistage_reads_each_shot_once(code, request, monkeypatch):
     monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
     assert multistage_decode(ys, spec) == first
     assert len(rrefs) == spec.n and splits == []
+
+
+def reference_algebraic_multistage(ys, spec, outer_method):
+    """The algebraic multistage decode with every inner decision decoded
+    to a codeword (decode_bounded) and split by the chain's left inverse
+    (coset_leader)."""
+    field, q, chain = spec.field, spec.field.base.size, spec.chain
+    words = [rank_word(*received_basis(y, spec.shot_length, q), q)[1] for y in ys]
+    accepted = [(0,) * spec.shot_length] * spec.n
+    messages, wrong, erasures, leaders_all = [], [], [], []
+    for i in range(spec.m):
+        splits = [chain.subcode(i).decode_bounded(field.vec_sub(w, a), "algebraic")
+                  for w, a in zip(words, accepted)]
+        splits = [None if d is None else chain.coset_leader(i, d) for d in splits]
+        leaders = [None if s is None else s[0] for s in splits]
+        erased = tuple(j for j, s in enumerate(splits) if s is None)
+        leaders_all.append(leaders)
+        erasures.append(len(erased))
+        zero = (0,) * chain.delta_k(i)
+        symbols = tuple(spec.maps[i].to_symbol(zero if s is None else s[1]) for s in splits)
+        msg = spec.outers[i].decode(symbols, erasures=erased, method=outer_method)
+        if msg is None:
+            wrong.append(None)
+            return MultistageResult(False, i, None, wrong, erasures, leaders_all)
+        v_hats = spec.level_contribution(i, msg)
+        wrong.append(sum(1 for v, x in zip(leaders, v_hats) if v is not None and v != x))
+        messages.append(tuple(msg))
+        accepted = [field.vec_add(a, v) for a, v in zip(accepted, v_hats)]
+    return MultistageResult(True, None, messages, wrong, erasures, leaders_all)
+
+
+@pytest.mark.parametrize("outer", ["exhaustive", "algebraic"])
+@pytest.mark.parametrize("code", ["tiny2shot", "preset"])
+def test_multistage_algebraic_reads_coset_messages(code, outer, request, monkeypatch):
+    """The algebraic inner path takes each coset message from the decoded
+    message polynomial, with no coset_leader call, and decides exactly as
+    the reference built from decoded codewords and coset_leader does,
+    erasures and outer failures included."""
+    spec = (special_situation(2, 4, 4, 2, 3, 4)[0] if code == "preset"
+            else request.getfixturevalue(code))
+    rng = np.random.default_rng(67)
+    inputs = [seeded_trial(spec, rho, tau, seed, rng)[2]
+              for rho in range(4) for tau in range(2) for seed in range(5)]
+    refs = [reference_algebraic_multistage(ys, spec, outer) for ys in inputs]
+    splits = []
+    real_leader = PartitionChain.coset_leader
+
+    def counting_leader(chain, i, word):
+        splits.append(i)
+        return real_leader(chain, i, word)
+
+    monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
+    for ys, ref in zip(inputs, refs):
+        res = multistage_decode(ys, spec, outer_method=outer, inner_method="algebraic")
+        assert res.to_json() == ref.to_json()
+        assert res.inner_leaders == ref.inner_leaders
+    assert splits == []
+    assert any(sum(r.erasure_counts) for r in refs)
+    assert any(r.ok for r in refs)
+    assert outer == "exhaustive" or any(not r.ok for r in refs)
+
+
+def test_multistage_rejects_unknown_inner_method(tiny2shot):
+    ys = lift_multishot(tiny2shot.field, tiny2shot.encode([(0,), (0,)]))
+    with pytest.raises(ValueError, match="inner method"):
+        multistage_decode(ys, tiny2shot, inner_method="gmd")
 
 
 def test_multistage_algebraic_inner_erasures(tiny2shot):

@@ -80,6 +80,26 @@ def test_parse_rejects_bad_docs():
         parse_experiment_config(make_doc(master_seed=-1))
     with pytest.raises(ConfigError, match="at least one decoder"):
         parse_experiment_config(make_doc(decoders=[]))
+    # counts are integers: no truncation, no parsing, no iterating a string
+    for over, what in [
+        ({"channel": {"rho": "12", "tau": 0}}, "channel rho"),
+        ({"channel": {"rho": [1.9], "tau": 0}}, "channel rho"),
+        ({"channel": {"rho": 0, "tau": True}}, "channel tau"),
+        ({"channel": {"rho": 1, "tau": 0, "split": [[0.9, 0], [0.1, 0]]}}, "split rho_j"),
+        ({"trials": 2.7}, "trials"),
+        ({"trials": "5"}, "trials"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"spec": dict(TINY_SPEC, N=3.0)}, "N"),
+        ({"spec": dict(TINY_SPEC, Ks=[2, 1.5, 0])}, "chain dimension"),
+        ({"spec": dict(TINY_SPEC, outers=[{"n": 2, "k": 1}, {"n": 2, "k": 0.5}])},
+         "outer k"),
+        ({"spec": dict(TINY_SPEC, points=[1, 2, 4.2])}, "evaluation point"),
+        ({"spec": dict(TINY_SPEC, field={"q": 2, "M": "3"})}, "field M"),
+        ({"spec": {"special": {"q": 2, "M": 4, "N": 4, "K": 2, "n": 3, "d": 4.5}}},
+         "special d"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{what} must be an integer"):
+            parse_experiment_config(make_doc(**over))
 
 
 def test_trial_seeds_deterministic_and_distinct():

@@ -220,6 +220,34 @@ def test_decode_rank_errors_stays_within_t(f8, which):
     assert answered > 10 and refused > 10
 
 
+@pytest.mark.parametrize("which", ["f8-N3K1", "f8-N3K2", "f9-N2K1", "preset-K2", "preset-K1"])
+def test_decode_message_is_the_decoded_codewords_message(f8, f9, which):
+    """decode_message refuses exactly the words decode_rank_errors does,
+    and otherwise returns K coefficients that encode to its codeword: on
+    every word of the F_8 N = 3 codes' and the F_9 N = 2 code's spaces,
+    and on sampled words of the special preset's F_16 subcodes."""
+    if which.startswith("f8"):
+        code = GabidulinCode(f8, 3, int(which[-1]))
+        words = itertools.product(range(8), repeat=3)
+    elif which == "f9-N2K1":
+        code = GabidulinCode(f9, 2, 1)
+        words = itertools.product(range(9), repeat=2)
+    else:
+        code = _preset_subcodes()[0 if which == "preset-K2" else 1]
+        words = _within_t_words(code, np.random.default_rng(61), 300)
+    answered = refused = 0
+    for w in words:
+        msg = code.decode_message(w)
+        word = code.decode_rank_errors(w)
+        assert (msg is None) == (word is None), w
+        if msg is None:
+            refused += 1
+        else:
+            answered += 1
+            assert len(msg) == code.dim and code.encode(msg) == word, w
+    assert answered and refused
+
+
 def test_json_roundtrip(f8):
     code = GabidulinCode(f8, 3, 2)
     doc = code.to_json()
