@@ -21,7 +21,7 @@ import sys
 
 from .channel import apply_channel, config_from_json, lift_multishot, sample_channel
 from .decoder import multistage_decode, oracle_decode_multishot
-from .errors import Q_GUARD, ConfigError, GuardError, int64_products_fit
+from .errors import Q_GUARD, ConfigError, GuardError, int64_products_fit, json_int
 from .experiment import (
     fer_table,
     parse_experiment_config,
@@ -119,7 +119,8 @@ def cmd_encode(args) -> int:
     spec = _load_spec(args)
     doc = _load_json(args.infile)
     try:
-        messages = [tuple(int(s) for s in lvl) for lvl in doc["messages"]]
+        messages = [tuple(json_int(s, "message symbol") for s in lvl)
+                    for lvl in doc["messages"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad messages document: {exc}") from exc
     if len(messages) != spec.m:

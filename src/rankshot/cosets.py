@@ -5,13 +5,14 @@ R_i generated by the first K_i generator columns.  The coset code
 [R_i / R_{i+1}] is spanned by columns K_{i+1} .. K_i - 1; every word of
 R_i splits uniquely as a coset leader from that span plus a remainder in
 R_{i+1}, which is what multistage decoding peels off level by level.
-The split reads the word's coefficients through a left inverse of each
-level's N x K_i generator; the inverses and the generators' column
-blocks are computed once per chain.  coset_leader stays as the
-reference split, for the tests and for perfbench/spans.py; no decode
-path calls it.  The algebraic multistage path already holds the
-message polynomial and reads the split off it, and the exhaustive path
-reads coset_table.
+The split solves G_i x = word with linalg.solve_field over R_i's
+generator, the first K_i generator columns, and reads the coset message
+off x; the coset generators' column blocks are sliced once per chain.
+R_0 is the code object itself.  coset_leader stays as the reference
+split, for the tests and for perfbench/spans.py; no decode path calls
+it.  The algebraic multistage path already holds the message
+polynomial and reads the split off it, and the exhaustive path reads
+coset_table.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
 codeword order, so an exhaustive decoder's argmin over R_i's codeword
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import guard_enumeration, json_int
 from .fields import matvec
 from .gabidulin import GabidulinCode
-from .linalg import element_ints, mixed_radix_digits, rref_field
+from .linalg import element_ints, mixed_radix_digits, solve_field
 
 
 class PartitionChain:
@@ -41,14 +42,11 @@ class PartitionChain:
             raise ValueError("chain must be strictly decreasing")
         self.code = code
         self.ks = ks
-        self._subcodes: dict[int, GabidulinCode] = {}
+        self._subcodes: dict[int, GabidulinCode] = {0: code}
         self._tables: dict[int, tuple] = {}
-        gen = code.generator
-        self._subcode_generators = tuple(tuple(row[:k] for row in gen) for k in ks)
         self._coset_generators = tuple(
-            tuple(row[lo:hi] for row in gen) for hi, lo in zip(ks, ks[1:])
+            tuple(row[lo:hi] for row in code.generator) for hi, lo in zip(ks, ks[1:])
         )
-        self._left_inverses = tuple(self._left_inverse(i) for i in range(len(ks) - 1))
 
     @property
     def m(self) -> int:
@@ -75,23 +73,11 @@ class PartitionChain:
 
     def subcode_generator(self, i: int) -> tuple:
         """First K_i generator columns, as N row tuples."""
-        return self._subcode_generators[i]
+        return self.subcode(i).generator
 
     def coset_code_generator(self, i: int) -> tuple:
         """Generator columns K_{i+1} .. K_i - 1, as N row tuples."""
         return self._coset_generators[i]
-
-    def _left_inverse(self, i: int) -> tuple:
-        """K_i x N matrix L with L G_i = I for the generator G_i of R_i.
-
-        G_i has full column rank, so the RREF of [G_i | I_N] is [I ; 0] on
-        the left, and its first K_i rows carry L on the right.
-        """
-        k, n = self.ks[i], self.code.length
-        aug = [list(row) + [int(j == r) for j in range(n)]
-               for r, row in enumerate(self.subcode_generator(i))]
-        R, _ = rref_field(self.field, aug)
-        return tuple(tuple(row[k:]) for row in R[:k])
 
     def coset_leader(self, i: int, word):
         """Decompose a word of R_i as leader + member of R_{i+1}.
@@ -100,9 +86,8 @@ class PartitionChain:
         and message is its delta_k coefficient tuple.  Raises ValueError
         when the word is not in R_i.
         """
-        word = tuple(word)
-        sol = matvec(self.field, self._left_inverses[i], word)
-        if matvec(self.field, self._subcode_generators[i], sol) != word:
+        sol = solve_field(self.field, self.subcode_generator(i), list(word))
+        if sol is None:
             raise ValueError(f"word is not a member of the level-{i} subcode")
         message = sol[self.ks[i + 1]: self.ks[i]]
         leader = matvec(self.field, self._coset_generators[i], message)

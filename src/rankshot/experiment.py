@@ -78,7 +78,10 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         grid = tuple((r, t) for r in rhos for t in taus)
         split = split_from_json(chan.get("split", "uniform"))
         trials = json_int(doc.get("trials", 100), "trials")
-        decoders = tuple(doc.get("decoders", list(DECODERS)))
+        decoders = doc.get("decoders", list(DECODERS))
+        if not isinstance(decoders, list):
+            raise ConfigError(f"decoders must be a list of decoder names, got {decoders!r}")
+        decoders = tuple(decoders)
         if not decoders:
             raise ConfigError("decoders must name at least one decoder")
         for d in decoders:
@@ -91,10 +94,12 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         master_seed = json_int(doc.get("master_seed", 0), "master_seed")
         if master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
+        timing = doc.get("timing", False)
+        if not isinstance(timing, bool):
+            raise ConfigError(f"timing must be true or false, got {timing!r}")
         return ExperimentConfig(
             spec_doc=spec_doc, grid=grid, split=split, trials=trials,
-            master_seed=master_seed, decoders=decoders,
-            timing=bool(doc.get("timing", False)),
+            master_seed=master_seed, decoders=decoders, timing=timing,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

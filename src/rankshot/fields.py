@@ -28,8 +28,8 @@ Both field classes offer two row primitives, scale_row(f, row) = f * row
 and sub_scaled_row(row, f, top) = row - f * top, entry by entry; in
 characteristic 2 a table field computes the second as one fused XOR
 comprehension.  linalg.rref_field (and so rref over PrimeField(q),
-kernel_field, solve_field and the coset left inverses), matvec and
-poly_divmod do their row work through them.  Field objects are immutable after construction and safe
+kernel_field and solve_field), matvec and poly_divmod do their row work
+through them.  Field objects are immutable after construction and safe
 to share between threads.
 """
 
@@ -45,21 +45,11 @@ _TABLE_LIMIT = 1 << 12
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n by trial division, ascending; [] for n < 2."""
     out = []
     f = 2
     while f * f <= n:

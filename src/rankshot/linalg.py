@@ -11,8 +11,9 @@ of a few rows and at most a few dozen columns that beats per-call numpy
 overhead.  rref(m, q) is its numpy adapter over the cached
 PrimeField(q), so q must be a prime below Q_GUARD; rank counts its
 pivots, and reduction, Subspace, received_basis and the channel
-sampler's full-rank test read it.  solve_field, kernel_field and the
-coset left inverses (cosets) run rref_field over extension fields.
+sampler's full-rank test read it.  kernel_field and solve_field (the
+reference coset split, cosets.coset_leader) run rref_field over
+extension fields.
 rank_batch ranks a stack (count, r, c) without it: binary shapes with
 r*c <= 16 index a uint8 table of every bit pattern's rank, and every
 other shape runs one batched elimination over the whole stack, with
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import Q_GUARD, guard_enumeration, int64_products_fit
+from .errors import Q_GUARD, guard_enumeration, int64_products_fit, json_int
 from .fields import PrimeField
 
 
@@ -346,10 +347,12 @@ def matrix_to_json(m, q: int) -> dict:
 
 
 def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
-    rows, cols, q = int(doc["rows"]), int(doc["cols"]), int(doc["q"])
+    """(matrix, q) from the JSON form; rows, cols, q and every entry must
+    be JSON integers (errors.json_int raises TypeError otherwise)."""
+    rows, cols, q = (json_int(doc[key], f"matrix {key}") for key in ("rows", "cols", "q"))
     if q < 2:
         raise ValueError(f"matrix field size q={q} is below 2")
-    data = doc["data"]
+    data = [json_int(x, "matrix entry") for x in doc["data"]]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
     m = np.array(data, dtype=np.int64).reshape(rows, cols) % q
@@ -401,10 +404,12 @@ def solve_field(field, rows, rhs):
     """Solve A x = b for a full-column-rank A over *field*.
 
     Returns the solution tuple, or None when the system is inconsistent.
-    Raises ValueError if A does not have full column rank.  No decoder
-    calls it: it stays for the tests, which check coset leaders against
-    it, and for perfbench/spans.py, which traces it by name.
+    Raises ValueError if A does not have full column rank or b does not
+    have one entry per row of A.  PartitionChain.coset_leader, the
+    reference coset split, is its caller; no decode path calls either.
     """
+    if len(rhs) != len(rows):
+        raise ValueError("matrix/vector size mismatch")
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     R, piv = rref_field(field, aug)

@@ -14,7 +14,17 @@ form from per-code data, computed once: each point's linear factor
 x - x_i and the inverse differences 1 / (x_i - x_j).  A decode multiplies
 the live factors into g0, divides out each point's factor by synthetic
 division and scales by the product of its inverse differences; it
-inverts no element and keeps nothing between calls.
+inverts no element and keeps nothing between calls.  It ends at one
+exact division, with no re-encoding and no error count: partial extended
+Euclid on (g0, g1) stops at the first remainder r of degree below
+(n_live + k) / 2, so its g1 cofactor v, which is never zero, has degree
+at most (n_live - k) / 2.  With r = u g0 + v g1, an exact quotient
+r = v p with deg p < k gives v (g1 - p) = -u g0; g0 is square-free, so
+every live position where the word disagrees with p is a root of v.  The
+e errors then satisfy 2e <= n_live - k, that is 2e + f <= d - 1 with
+f = n - n_live erasures.  For k = 0 the same loop ends at r = 0 exactly
+when the gcd of g0 and g1, the product of x - x_i over the live zero
+positions, has degree at least n_live / 2: that bound for the zero word.
 
 A SymbolMap carries level messages between width-w coefficient tuples
 over F_{q^M} and symbols of the level alphabet, which for w > 1 is a
@@ -167,10 +177,6 @@ class OuterCode:
         f = self.field
         live = [i for i in range(self.n) if i not in erasures]
         n_live = len(live)
-        n_erased = self.n - n_live
-        if self.k == 0:
-            errors = sum(1 for i in live if word[i] != 0)
-            return () if 2 * errors + n_erased <= self.d_min - 1 else None
         if n_live < self.k:
             return None
         g0 = [1]
@@ -203,20 +209,10 @@ class OuterCode:
             quot, rem = poly_divmod(f, r0, r1)
             r0, r1 = r1, rem
             v0, v1 = v1, poly_sub(f, v0, poly_mul(f, quot, v1))
-        if not v1:
-            return None
-        if not r1:
-            quot, rem = [], []
-        else:
-            quot, rem = poly_divmod(f, r1, v1)
+        quot, rem = poly_divmod(f, r1, v1)
         if rem or len(quot) > self.k:
             return None
-        msg = tuple(quot) + (0,) * (self.k - len(quot))
-        cw = self.encode(msg)
-        errors = sum(1 for i in live if cw[i] != word[i])
-        if 2 * errors + n_erased <= self.d_min - 1:
-            return msg
-        return None
+        return tuple(quot) + (0,) * (self.k - len(quot))
 
     def __repr__(self):
         return f"OuterCode(n={self.n}, k={self.k}, alphabet={self.field.size})"

@@ -276,6 +276,19 @@ def test_simulate_rejects_non_integer_counts(channel, over, tmp_path, capsys):
     assert "must be an integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"timing": "no"}, "timing must be true or false"),
+    ({"decoders": "oracle"}, "decoders must be a list"),
+], ids=["timing-str", "decoders-str"])
+def test_simulate_rejects_non_bool_timing_and_bare_decoder(over, message, tmp_path, capsys):
+    sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0}, "trials": 1, **over}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_workers_below_one(workers, capsys):
     code, out, err = run(capsys, ["simulate", "--config",
@@ -338,6 +351,16 @@ def test_encode_validates_messages(spec_path, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("messages", [[[3.9], [0]], [[3], [True]], [[3], ["5"]]],
+                         ids=["float", "bool", "str"])
+def test_encode_rejects_non_integer_symbols(spec_path, tmp_path, capsys, messages):
+    p = tmp_path / "msg.json"
+    p.write_text(json.dumps({"messages": messages}))
+    code, out, err = run(capsys, ["encode", "--config", spec_path, "--in", str(p)])
+    assert code == 2 and out == ""
+    assert "message symbol must be an integer" in err and "Traceback" not in err
+
+
 def test_channel_rejects_mismatched_n(spec_path, tmp_path, capsys):
     msg_p = tmp_path / "msg.json"
     msg_p.write_text(json.dumps({"messages": [[0], [0]]}))
@@ -387,6 +410,26 @@ def test_decode_rejects_wrong_q(spec_path, tmp_path, capsys):
     code, _, err = run(capsys, ["decode", "--config", spec_path, "--in", str(p)])
     assert code == 2
     assert "received matrix 0 has q=3" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rows", 3.7), ("cols", 6.0), ("q", True), ("data", 1.9), ("data", False),
+], ids=["rows-float", "cols-float", "q-bool", "entry-float", "entry-bool"])
+@pytest.mark.parametrize("command", ["decode", "channel"])
+def test_matrix_documents_read_integers_strictly(spec_path, tmp_path, capsys,
+                                                  command, key, value):
+    doc = lifted_zero_word(3, 3, 2)
+    mat = doc["received"][0]
+    if key == "data":
+        mat["data"][1] = value
+    else:
+        mat[key] = value
+    p = tmp_path / "rx.json"
+    p.write_text(json.dumps(doc if command == "decode" else {"lifted": doc["received"]}))
+    config = spec_path if command == "decode" else str(CONFIGS / "channel_example.json")
+    code, out, err = run(capsys, [command, "--config", config, "--in", str(p)])
+    assert code == 2 and out == ""
+    assert "must be an integer" in err and "Traceback" not in err
 
 
 def test_decode_oracle_refuses_special_preset(tmp_path, capsys):

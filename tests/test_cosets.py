@@ -46,6 +46,7 @@ def test_children_count_wide_gap():
 
 def test_generator_slicing(chain):
     full = chain.code.generator
+    assert chain.subcode(0) is chain.code
     assert chain.subcode_generator(0) == full
     assert chain.subcode_generator(2) == ((), (), ())
     assert chain.subcode_generator(1) == tuple((row[0],) for row in full)
@@ -91,6 +92,9 @@ def test_coset_leader_rejects_non_members(chain):
     assert non_member not in set(sub1.codewords())
     with pytest.raises(ValueError):
         chain.coset_leader(1, non_member)
+    for wrong_length in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            chain.coset_leader(0, wrong_length)
 
 
 def test_coset_leader_level_m_minus_1(chain):
@@ -108,18 +112,6 @@ def _chains(f8, f9, decode12):
         decode12.chain,
         PartitionChain(GabidulinCode(f9, 2, 2), [2, 1, 0]),
     )
-
-
-def test_left_inverses_invert_every_level(f8, f9, decode12):
-    for ch in _chains(f8, f9, decode12):
-        f = ch.field
-        for i in range(ch.m):
-            gen, inv = ch.subcode_generator(i), ch._left_inverses[i]
-            k = ch.ks[i]
-            assert len(inv) == k and all(len(row) == ch.code.length for row in inv)
-            cols = [matvec(f, gen, tuple(int(r == c) for r in range(k))) for c in range(k)]
-            product = [[matvec(f, inv, col)[r] for col in cols] for r in range(k)]
-            assert product == [[int(r == c) for c in range(k)] for r in range(k)]
 
 
 def test_coset_leader_matches_solve_field(f8, f9, decode12):

@@ -80,6 +80,15 @@ def test_parse_rejects_bad_docs():
         parse_experiment_config(make_doc(master_seed=-1))
     with pytest.raises(ConfigError, match="at least one decoder"):
         parse_experiment_config(make_doc(decoders=[]))
+    # timing is a JSON bool and decoders a list of names: no truthy
+    # strings, no iterating a name into letters
+    for bad in ("no", 1, None):
+        with pytest.raises(ConfigError, match="timing must be true or false"):
+            parse_experiment_config(make_doc(timing=bad))
+    for bad in ("oracle", {"oracle": 1}, None):
+        with pytest.raises(ConfigError, match="decoders must be a list"):
+            parse_experiment_config(make_doc(decoders=bad))
+    assert parse_experiment_config(make_doc(timing=True)).timing is True
     # counts are integers: no truncation, no parsing, no iterating a string
     for over, what in [
         ({"channel": {"rho": "12", "tau": 0}}, "channel rho"),

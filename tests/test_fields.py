@@ -12,6 +12,8 @@ from rankshot.fields import (
     _TABLE_LIMIT,
     ExtensionField,
     PrimeField,
+    _is_prime,
+    _prime_factors,
     default_modulus,
     field_from_json,
     field_to_json,
@@ -36,6 +38,18 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10_000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert [n for n in range(-2, limit) if _is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert _prime_factors(1) == _prime_factors(0) == []
+    assert _is_prime(2**31 - 1) and not _is_prime(2**31 - 3)  # 5 * 429496729
 
 
 def test_prime_field_refuses_q_beyond_guard():

@@ -386,6 +386,9 @@ def test_field_elimination_helpers(f8):
     w = [3, 5, f8.add(3, 5)]
     assert solve_field(f8, rows, w) == x
     assert solve_field(f8, rows, [1, 1, 1]) is None  # inconsistent
+    for rhs in (w[:2], w + [0]):  # one entry per row of G, no more, no less
+        with pytest.raises(ValueError, match="size mismatch"):
+            solve_field(f8, rows, rhs)
     r, piv = rref_field(f8, [[1, 1], [1, 1]])
     assert piv == [0]
     ker = kernel_field(f8, [[1, 1]])

@@ -235,3 +235,26 @@ def test_gao_matches_exhaustive_inside_the_radius(which):
                             assert got == code.decode(word, erasures=erasures) == msg
                             checked += 1
     assert checked >= 2
+
+
+def test_gao_is_exactly_the_bounded_distance_decoder(f8, f9):
+    """Every word and every erasure set of [3,0], [3,1] and [3,2] over F_8,
+    [3,2] and [3,3] over F_4 and [3,1] over F_9: the algebraic decoder
+    returns the nearest codeword's message when that codeword has
+    2e + f <= d - 1 on the live positions, and None otherwise."""
+    f4 = ExtensionField(PrimeField(2), degree=2)
+    checked = 0
+    for field, k in ((f8, 0), (f8, 1), (f8, 2), (f4, 2), (f4, 3), (f9, 1)):
+        code = OuterCode(field, 3, k)
+        for erasures in itertools.chain.from_iterable(
+            itertools.combinations(range(3), size) for size in range(4)
+        ):
+            live = [i for i in range(3) if i not in erasures]
+            for word in itertools.product(range(field.size), repeat=3):
+                msg = code.decode(word, erasures=erasures)
+                cw = code.encode(msg)
+                errors = sum(cw[i] != word[i] for i in live)
+                want = msg if 2 * errors + len(erasures) <= code.d_min - 1 else None
+                assert code.decode(word, erasures=erasures, method="algebraic") == want
+                checked += 1
+    assert checked == 8 * (3 * 8 ** 3 + 2 * 4 ** 3 + 9 ** 3)
