@@ -15,10 +15,16 @@ polynomial and reads the split off it, and the exhaustive path reads
 coset_table.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
-codeword order, so an exhaustive decoder's argmin over R_i's codeword
-stack reads its decision by index.  It is read off R_i's enumeration,
-whose message indices carry each word's coset message, with no
-coset_leader call, and held as int64 arrays under the enumeration guard.
+codeword order, and coset_symbols(i) each word's coset message as one
+symbol of the level alphabet, so an exhaustive decoder's argmin over
+R_i's words reads its decision by index.  Both are read off R_i's
+enumeration, whose product indices carry each word's coset message, with
+no coset_leader call, and held as int64 arrays under one enumeration
+guard.  R_i's product indices (GabidulinCode.codebook_arrays) are the
+index column beside them: R_i's message is the first K_i digits of an
+R_0 message, so with Q = q^M the word V + x of R_0, x in R_i and V in
+the span of columns K_i .. K_0 - 1, has R_0 product index
+index_i(x) Q^(K_0 - K_i) + index(V).
 """
 
 from __future__ import annotations
@@ -102,12 +108,25 @@ class PartitionChain:
         a word's coset message is the last delta_k elements of its
         message, the low digits of its product index, and its leader is
         the word whose product index is those digits alone.  Built on
-        first use; the guard bounds both arrays and the index copy, and
-        runs before R_i is enumerated.
+        first use with coset_symbols(i); the guard bounds the three arrays
+        and the index copy, and runs before R_i is enumerated.
         """
+        return self._level_table(i)[:2]
+
+    def coset_symbols(self, i: int) -> np.ndarray:
+        """Level-i symbol of every word's coset message, in R_i's codeword order.
+
+        Entry k is outer.SymbolMap.to_symbol of row k of
+        coset_table(i)[1]: the element of F_(q^M)^delta_k whose
+        coordinates over F_{q^M} are the coset message, low first.
+        """
+        return self._level_table(i)[2]
+
+    def _level_table(self, i: int) -> tuple:
         if i not in self._tables:
             sub, delta = self.subcode(i), self.delta_k(i)
-            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta,), transient=2)
+            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta + 1,),
+                              transient=2)
             und, index = sub.codebook_arrays()
             cosets = self.children_count(i)
             coset_index = index % cosets
@@ -115,8 +134,9 @@ class PartitionChain:
             at = np.flatnonzero(index < cosets)
             by_index = np.empty((cosets, sub.length), dtype=np.int64)
             by_index[index[at]] = element_ints(und[at], self.field.base.size)
-            self._tables[i] = (by_index[coset_index],
-                               mixed_radix_digits(coset_index, [self.field.size] * delta))
+            messages = mixed_radix_digits(coset_index, [self.field.size] * delta)
+            self._tables[i] = (by_index[coset_index], messages,
+                               element_ints(messages, self.field.size))
         return self._tables[i]
 
     def __repr__(self):

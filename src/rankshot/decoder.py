@@ -13,23 +13,28 @@ subspace distance to the received row space (linalg.basis_distances):
 * multistage_decode peels the partition chain level by level: per shot
   it picks the word x of the level subcode R_i minimizing
   d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
-  contributions already accepted (MultilevelCodeSpec.level_contribution),
-  and decodes the resulting coset symbols with the level's outer code.
-  Each received matrix is row-reduced once per decode, to its basis
-  [H | P] (linalg.received_basis), on both inner paths.  The exhaustive
-  inner path scores the shifted basis [H | P - H underline(V_j)] at stage
-  i against R_i's codeword stack, and the first minimum's coset leader
-  and message come from the level's coset table
-  (PartitionChain.coset_table).  The algebraic inner path reads the rank
-  word r_j off the same basis (reduction.rank_word: the payload rows
-  under header pivots) and decodes r_j - V_j with the Gabidulin
-  interpolation decoder to its message polynomial f
+  contributions already accepted, and decodes the resulting coset
+  symbols with the level's outer code.  Each received matrix is
+  row-reduced once per decode, to its basis [H | P]
+  (linalg.received_basis), on both inner paths.  V_j + R_i lies in R_0,
+  so the exhaustive inner path scores each shot once, against R_0's
+  codeword stack, and every stage's decision is the first minimum of a
+  gather from that score vector: the word V_j + x has R_0 product index
+  index_i(x) Q^(K_0 - K_i) + index(V_j), Q = q^M (cosets module
+  docstring), and V_j is tracked as that index.  The decision's coset
+  leader and symbol come from the level's coset table
+  (PartitionChain.coset_table, coset_symbols).  The algebraic inner path
+  reads the rank word r_j off the same basis (reduction.rank_word: the
+  payload rows under header pivots) and decodes r_j - V_j with the
+  Gabidulin interpolation decoder to its message polynomial f
   (GabidulinCode.decode_message).  R_i is generated by the first K_i
   generator columns, so the coset message is f[K_{i+1}:K_i] and the
   coset leader its product with the coset code's generator: no
-  codeword is re-encoded and no coset_leader split runs.  Diagnostics
-  record, per stage, how many shots' inner decisions the outer decoder
-  overruled.
+  codeword is re-encoded and no coset_leader split runs.  A shot keeps
+  f, and reads its later coset messages off it, for as long as the
+  outer code confirms its leaders; only erased or overruled shots are
+  decoded again.  Diagnostics record, per stage, how many shots' inner
+  decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import matvec
-from .linalg import basis_distances, lifted_distances, received_basis
+from .linalg import basis_distances, lifted_distances, mixed_radix_digits, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import rank_word
 
@@ -90,87 +95,106 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
 
     Stage i inner-decodes each shot within the level subcode R_i, hands
     the per-shot coset symbols to outer code i, and adds the accepted
-    contribution v_hat^(i) to each shot's accepted sum V_j.  A stage
-    whose outer decoder fails ends the run with ok=False and that stage
-    index.
+    contribution v_hat^(i) to each shot's accepted sum V_j; a shot whose
+    coset symbol differs from the outer codeword's was overruled.  A
+    stage whose outer decoder fails ends the run with ok=False and that
+    stage index.
 
     The reference inner path takes the first minimum, in codeword order,
     of d_S(<Y_j>, lift(V_j + x)) over x in R_i; it always commits to a
-    decision, so no erasures arise.  It reads each Y_j once: one RREF
-    basis [H | P] per shot, shifted at stage i >= 1 to
-    [H | P - H underline(V_j)] (reduced mod q before the distance core
-    takes its own product), and the decision's split from the level's
-    coset table.  inner_method="algebraic" instead
-    runs the rank-error decoder on r_j - V_j, r_j the rank word read off
-    the same basis (reduction.rank_word, the rule reduce_received
-    applies), and splits the decoded message polynomial f: the coset
+    decision, so no erasures arise.  Its stage-i scores are a gather from
+    the shot's scores over R_0 at the rows of V_j + R_i, so the scores
+    and their tie order are those of scoring lift(V_j + x) directly.
+    inner_method="algebraic" instead runs the rank-error decoder on
+    r_j - V_j and splits the decoded message polynomial f: the coset
     message is f[K_{i+1}:K_i] and the leader its image under the coset
-    code's generator, exactly PartitionChain.coset_leader's split of
-    the encoded word.  Its failures are handed to the outer decoder as
-    erasures.
+    code's generator, exactly PartitionChain.coset_leader's split of the
+    encoded word.  Keeping f while the outer code confirms the shot's
+    leaders is exact: if f was found at stage l, r_j - V_j then lies
+    within rank t_l of a word of R_i, and t_l <= t_i < d_R(R_i) / 2
+    makes that word the decoder's unique answer at stage i.  Its
+    failures are handed to the outer decoder as erasures.
     """
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
     field = spec.field
-    q = field.base.size
-    chain = spec.chain
+    q, Q = field.base.size, field.size
+    chain, code, n = spec.chain, spec.code, spec.n
+    ks = chain.ks
     if inner_method not in ("exhaustive", "algebraic"):
         raise ValueError(f"unknown inner method {inner_method!r}")
     exhaustive = inner_method == "exhaustive"
     bases = [received_basis(y, spec.shot_length, q) for y in Ys]
     if any(p.shape[1] != field.degree for _, p in bases):
         raise ValueError(f"received matrices need N + M = {spec.lifted_length} columns")
-    if not exhaustive:
+    if exhaustive:
+        # every shot's scores over R_0, scattered into product-index order
+        und, index = code.codebook_arrays()
+        scores = np.empty((n, len(index)), dtype=np.int64)
+        for j, (h, p) in enumerate(bases):
+            scores[j, index] = basis_distances(h, p, und, q)
+        shots = np.arange(n)[:, None]
+    else:
         words = [rank_word(h, p, q)[1] for h, p in bases]
-    accepted = [(0,) * spec.shot_length] * spec.n
+        polys = [None] * n   # message polynomial of each shot's last interpolation
+        redo = range(n)      # the shots to interpolate at this stage
+    accepted = [0] * n       # R_0 product index of each shot's V_j
 
     messages = []
     wrong_counts, erasure_counts = [], []
     leaders_all = []
     for i in range(spec.m):
-        sub = chain.subcode(i)
+        smap = spec.maps[i]
         if exhaustive:
-            und = sub.codeword_underlines()
-            leader_tab, message_tab = chain.coset_table(i)
-        leaders, mtuples, erased = [], [], []
-        for j in range(spec.n):
-            if exhaustive:
-                h, p = bases[j]
-                if i:
-                    p = (p - h @ field.underline(accepted[j])) % q
-                k = int(np.argmin(basis_distances(h, p, und, q)))
-                leaders.append(tuple(leader_tab[k].tolist()))
-                mtuples.append(tuple(message_tab[k].tolist()))
-                continue
-            msg = sub.decode_message(field.vec_sub(words[j], accepted[j]))
-            if msg is None:
-                erased.append(j)
-                leaders.append(None)
-                mtuples.append(None)
-                continue
-            mtup = msg[chain.ks[i + 1]:]
-            leaders.append(matvec(field, chain.coset_code_generator(i), mtup))
-            mtuples.append(mtup)
+            leader_tab, _ = chain.coset_table(i)
+            sub_index = chain.subcode(i).codebook_arrays()[1]
+            # row-major over (index_i(x), index(V_j)): R_0's product index
+            by_level = scores.reshape(n, len(sub_index), -1)
+            picks = by_level[shots, sub_index, np.array(accepted)[:, None]].argmin(axis=1)
+            leaders = [tuple(row) for row in leader_tab[picks].tolist()]
+            symbols = chain.coset_symbols(i)[picks].tolist()
+            erased = []
+        else:
+            sub = chain.subcode(i)
+            for j in redo:
+                target = words[j]
+                if accepted[j]:
+                    digits = mixed_radix_digits([accepted[j]], [Q] * code.dim)[0].tolist()
+                    target = field.vec_sub(target, code.encode(digits))
+                polys[j] = sub.decode_message(target)
+            leaders, symbols, erased = [], [], []
+            for j, f in enumerate(polys):
+                if f is None:
+                    erased.append(j)
+                    leaders.append(None)
+                    symbols.append(0)
+                    continue
+                mtup = f[ks[i + 1]:ks[i]]
+                leaders.append(matvec(field, chain.coset_code_generator(i), mtup))
+                symbols.append(smap.to_symbol(mtup))
         leaders_all.append(leaders)
         erasure_counts.append(len(erased))
-        zero = (0,) * chain.delta_k(i)
-        symbols = tuple(
-            spec.maps[i].to_symbol(t if t is not None else zero) for t in mtuples
-        )
-        msg = spec.outers[i].decode(symbols, erasures=tuple(erased), method=outer_method)
+        msg = spec.outers[i].decode(tuple(symbols), erasures=tuple(erased),
+                                    method=outer_method)
         if msg is None:
             wrong_counts.append(None)
             return MultistageResult(
                 ok=False, stage_failed=i, messages=None, wrong_inner_counts=wrong_counts,
                 erasure_counts=erasure_counts, inner_leaders=leaders_all,
             )
-        v_hats = spec.level_contribution(i, msg)
-        wrong_counts.append(sum(
-            1 for j in range(spec.n)
-            if leaders[j] is not None and leaders[j] != v_hats[j]
-        ))
+        outer_word = spec.outers[i].encode(msg)
+        overruled = [j for j in range(n)
+                     if leaders[j] is not None and symbols[j] != outer_word[j]]
+        wrong_counts.append(len(overruled))
         messages.append(tuple(msg))
-        accepted = [field.vec_add(accepted[j], v_hats[j]) for j in range(spec.n)]
+        scale = Q ** (ks[0] - ks[i])
+        for j, sym in enumerate(outer_word):
+            coset = 0
+            for c in smap.to_tuple(sym):
+                coset = coset * Q + c
+            accepted[j] += coset * scale
+        if not exhaustive:
+            redo = erased + overruled
 
     return MultistageResult(
         ok=True, stage_failed=None, messages=messages, wrong_inner_counts=wrong_counts,

@@ -65,6 +65,8 @@ class TrialRecord:
     ds_observed: int
     stage_failed: int | None
     wall_us: int
+    rho_split: tuple       # realized per-shot erasures (ChannelDraw.rho_split)
+    tau_split: tuple       # realized per-shot deviations (ChannelDraw.tau_split)
     diagnostics: dict | None = None
 
 
@@ -87,6 +89,8 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         for d in decoders:
             if d not in DECODERS:
                 raise ConfigError(f"unknown decoder {d!r}")
+        if len(set(decoders)) != len(decoders):
+            raise ConfigError(f"decoders repeat a name: {list(decoders)}")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         if not grid:
@@ -108,9 +112,12 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
 
 
 def _budgets(value, what: str) -> list:
-    """One budget or a list of them, as ints."""
+    """One budget or a list of distinct ones, as ints."""
     values = value if isinstance(value, (list, tuple)) else [value]
-    return [json_int(v, what) for v in values]
+    values = [json_int(v, what) for v in values]
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{what} repeats a value: {values}")
+    return values
 
 
 def trial_seeds(master_seed: int, grid_index: int, trial_index: int):
@@ -154,7 +161,7 @@ def run_trial(spec: MultilevelCodeSpec, rho: int, tau: int, split, master_seed: 
         records.append(TrialRecord(
             rho=rho, tau=tau, trial=trial_index, decoder=dec, success=success,
             ds_observed=ds_obs, stage_failed=stage_failed, wall_us=wall,
-            diagnostics=diagnostics,
+            rho_split=draw.rho_split, tau_split=draw.tau_split, diagnostics=diagnostics,
         ))
     return records
 
@@ -228,6 +235,7 @@ def records_to_json(records) -> str:
                 "rho": r.rho, "tau": r.tau, "trial": r.trial, "decoder": r.decoder,
                 "success": bool(r.success), "ds_observed": r.ds_observed,
                 "stage_failed": r.stage_failed, "wall_us": r.wall_us,
+                "rho_split": list(r.rho_split), "tau_split": list(r.tau_split),
                 "diagnostics": r.diagnostics,
             }
             for r in records

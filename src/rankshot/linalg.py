@@ -23,8 +23,9 @@ updates otherwise.
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
 [H | P] (received_basis, one rref).  lifted_distances is the two in one
-call; a multistage decoder row-reduces each shot once and scores the
-shifted basis [H | P - H underline(V)] at every later stage.
+call; the exhaustive multistage decoder row-reduces each shot once,
+scores it once against R_0's codeword stack and reads every later
+stage's scores off that vector.
 
 span_codebook is the one codebook enumerator: every code here is the
 F_q-span of the encodings of its single-digit messages, so one numpy
@@ -225,11 +226,12 @@ def basis_distances(h, p, und, q: int) -> np.ndarray:
     [H | P] is a basis of the received space, rank(Y) independent rows,
     and und a stack (count, N, M) of residues mod q.  Subtracting H [I | U]
     from [H | P] leaves [0 | P - H U], so dim([I|U] + <Y>) =
-    N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y).  Any basis
-    will do, not only the RREF one: [H | P - H underline(V)], the image of
-    <Y> under the column operation that maps [I | underline(V) + U] to
-    [I | U], scores lift(V + x) for every x in und.  H U is taken in int64,
-    so N (q-1)^2 + q must stay inside it; a ValueError says when not.
+    N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y); any basis
+    of <Y> will do, not only the RREF one.  One call scores a whole
+    codebook: the exhaustive multistage decoder scores each shot once
+    against R_0, and every word V + x it considers later, x in a level
+    subcode, is a row of R_0.  H U is taken in int64, so N (q-1)^2 + q
+    must stay inside it; a ValueError says when not.
     """
     _, n, m = und.shape
     if h.shape[1] != n or p.shape[1] != m:

@@ -3,7 +3,7 @@ import pytest
 from rankshot.cosets import PartitionChain
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode
-from rankshot.multilevel import MultilevelCodeSpec, special_situation
+from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,25 @@ def decode12():
     """special_situation(2, 4, 4, 2, 2, 4): chain 2>1>0 over F_16, two
     shots, 2^12 codewords."""
     return special_situation(2, 4, 4, 2, 2, 4)[0]
+
+
+@pytest.fixture(scope="session")
+def q3spec():
+    """q = 3: chain 2>1>0 over F_9, four shots, [4,2] outer codes."""
+    return spec_from_json({"field": {"q": 3, "M": 2}, "N": 2, "K": 2, "Ks": [2, 1, 0],
+                           "n": 4, "outers": [{"n": 4, "k": 2}, {"n": 4, "k": 2}]})
+
+
+@pytest.fixture(scope="session")
+def towerspec():
+    """One level peels both generator columns over F_4 (delta_k = 2), so
+    its alphabet is F_16 over F_4; three shots, a [3,2] outer code."""
+    return spec_from_json({"field": {"q": 2, "M": 2}, "N": 2, "K": 2, "Ks": [2, 0], "n": 3,
+                           "outers": [{"n": 3, "k": 2}]})
+
+
+@pytest.fixture(scope="session")
+def preset():
+    """special_situation(2, 4, 4, 2, 3, 4), configs/special_preset.json:
+    chain 2>1>0 over F_16, three shots, 2^20 codewords."""
+    return special_situation(2, 4, 4, 2, 3, 4)[0]

@@ -279,7 +279,9 @@ def test_simulate_rejects_non_integer_counts(channel, over, tmp_path, capsys):
 @pytest.mark.parametrize("over, message", [
     ({"timing": "no"}, "timing must be true or false"),
     ({"decoders": "oracle"}, "decoders must be a list"),
-], ids=["timing-str", "decoders-str"])
+    ({"decoders": ["multistage", "multistage"]}, "decoders repeat a name"),
+    ({"channel": {"rho": [1, 1], "tau": 0}}, "channel rho repeats a value"),
+], ids=["timing-str", "decoders-str", "decoders-repeated", "rho-repeated"])
 def test_simulate_rejects_non_bool_timing_and_bare_decoder(over, message, tmp_path, capsys):
     sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0}, "trials": 1, **over}
     cfg_p = tmp_path / "sim.json"

@@ -155,18 +155,20 @@ def test_coset_table_matches_coset_leader(f8, f9, decode12):
 
 
 def test_coset_table_guard_counts_both_arrays(f8, monkeypatch):
-    # the tiny level-0 table is 64 words x (N + delta_k) = 4 int64 entries,
-    # and its build holds 2 more per word; R_0's enumeration, which the
-    # table reads, has its own guard, so the table's runs first
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8 - 1)
+    # the tiny level-0 table is 64 words x (N + delta_k + 1) = 5 int64
+    # entries (leaders, messages, symbols), and its build holds 2 more per
+    # word; R_0's enumeration, which the table reads, has its own guard,
+    # so the table's runs first
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 7 * 8 - 1)
     fresh = PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0])
-    with pytest.raises(errors.GuardError, match="2048 stack bytes"):
-        fresh.coset_table(0)
+    with pytest.raises(errors.GuardError, match="2560 stack bytes"):
+        fresh.coset_symbols(0)
     assert fresh.subcode(0)._codebook is None and fresh.subcode(0)._underlines is None
     monkeypatch.undo()
     fresh.subcode(0).codeword_underlines()
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8)
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 7 * 8)
     assert fresh.coset_table(0)[0].shape == (64, 3)
+    assert fresh.coset_symbols(0).shape == (64,)
 
 
 def test_partition_refinement_exhaustive(chain):

@@ -89,6 +89,14 @@ def test_parse_rejects_bad_docs():
         with pytest.raises(ConfigError, match="decoders must be a list"):
             parse_experiment_config(make_doc(decoders=bad))
     assert parse_experiment_config(make_doc(timing=True)).timing is True
+    # a repeated decoder or budget would run and count every trial twice
+    for over, message in [
+        ({"decoders": ["multistage", "multistage"]}, "decoders repeat a name"),
+        ({"channel": {"rho": [1, 1], "tau": 0}}, "channel rho repeats a value"),
+        ({"channel": {"rho": 0, "tau": [0, 1, 0]}}, "channel tau repeats a value"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_experiment_config(make_doc(**over))
     # counts are integers: no truncation, no parsing, no iterating a string
     for over, what in [
         ({"channel": {"rho": "12", "tau": 0}}, "channel rho"),
@@ -135,8 +143,8 @@ def test_run_trial_zero_adversity():
 
 
 def test_run_experiment_order_and_determinism():
-    # a repeated grid point keeps its own block of trials
-    for doc in (make_doc(), make_doc(channel={"rho": [1, 1], "tau": [0]}, trials=3)):
+    # grid points run in the config's order, not sorted
+    for doc in (make_doc(), make_doc(channel={"rho": [1, 0], "tau": [1, 0]}, trials=3)):
         cfg = parse_experiment_config(doc)
         recs1 = run_experiment(cfg)
         recs2 = run_experiment(cfg)
@@ -222,8 +230,11 @@ def test_json_records_include_fer():
     assert set(doc) == {"records", "fer"}
     assert len(doc["records"]) == len(cfg.grid) * cfg.trials * len(cfg.decoders)
     rec = doc["records"][0]
-    assert set(rec) == {"rho", "tau", "trial", "decoder", "success",
-                        "ds_observed", "stage_failed", "wall_us", "diagnostics"}
+    assert set(rec) == {"rho", "tau", "trial", "decoder", "success", "ds_observed",
+                        "stage_failed", "wall_us", "rho_split", "tau_split", "diagnostics"}
+    for rec in doc["records"]:
+        assert len(rec["rho_split"]) == len(rec["tau_split"]) == 2
+        assert (sum(rec["rho_split"]), sum(rec["tau_split"])) == (rec["rho"], rec["tau"])
     assert doc["fer"] == aggregate_fer(run_experiment(cfg))
 
 

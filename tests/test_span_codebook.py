@@ -18,22 +18,17 @@ from rankshot.decoder import multistage_decode, oracle_decode_multishot
 from rankshot.fields import PrimeField
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import span_codebook
-from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
+from rankshot.multilevel import MultilevelCodeSpec, special_situation
 from rankshot.outer import OuterCode
 
-Q3_SPEC = {"field": {"q": 3, "M": 2}, "N": 2, "K": 2, "Ks": [2, 1, 0], "n": 4,
-           "outers": [{"n": 4, "k": 2}, {"n": 4, "k": 2}]}
-# one level peels both generator columns: its alphabet is F_16 over F_4
-TOWER_SPEC = {"field": {"q": 2, "M": 2}, "N": 2, "K": 2, "Ks": [2, 0], "n": 3,
-              "outers": [{"n": 3, "k": 2}]}
 
-
-def _specs(tiny2shot):
+@pytest.fixture
+def specs(tiny2shot, decode12, q3spec, towerspec):
     return {
         "tiny": tiny2shot,
-        "decode-12": special_situation(2, 4, 4, 2, 2, 4)[0],
-        "q3": spec_from_json(Q3_SPEC),
-        "tower": spec_from_json(TOWER_SPEC),
+        "decode-12": decode12,
+        "q3": q3spec,
+        "tower": towerspec,
         "k0-level": MultilevelCodeSpec(tiny2shot.chain, 2, [1, 0]),
     }
 
@@ -44,8 +39,8 @@ def _assert_stack(stack, expected):
     assert np.array_equal(stack, expected)
 
 
-def test_multilevel_codebook_matches_brute_force(tiny2shot):
-    for name, spec in _specs(tiny2shot).items():
+def test_multilevel_codebook_matches_brute_force(specs):
+    for name, spec in specs.items():
         spaces = [list(itertools.product(range(o.field.size), repeat=o.k))
                   for o in spec.outers]
         brute = sorted(((list(msgs), spec.encode(list(msgs)))
@@ -59,8 +54,8 @@ def test_multilevel_codebook_matches_brute_force(tiny2shot):
             brute[k][1] for k in (0, len(brute) // 2, len(brute) - 1)]
 
 
-def test_gabidulin_codebooks_match_brute_force(tiny2shot, f8):
-    codes = [spec.chain.subcode(i) for spec in _specs(tiny2shot).values()
+def test_gabidulin_codebooks_match_brute_force(specs, f8):
+    codes = [spec.chain.subcode(i) for spec in specs.values()
              for i in range(spec.m)]
     codes.append(GabidulinCode(f8, 3, 0))
     for code in codes:
@@ -73,8 +68,8 @@ def test_gabidulin_codebooks_match_brute_force(tiny2shot, f8):
         assert fresh.codeword(len(brute) - 1) == brute[-1]
 
 
-def test_outer_codebooks_match_brute_force(tiny2shot, f8):
-    outers = [o for spec in _specs(tiny2shot).values() for o in spec.outers]
+def test_outer_codebooks_match_brute_force(specs, f8):
+    outers = [o for spec in specs.values() for o in spec.outers]
     outers.append(OuterCode(f8, 3, 0))
     assert any(o.field.base != PrimeField(o.field.characteristic) for o in outers)  # tower
     assert any(o.k == 0 for o in outers)
@@ -86,9 +81,9 @@ def test_outer_codebooks_match_brute_force(tiny2shot, f8):
         assert fresh.codewords() == brute
 
 
-def test_coset_tables_match_coset_leader(tiny2shot):
+def test_coset_tables_match_coset_leader(specs):
     for name in ("q3", "tower", "k0-level"):
-        chain = _specs(tiny2shot)[name].chain
+        chain = specs[name].chain
         fresh = PartitionChain(GabidulinCode(chain.field, chain.code.length, chain.code.dim,
                                              chain.code.points), chain.ks)
         for i in range(fresh.m):
@@ -100,6 +95,9 @@ def test_coset_tables_match_coset_leader(tiny2shot):
             assert messages.shape == (len(words), fresh.delta_k(i))
             for ld, msg, w in zip(leaders, messages, words):
                 assert (tuple(ld.tolist()), tuple(msg.tolist())) == fresh.coset_leader(i, w)
+            # the symbol column is the level's SymbolMap image of the messages
+            assert fresh.coset_symbols(i).tolist() == [
+                specs[name].maps[i].to_symbol(msg) for msg in messages.tolist()]
 
 
 def test_span_codebook_orders_by_element_ints():
