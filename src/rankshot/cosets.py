@@ -15,11 +15,11 @@ polynomial and reads the split off it, and the exhaustive path reads
 coset_table.
 
 coset_table(i) holds that split for every word of R_i at once, in R_i's
-codeword order, and coset_symbols(i) each word's coset message as one
-symbol of the level alphabet, so an exhaustive decoder's argmin over
-R_i's words reads its decision by index.  Both are read off R_i's
+codeword order, as each word's coset leader and its coset message read
+as one symbol of the level alphabet, so an exhaustive decoder's argmin
+over R_i's words reads its decision by index.  It is read off R_i's
 enumeration, whose product indices carry each word's coset message, with
-no coset_leader call, and held as int64 arrays under one enumeration
+no coset_leader call, and held as int64 arrays under the enumeration
 guard.  R_i's product indices (GabidulinCode.codebook_arrays) are the
 index column beside them: R_i's message is the first K_i digits of an
 R_0 message, so with Q = q^M the word V + x of R_0, x in R_i and V in
@@ -100,33 +100,24 @@ class PartitionChain:
         return leader, message
 
     def coset_table(self, i: int) -> tuple:
-        """(leaders, messages) of every word of R_i, in R_i's codeword order.
+        """(leaders, symbols) of every word of R_i, in R_i's codeword order.
 
-        Row k of the int64 arrays, shapes (|R_i|, N) and (|R_i|, delta_k),
-        is coset_leader(i, w) for the k-th word w of R_i in codeword
-        order, read from R_i's enumeration (GabidulinCode.codebook_arrays):
-        a word's coset message is the last delta_k elements of its
-        message, the low digits of its product index, and its leader is
-        the word whose product index is those digits alone.  Built on
-        first use with coset_symbols(i); the guard bounds the three arrays
-        and the index copy, and runs before R_i is enumerated.
+        Row k of the int64 leaders array, shape (|R_i|, N), is the leader
+        coset_leader(i, w)[0] of the k-th word w of R_i in codeword order,
+        and entry k of symbols, shape (|R_i|,), the level-i symbol of its
+        coset message (outer.SymbolMap.to_symbol: the element of
+        F_(q^M)^delta_k whose coordinates over F_{q^M} are the message,
+        low first).  Both are read from R_i's enumeration
+        (GabidulinCode.codebook_arrays): a word's coset message is the
+        last delta_k elements of its message, the low digits of its
+        product index, and its leader is the word whose product index is
+        those digits alone.  Built on first use; the guard bounds the
+        leaders, the message digits the symbols are read from, the index
+        copy and the symbols, and runs before R_i is enumerated.
         """
-        return self._level_table(i)[:2]
-
-    def coset_symbols(self, i: int) -> np.ndarray:
-        """Level-i symbol of every word's coset message, in R_i's codeword order.
-
-        Entry k is outer.SymbolMap.to_symbol of row k of
-        coset_table(i)[1]: the element of F_(q^M)^delta_k whose
-        coordinates over F_{q^M} are the coset message, low first.
-        """
-        return self._level_table(i)[2]
-
-    def _level_table(self, i: int) -> tuple:
         if i not in self._tables:
             sub, delta = self.subcode(i), self.delta_k(i)
-            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta + 1,),
-                              transient=2)
+            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta,), transient=2)
             und, index = sub.codebook_arrays()
             cosets = self.children_count(i)
             coset_index = index % cosets
@@ -135,8 +126,7 @@ class PartitionChain:
             by_index = np.empty((cosets, sub.length), dtype=np.int64)
             by_index[index[at]] = element_ints(und[at], self.field.base.size)
             messages = mixed_radix_digits(coset_index, [self.field.size] * delta)
-            self._tables[i] = (by_index[coset_index], messages,
-                               element_ints(messages, self.field.size))
+            self._tables[i] = (by_index[coset_index], element_ints(messages, self.field.size))
         return self._tables[i]
 
     def __repr__(self):

@@ -14,27 +14,31 @@ subspace distance to the received row space (linalg.basis_distances):
   it picks the word x of the level subcode R_i minimizing
   d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
   contributions already accepted, and decodes the resulting coset
-  symbols with the level's outer code.  Each received matrix is
+  symbols with the level's outer code.  V_j is held as its R_0
+  message, a list of field elements, and each received matrix is
   row-reduced once per decode, to its basis [H | P]
   (linalg.received_basis), on both inner paths.  V_j + R_i lies in R_0,
   so the exhaustive inner path scores each shot once, against R_0's
   codeword stack, and every stage's decision is the first minimum of a
   gather from that score vector: the word V_j + x has R_0 product index
   index_i(x) Q^(K_0 - K_i) + index(V_j), Q = q^M (cosets module
-  docstring), and V_j is tracked as that index.  The decision's coset
-  leader and symbol come from the level's coset table
-  (PartitionChain.coset_table, coset_symbols).  The algebraic inner path
-  reads the rank word r_j off the same basis (reduction.rank_word: the
-  payload rows under header pivots) and decodes r_j - V_j with the
-  Gabidulin interpolation decoder to its message polynomial f
+  docstring), and index(V_j) is read off V_j's message digits, an int64
+  under the enumeration guard that path runs behind.  The decision's
+  coset leader and symbol come from the level's coset table
+  (PartitionChain.coset_table).  The algebraic inner path reads the rank
+  word r_j off the same basis (reduction.rank_word: the payload rows
+  under header pivots) and decodes r_j - V_j with the Gabidulin
+  interpolation decoder to its message polynomial f
   (GabidulinCode.decode_message).  R_i is generated by the first K_i
   generator columns, so the coset message is f[K_{i+1}:K_i] and the
   coset leader its product with the coset code's generator: no
   codeword is re-encoded and no coset_leader split runs.  A shot keeps
   f, and reads its later coset messages off it, for as long as the
   outer code confirms its leaders; only erased or overruled shots are
-  decoded again.  Diagnostics record, per stage, how many shots' inner
-  decisions the outer decoder overruled.
+  decoded again, on r_j - encode(V_j's message).  That path enumerates
+  nothing, so it never forms a product index, which leaves int64 once
+  Q^(K_0 - 1) does.  Diagnostics record, per stage, how many shots'
+  inner decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import matvec
-from .linalg import basis_distances, lifted_distances, mixed_radix_digits, received_basis
+from .linalg import basis_distances, lifted_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import rank_word
 
@@ -138,7 +142,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
         words = [rank_word(h, p, q)[1] for h, p in bases]
         polys = [None] * n   # message polynomial of each shot's last interpolation
         redo = range(n)      # the shots to interpolate at this stage
-    accepted = [0] * n       # R_0 product index of each shot's V_j
+    accepted = [[0] * code.dim for _ in range(n)]  # R_0 message of each shot's V_j
 
     messages = []
     wrong_counts, erasure_counts = [], []
@@ -146,21 +150,22 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     for i in range(spec.m):
         smap = spec.maps[i]
         if exhaustive:
-            leader_tab, _ = chain.coset_table(i)
+            leader_tab, symbol_tab = chain.coset_table(i)
             sub_index = chain.subcode(i).codebook_arrays()[1]
             # row-major over (index_i(x), index(V_j)): R_0's product index
             by_level = scores.reshape(n, len(sub_index), -1)
-            picks = by_level[shots, sub_index, np.array(accepted)[:, None]].argmin(axis=1)
+            # index(V_j): its message digits K_i .. K_0 - 1 in base Q
+            v_index = np.zeros((n, 1), dtype=np.int64)
+            for k in range(ks[i], ks[0]):
+                v_index = v_index * Q + [[v[k]] for v in accepted]
+            picks = by_level[shots, sub_index, v_index].argmin(axis=1)
             leaders = [tuple(row) for row in leader_tab[picks].tolist()]
-            symbols = chain.coset_symbols(i)[picks].tolist()
+            symbols = symbol_tab[picks].tolist()
             erased = []
         else:
             sub = chain.subcode(i)
             for j in redo:
-                target = words[j]
-                if accepted[j]:
-                    digits = mixed_radix_digits([accepted[j]], [Q] * code.dim)[0].tolist()
-                    target = field.vec_sub(target, code.encode(digits))
+                target = words[j] if not i else field.vec_sub(words[j], code.encode(accepted[j]))
                 polys[j] = sub.decode_message(target)
             leaders, symbols, erased = [], [], []
             for j, f in enumerate(polys):
@@ -187,14 +192,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
                      if leaders[j] is not None and symbols[j] != outer_word[j]]
         wrong_counts.append(len(overruled))
         messages.append(tuple(msg))
-        scale = Q ** (ks[0] - ks[i])
         for j, sym in enumerate(outer_word):
-            coset = 0
-            for c in smap.to_tuple(sym):
-                coset = coset * Q + c
-            accepted[j] += coset * scale
-        if not exhaustive:
-            redo = erased + overruled
+            accepted[j][ks[i + 1]:ks[i]] = smap.to_tuple(sym)
+        redo = erased + overruled
 
     return MultistageResult(
         ok=True, stage_failed=None, messages=messages, wrong_inner_counts=wrong_counts,

@@ -6,11 +6,10 @@ where g is the alphabet field's canonical generator element.  They are
 MDS with minimum Hamming distance n - k + 1 and decoded either by an
 exhaustive nearest-codeword scan (reference semantics; the codebook,
 the F_q-span of the encodings of the single-digit messages built by
-linalg.span_codebook, is held in codeword order as one symbol array,
-and one comparison with the word counts every codeword's disagreements
-on the live positions, so the first minimum is the smallest codeword
-tuple) or by a Gao-style algebraic decoder that handles errors and
-erasures up to 2e + f <= d - 1 and reports failure beyond that.  Gao's decoder interpolates the live positions in Lagrange
+linalg.span_codebook, is held in codeword order, so the first minimum
+is the smallest codeword tuple) or by a Gao-style algebraic decoder that
+handles errors and erasures up to 2e + f <= d - 1 and reports failure
+beyond that.  Gao's decoder interpolates the live positions in Lagrange
 form from per-code data, computed once: each point's linear factor
 x - x_i and the inverse differences 1 / (x_i - x_j).  A decode multiplies
 the live factors into g0, divides out each point's factor by synthetic
@@ -105,7 +104,6 @@ class OuterCode:
             tuple(field.inv(field.sub(x, y)) if x != y else 0 for y in points)
             for x in points
         )
-        self._arrays = None
         self._codebook = None
 
     @property
@@ -118,17 +116,14 @@ class OuterCode:
         coeffs = [int(c) for c in message]
         return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
 
-    def codebook_arrays(self) -> tuple:
-        """(symbols, messages) of the codebook in codeword order (guarded).
+    def codewords(self) -> list:
+        """All (message, codeword) pairs, in codeword order (guarded).
 
-        int64 arrays of shapes (n, |O|) and (|O|, k): column r of symbols
-        holds the r-th codeword, position by position, and row r of
-        messages its message.  One span_codebook call over the encodings
-        of the messages with a single base-q digit builds the codewords,
-        as base-q coordinate stacks, and their product-order message
-        indices.
+        One span_codebook call over the encodings of the messages with a
+        single base-q digit builds the codewords, as base-q coordinate
+        stacks, and their product-order message indices.
         """
-        if self._arrays is None:
+        if self._codebook is None:
             f, k = self.field, self.k
             q = f.characteristic
             width = _base_digits(f.size, q)
@@ -136,17 +131,9 @@ class OuterCode:
             rows = (np.array(self.encode(msg), dtype=np.int64)[:, None] // place % q
                     for msg in single_digit_messages(k, width, q))
             stack, index = span_codebook(rows, k * width, q, (self.n, width))
-            self._arrays = (np.ascontiguousarray(element_ints(stack, q).T),
-                            mixed_radix_digits(index, [f.size] * k))
-        return self._arrays
-
-    def codewords(self) -> list:
-        """All (message, codeword) pairs, in codeword order (guarded);
-        built from the arrays on first call."""
-        if self._codebook is None:
-            symbols, messages = self.codebook_arrays()
-            self._codebook = [(tuple(m), tuple(w))
-                              for m, w in zip(messages.tolist(), symbols.T.tolist())]
+            words = element_ints(stack, q).tolist()
+            messages = mixed_radix_digits(index, [f.size] * k).tolist()
+            self._codebook = [(tuple(m), tuple(w)) for m, w in zip(messages, words)]
         return self._codebook
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):
@@ -169,13 +156,22 @@ class OuterCode:
         raise ValueError(f"unknown decode method {method!r}")
 
     def _decode_exhaustive(self, word, erasures):
-        # the codebook is in codeword order, so the first minimum is the
-        # smallest (distance, codeword) key
-        symbols, messages = self.codebook_arrays()
-        differ = symbols != np.asarray(word)[:, None]
-        if erasures:
-            differ[list(erasures)] = False
-        return tuple(messages[int(differ.sum(axis=0).argmin())].tolist())
+        # the codebook is in codeword order, so the first strict minimum
+        # is the smallest (distance, codeword) key
+        live = [(i, word[i]) for i in range(self.n) if i not in erasures]
+        best, best_msg = len(live) + 1, None
+        for msg, cw in self.codewords():
+            dist = 0
+            for i, w in live:
+                if cw[i] != w:
+                    dist += 1
+                    if dist == best:
+                        break
+            if dist < best:
+                best, best_msg = dist, msg
+                if not dist:
+                    break
+        return best_msg
 
     def _decode_gao(self, word, erasures):
         f = self.field

@@ -10,6 +10,7 @@ from rankshot.cosets import PartitionChain
 from rankshot.fields import matvec
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import solve_field
+from rankshot.outer import SymbolMap
 
 
 @pytest.fixture
@@ -141,34 +142,37 @@ def test_coset_leader_matches_solve_field(f8, f9, decode12):
 
 def test_coset_table_matches_coset_leader(f8, f9, decode12):
     """Row k of level i's table is the split of the k-th word of R_i in
-    codeword order, the order of R_i's underline stack."""
+    codeword order, the order of R_i's underline stack: its leader, and
+    its coset message as the level's outer symbol."""
     for ch in _chains(f8, f9, decode12):
         for i in range(ch.m):
             words = ch.subcode(i).codewords()
-            leaders, messages = ch.coset_table(i)
-            assert leaders.dtype == messages.dtype == np.int64
+            smap = SymbolMap(ch.field, ch.delta_k(i))
+            leaders, symbols = ch.coset_table(i)
+            assert leaders.dtype == symbols.dtype == np.int64
             assert leaders.shape == (len(words), ch.code.length)
-            assert messages.shape == (len(words), ch.delta_k(i))
-            table = [(tuple(ld.tolist()), tuple(msg.tolist()))
-                     for ld, msg in zip(leaders, messages)]
+            assert symbols.shape == (len(words),)
+            table = [(tuple(ld.tolist()), smap.to_tuple(sym))
+                     for ld, sym in zip(leaders, symbols.tolist())]
             assert table == [ch.coset_leader(i, w) for w in words]
 
 
 def test_coset_table_guard_counts_both_arrays(f8, monkeypatch):
-    # the tiny level-0 table is 64 words x (N + delta_k + 1) = 5 int64
-    # entries (leaders, messages, symbols), and its build holds 2 more per
-    # word; R_0's enumeration, which the table reads, has its own guard,
-    # so the table's runs first
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 7 * 8 - 1)
+    # the tiny level-0 table is 64 words x (N + delta_k) = 4 int64 entries
+    # (leaders, and the message digits its symbols are read from), and its
+    # build holds 2 more per word (the index copy and the symbols); R_0's
+    # enumeration, which the table reads, has its own guard, so the
+    # table's runs first
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8 - 1)
     fresh = PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0])
-    with pytest.raises(errors.GuardError, match="2560 stack bytes"):
-        fresh.coset_symbols(0)
+    with pytest.raises(errors.GuardError, match="2048 stack bytes"):
+        fresh.coset_table(0)
     assert fresh.subcode(0)._codebook is None and fresh.subcode(0)._underlines is None
     monkeypatch.undo()
     fresh.subcode(0).codeword_underlines()
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 7 * 8)
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8)
     assert fresh.coset_table(0)[0].shape == (64, 3)
-    assert fresh.coset_symbols(0).shape == (64,)
+    assert fresh.coset_table(0)[1].shape == (64,)
 
 
 def test_partition_refinement_exhaustive(chain):

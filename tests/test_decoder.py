@@ -13,7 +13,7 @@ from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import received_basis, subspace_distance_to_lifted
-from rankshot.multilevel import special_situation
+from rankshot.multilevel import special_situation, spec_from_json
 from rankshot.reduction import rank_word, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
@@ -350,6 +350,25 @@ def test_multistage_algebraic_reads_coset_messages(code, outer, request, monkeyp
     assert any(sum(r.erasure_counts) for r in refs)
     assert any(r.ok for r in refs)
     assert outer == "exhaustive" or any(not r.ok for r in refs)
+
+
+def test_multistage_algebraic_beyond_int64_indices():
+    """A code whose R_0 product indices leave int64 (Q^(K_0 - 1) = 2^64)
+    decodes on the algebraic paths, where nothing is enumerated, exactly
+    as the word-based reference does, shots decoded again after stage 0
+    included."""
+    spec = spec_from_json({"field": {"q": 2, "M": 16}, "N": 5, "K": 5, "Ks": [5, 3, 0],
+                           "n": 3, "outers": [{"n": 3, "k": 1}, {"n": 3, "k": 2}]})
+    assert spec.field.size ** (spec.chain.ks[0] - 1) >= 2 ** 63
+    rng = np.random.default_rng(3)
+    inputs = [seeded_trial(spec, rho, tau, 0, rng)[2] for rho in range(3) for tau in range(2)]
+    refs = [reference_algebraic_multistage(ys, spec, "algebraic") for ys in inputs]
+    for ys, ref in zip(inputs, refs):
+        res = multistage_decode(ys, spec, outer_method="algebraic", inner_method="algebraic")
+        assert res.to_json() == ref.to_json()
+        assert res.inner_leaders == ref.inner_leaders
+    # some shot is decoded again at stage 1, against a nonzero V_j
+    assert any(r.ok and r.erasure_counts[0] + r.wrong_inner_counts[0] for r in refs)
 
 
 @pytest.mark.parametrize("outer", ["exhaustive", "algebraic"])
