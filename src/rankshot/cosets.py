@@ -14,27 +14,25 @@ it.  The algebraic multistage path already holds the message
 polynomial and reads the split off it, and the exhaustive path reads
 coset_table.
 
-coset_table(i) holds that split for every word of R_i at once, in R_i's
-codeword order, as each word's coset leader and its coset message read
-as one symbol of the level alphabet, so an exhaustive decoder's argmin
-over R_i's words reads its decision by index.  It is read off R_i's
-enumeration, whose product indices carry each word's coset message, with
-no coset_leader call, and held as int64 arrays under the enumeration
-guard.  R_i's product indices (GabidulinCode.codebook_arrays) are the
-index column beside them: R_i's message is the first K_i digits of an
-R_0 message, so with Q = q^M the word V + x of R_0, x in R_i and V in
-the span of columns K_i .. K_0 - 1, has R_0 product index
-index_i(x) Q^(K_0 - K_i) + index(V).
+coset_table(i) lists the cosets of R_{i+1} in R_i by coset message m,
+in itertools.product order, each as its leader, the product of m with
+the coset code's generator (the rule the encoder, coset_leader and the
+algebraic path apply), and m read as one symbol of the level alphabet.
+A word of R_i whose message has product index k has as coset message
+its message's last delta_k elements, the low digits of k, so an
+exhaustive decoder's argmin over R_i's words reads its decision as
+entry k % children_count(i).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
 from .errors import guard_enumeration, json_int
 from .fields import matvec
 from .gabidulin import GabidulinCode
-from .linalg import element_ints, mixed_radix_digits, solve_field
+from .linalg import solve_field
+from .outer import SymbolMap
 
 
 class PartitionChain:
@@ -49,7 +47,7 @@ class PartitionChain:
         self.code = code
         self.ks = ks
         self._subcodes: dict[int, GabidulinCode] = {0: code}
-        self._tables: dict[int, tuple] = {}
+        self._tables: dict[int, list] = {}
         self._coset_generators = tuple(
             tuple(row[lo:hi] for row in code.generator) for hi, lo in zip(ks, ks[1:])
         )
@@ -77,10 +75,6 @@ class PartitionChain:
             )
         return self._subcodes[i]
 
-    def subcode_generator(self, i: int) -> tuple:
-        """First K_i generator columns, as N row tuples."""
-        return self.subcode(i).generator
-
     def coset_code_generator(self, i: int) -> tuple:
         """Generator columns K_{i+1} .. K_i - 1, as N row tuples."""
         return self._coset_generators[i]
@@ -92,41 +86,32 @@ class PartitionChain:
         and message is its delta_k coefficient tuple.  Raises ValueError
         when the word is not in R_i.
         """
-        sol = solve_field(self.field, self.subcode_generator(i), list(word))
+        sol = solve_field(self.field, self.subcode(i).generator, list(word))
         if sol is None:
             raise ValueError(f"word is not a member of the level-{i} subcode")
         message = sol[self.ks[i + 1]: self.ks[i]]
         leader = matvec(self.field, self._coset_generators[i], message)
         return leader, message
 
-    def coset_table(self, i: int) -> tuple:
-        """(leaders, symbols) of every word of R_i, in R_i's codeword order.
+    def coset_table(self, i: int) -> list:
+        """(leader, symbol) of every coset of R_{i+1} in R_i, by coset message.
 
-        Row k of the int64 leaders array, shape (|R_i|, N), is the leader
-        coset_leader(i, w)[0] of the k-th word w of R_i in codeword order,
-        and entry k of symbols, shape (|R_i|,), the level-i symbol of its
-        coset message (outer.SymbolMap.to_symbol: the element of
-        F_(q^M)^delta_k whose coordinates over F_{q^M} are the message,
-        low first).  Both are read from R_i's enumeration
-        (GabidulinCode.codebook_arrays): a word's coset message is the
-        last delta_k elements of its message, the low digits of its
-        product index, and its leader is the word whose product index is
-        those digits alone.  Built on first use; the guard bounds the
-        leaders, the message digits the symbols are read from, the index
-        copy and the symbols, and runs before R_i is enumerated.
+        Entry k belongs to the k-th coset message m of
+        itertools.product(range(q^M), repeat=delta_k): its leader is
+        matvec(coset_code_generator(i), m), as coset_leader returns it,
+        and its symbol SymbolMap.to_symbol(m), the level-i outer symbol
+        sum_t m_t (q^M)^t.  A word of R_i with product index k lies in the
+        coset of entry k % children_count(i).  Built on first use; the
+        count guard runs before the first matvec, and nothing is
+        enumerated.
         """
         if i not in self._tables:
-            sub, delta = self.subcode(i), self.delta_k(i)
-            guard_enumeration(self.field.size ** sub.dim, (sub.length + delta,), transient=2)
-            und, index = sub.codebook_arrays()
-            cosets = self.children_count(i)
-            coset_index = index % cosets
-            # the words with product index below `cosets` are the leaders
-            at = np.flatnonzero(index < cosets)
-            by_index = np.empty((cosets, sub.length), dtype=np.int64)
-            by_index[index[at]] = element_ints(und[at], self.field.base.size)
-            messages = mixed_radix_digits(coset_index, [self.field.size] * delta)
-            self._tables[i] = (by_index[coset_index], element_ints(messages, self.field.size))
+            guard_enumeration(self.children_count(i))
+            gen, smap = self._coset_generators[i], SymbolMap(self.field, self.delta_k(i))
+            self._tables[i] = [
+                (matvec(self.field, gen, m), smap.to_symbol(m))
+                for m in itertools.product(range(self.field.size), repeat=self.delta_k(i))
+            ]
         return self._tables[i]
 
     def __repr__(self):

@@ -20,25 +20,26 @@ subspace distance to the received row space (linalg.basis_distances):
   (linalg.received_basis), on both inner paths.  V_j + R_i lies in R_0,
   so the exhaustive inner path scores each shot once, against R_0's
   codeword stack, and every stage's decision is the first minimum of a
-  gather from that score vector: the word V_j + x has R_0 product index
-  index_i(x) Q^(K_0 - K_i) + index(V_j), Q = q^M (cosets module
-  docstring), and index(V_j) is read off V_j's message digits, an int64
-  under the enumeration guard that path runs behind.  The decision's
-  coset leader and symbol come from the level's coset table
-  (PartitionChain.coset_table).  The algebraic inner path reads the rank
-  word r_j off the same basis (reduction.rank_word: the payload rows
-  under header pivots) and decodes r_j - V_j with the Gabidulin
-  interpolation decoder to its message polynomial f
-  (GabidulinCode.decode_message).  R_i is generated by the first K_i
-  generator columns, so the coset message is f[K_{i+1}:K_i] and the
-  coset leader its product with the coset code's generator: no
-  codeword is re-encoded and no coset_leader split runs.  A shot keeps
-  f, and reads its later coset messages off it, for as long as the
-  outer code confirms its leaders; only erased or overruled shots are
-  decoded again, on r_j - encode(V_j's message).  That path enumerates
-  nothing, so it never forms a product index, which leaves int64 once
-  Q^(K_0 - 1) does.  Diagnostics record, per stage, how many shots'
-  inner decisions the outer decoder overruled.
+  gather from that score vector.  R_i's message is the first K_i
+  digits of an R_0 message, so with Q = q^M the word V_j + x has R_0
+  product index index_i(x) Q^(K_0 - K_i) + index(V_j), and index(V_j)
+  is read off V_j's message digits, an int64 under the enumeration
+  guard that path runs behind.  The low delta_k digits of index_i(x)
+  are the decision's coset message, which picks its coset leader and
+  symbol from the level's coset table (PartitionChain.coset_table).
+  The algebraic inner path reads the rank word r_j off the same basis
+  (reduction.rank_word: the payload rows under header pivots) and
+  decodes r_j - V_j with the Gabidulin interpolation decoder to its
+  message polynomial f (GabidulinCode.decode_message).  R_i is
+  generated by the first K_i generator columns, so the coset message is
+  f[K_{i+1}:K_i] and the coset leader its product with the coset code's
+  generator: no codeword is re-encoded and no coset_leader split runs.
+  A shot keeps f, and reads its later coset messages off it, for as
+  long as the outer code confirms its leaders; only erased or overruled
+  shots are decoded again, on r_j - encode(V_j's message).  That path
+  enumerates nothing, so it never forms a product index, which leaves
+  int64 once Q^(K_0 - 1) does.  Diagnostics record, per stage, how many
+  shots' inner decisions the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import matvec
-from .linalg import basis_distances, lifted_distances, received_basis
+from .linalg import basis_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import rank_word
 
@@ -67,7 +68,7 @@ def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     und = spec.codeword_underlines()  # guards the stack before enumerating
     total = np.zeros(len(und), dtype=np.int64)
     for j, y in enumerate(Ys):
-        total += lifted_distances(y, und[:, j], q)
+        total += basis_distances(*received_basis(y, spec.shot_length, q), und[:, j], q)
     return spec.codeword(int(np.argmin(total)))
 
 
@@ -150,7 +151,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     for i in range(spec.m):
         smap = spec.maps[i]
         if exhaustive:
-            leader_tab, symbol_tab = chain.coset_table(i)
+            table, children = chain.coset_table(i), chain.children_count(i)
             sub_index = chain.subcode(i).codebook_arrays()[1]
             # row-major over (index_i(x), index(V_j)): R_0's product index
             by_level = scores.reshape(n, len(sub_index), -1)
@@ -159,8 +160,10 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
             for k in range(ks[i], ks[0]):
                 v_index = v_index * Q + [[v[k]] for v in accepted]
             picks = by_level[shots, sub_index, v_index].argmin(axis=1)
-            leaders = [tuple(row) for row in leader_tab[picks].tolist()]
-            symbols = symbol_tab[picks].tolist()
+            # the low delta_k digits of index_i(x): x's coset message
+            entries = [table[k] for k in (sub_index[picks] % children).tolist()]
+            leaders = [leader for leader, _ in entries]
+            symbols = [symbol for _, symbol in entries]
             erased = []
         else:
             sub = chain.subcode(i)

@@ -22,10 +22,10 @@ updates otherwise.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
-[H | P] (received_basis, one rref).  lifted_distances is the two in one
-call; the exhaustive multistage decoder row-reduces each shot once,
-scores it once against R_0's codeword stack and reads every later
-stage's scores off that vector.
+[H | P] (received_basis, one rref).  Every caller runs the two in turn:
+the exhaustive multistage decoder row-reduces each shot once, scores it
+once against R_0's codeword stack and reads every later stage's scores
+off that vector.
 
 span_codebook is the one codebook enumerator: every code here is the
 F_q-span of the encodings of its single-digit messages, so one numpy
@@ -241,18 +241,9 @@ def basis_distances(h, p, und, q: int) -> np.ndarray:
     return n + 2 * rank_batch(p - h @ und, q) - len(h)
 
 
-def lifted_distances(Y, und, q: int) -> np.ndarray:
-    """Subspace distances from <Y> to the lifted [I | U] of every U in und.
-
-    und is a stack of shape (count, N, M) of residues mod q and Y any
-    matrix with N + M columns: one RREF of Y, then basis_distances.
-    """
-    return basis_distances(*received_basis(Y, und.shape[1], q), und, q)
-
-
 def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:
     """Subspace distance between the row space of [I | u_mat] and <Y>."""
-    return int(lifted_distances(Y, u_mat[None], q)[0])
+    return int(basis_distances(*received_basis(Y, u_mat.shape[0], q), u_mat[None], q)[0])
 
 
 def rank_distance(field, u, v) -> int:

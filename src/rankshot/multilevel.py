@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cosets import PartitionChain
-from .errors import json_int
+from .errors import INT64_MAX, json_int
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
 from .gabidulin import GabidulinCode
 from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
@@ -79,9 +79,21 @@ class MultilevelCodeSpec:
     # -- encoding ----------------------------------------------------------
 
     def random_messages(self, rng: np.random.Generator) -> list:
+        """One uniform outer message per level.
+
+        A symbol of an alphabet of at most 2^63 elements is one
+        rng.integers draw; a larger alphabet leaves int64, so its symbol
+        is read off delta_k coordinates drawn over F_{q^M}, one each.
+        """
+        Q = self.field.size
         out = []
-        for outer in self.outers:
-            out.append(tuple(int(rng.integers(0, outer.field.size)) for _ in range(outer.k)))
+        for outer, smap in zip(self.outers, self.maps):
+            wide = outer.field.size - 1 > INT64_MAX
+            out.append(tuple(
+                smap.to_symbol([int(rng.integers(0, Q)) for _ in range(smap.width)]) if wide
+                else int(rng.integers(0, outer.field.size))
+                for _ in range(outer.k)
+            ))
         return out
 
     def level_contribution(self, i: int, message) -> tuple:

@@ -53,3 +53,11 @@ def preset():
     """special_situation(2, 4, 4, 2, 3, 4), configs/special_preset.json:
     chain 2>1>0 over F_16, three shots, 2^20 codewords."""
     return special_situation(2, 4, 4, 2, 3, 4)[0]
+
+
+@pytest.fixture(scope="session")
+def widespec():
+    """Level 0 peels two generator columns over F_(2^32), so its alphabet
+    F_(2^64) leaves int64."""
+    return spec_from_json({"field": {"q": 2, "M": 32}, "N": 4, "K": 3, "Ks": [3, 1, 0],
+                           "n": 2, "outers": [{"n": 2, "k": 1}, {"n": 2, "k": 1}]})

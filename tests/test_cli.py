@@ -250,6 +250,17 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     assert "master_seed" in err and "Traceback" not in err
 
 
+def test_simulate_refuses_a_code_beyond_int64(widespec, tmp_path, capsys):
+    # level 0's alphabet has 2^64 symbols: the messages are drawn, and the
+    # decoders' enumeration guard refuses the code
+    sim = {"spec": widespec.to_json(), "channel": {"rho": 0, "tau": 0}, "trials": 1}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 3 and out == ""
+    assert "refused" in err and "Traceback" not in err
+
+
 def test_simulate_rejects_empty_decoder_list(tmp_path, capsys):
     sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0}, "decoders": []}
     cfg_p = tmp_path / "sim.json"

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rankshot import errors
+from rankshot import cosets, errors
 from rankshot.cosets import PartitionChain
 from rankshot.fields import matvec
 from rankshot.gabidulin import GabidulinCode
@@ -48,9 +48,9 @@ def test_children_count_wide_gap():
 def test_generator_slicing(chain):
     full = chain.code.generator
     assert chain.subcode(0) is chain.code
-    assert chain.subcode_generator(0) == full
-    assert chain.subcode_generator(2) == ((), (), ())
-    assert chain.subcode_generator(1) == tuple((row[0],) for row in full)
+    assert chain.subcode(0).generator == full
+    assert chain.subcode(2).generator == ((), (), ())
+    assert chain.subcode(1).generator == tuple((row[0],) for row in full)
     assert chain.coset_code_generator(0) == tuple((row[1],) for row in full)
     assert chain.coset_code_generator(1) == tuple((row[0],) for row in full)
 
@@ -120,7 +120,7 @@ def test_coset_leader_matches_solve_field(f8, f9, decode12):
     for ch in _chains(f8, f9, decode12):
         f = ch.field
         for i in range(ch.m):
-            gen = ch.subcode_generator(i)
+            gen = ch.subcode(i).generator
             lo, hi = ch.ks[i + 1], ch.ks[i]
             for _ in range(20):
                 msg = tuple(int(x) for x in rng.integers(0, f.size, hi))
@@ -141,38 +141,40 @@ def test_coset_leader_matches_solve_field(f8, f9, decode12):
 
 
 def test_coset_table_matches_coset_leader(f8, f9, decode12):
-    """Row k of level i's table is the split of the k-th word of R_i in
-    codeword order, the order of R_i's underline stack: its leader, and
-    its coset message as the level's outer symbol."""
+    """The word of R_i with product index k splits as entry k % children
+    of level i's table: its leader, and its coset message as the level's
+    outer symbol.  The table is built without enumerating R_i."""
     for ch in _chains(f8, f9, decode12):
-        for i in range(ch.m):
-            words = ch.subcode(i).codewords()
-            smap = SymbolMap(ch.field, ch.delta_k(i))
-            leaders, symbols = ch.coset_table(i)
-            assert leaders.dtype == symbols.dtype == np.int64
-            assert leaders.shape == (len(words), ch.code.length)
-            assert symbols.shape == (len(words),)
-            table = [(tuple(ld.tolist()), smap.to_tuple(sym))
-                     for ld, sym in zip(leaders, symbols.tolist())]
-            assert table == [ch.coset_leader(i, w) for w in words]
+        fresh = PartitionChain(GabidulinCode(ch.field, ch.code.length, ch.code.dim,
+                                             ch.code.points), ch.ks)
+        for i in range(fresh.m):
+            table = fresh.coset_table(i)
+            assert fresh.subcode(i)._underlines is None
+            children = fresh.children_count(i)
+            assert len(table) == children
+            smap = SymbolMap(fresh.field, fresh.delta_k(i))
+            index = fresh.subcode(i).codebook_arrays()[1].tolist()
+            for k, w in zip(index, fresh.subcode(i).codewords()):
+                leader, message = fresh.coset_leader(i, w)
+                assert table[k % children] == (leader, smap.to_symbol(message))
 
 
-def test_coset_table_guard_counts_both_arrays(f8, monkeypatch):
-    # the tiny level-0 table is 64 words x (N + delta_k) = 4 int64 entries
-    # (leaders, and the message digits its symbols are read from), and its
-    # build holds 2 more per word (the index copy and the symbols); R_0's
-    # enumeration, which the table reads, has its own guard, so the
-    # table's runs first
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8 - 1)
+def test_coset_table_guard_runs_before_any_matvec(f8, monkeypatch):
+    # the tiny level-0 table has 8 entries, one matvec each
+    calls = []
+
+    def counting_matvec(*args):
+        calls.append(args)
+        return matvec(*args)
+
+    monkeypatch.setattr(cosets, "matvec", counting_matvec)
+    monkeypatch.setattr(errors, "ENUM_GUARD", 7)
     fresh = PartitionChain(GabidulinCode(f8, 3, 2), [2, 1, 0])
-    with pytest.raises(errors.GuardError, match="2048 stack bytes"):
+    with pytest.raises(errors.GuardError, match="enumerating 8 codewords"):
         fresh.coset_table(0)
-    assert fresh.subcode(0)._codebook is None and fresh.subcode(0)._underlines is None
-    monkeypatch.undo()
-    fresh.subcode(0).codeword_underlines()
-    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 64 * 6 * 8)
-    assert fresh.coset_table(0)[0].shape == (64, 3)
-    assert fresh.coset_table(0)[1].shape == (64,)
+    assert calls == []
+    monkeypatch.setattr(errors, "ENUM_GUARD", 8)
+    assert len(fresh.coset_table(0)) == 8 and len(calls) == 8
 
 
 def test_partition_refinement_exhaustive(chain):

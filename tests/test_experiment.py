@@ -1,8 +1,10 @@
 """Seeded trial runner: config parsing, determinism, aggregation."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from rankshot.experiment import (
     run_trial,
     trial_seeds,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_SPEC = {
     "field": {"q": 2, "M": 3, "modulus": [1, 1, 0, 1]},
@@ -222,6 +226,21 @@ def test_csv_layout():
 def test_csv_byte_identical_across_runs():
     cfg = parse_experiment_config(make_doc(trials=4))
     assert records_to_csv(run_experiment(cfg)) == records_to_csv(run_experiment(cfg, workers=2))
+
+
+def test_simulate_tiny_pinned():
+    """The simulate records of configs/simulate_tiny.json are byte-identical
+    to the pinned stream: one sha256 over the CSV and the JSON of a serial
+    run with timing off (3,200 records)."""
+    cfg = parse_experiment_config(json.loads((CONFIGS / "simulate_tiny.json").read_text()))
+    assert not cfg.timing
+    recs = run_experiment(cfg)
+    h = hashlib.sha256()
+    h.update(records_to_csv(recs).encode())
+    h.update(records_to_json(recs).encode())
+    assert h.hexdigest() == (
+        "16272c2d1a6f704a7bf7b2b6266ec366cd5f47b5451fe00b44419d8ed1368821"
+    )
 
 
 def test_json_records_include_fer():

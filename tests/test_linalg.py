@@ -9,16 +9,17 @@ from rankshot import linalg
 from rankshot.errors import Q_GUARD
 from rankshot.linalg import (
     Subspace,
+    basis_distances,
     extended_rank_distance,
     extended_subspace_distance,
     kernel_field,
-    lifted_distances,
     matrix_from_json,
     matrix_to_json,
     rank,
     rank_batch,
     rankdef,
     rank_distance,
+    received_basis,
     rref,
     rref_field,
     solve_field,
@@ -240,7 +241,7 @@ def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):
     for mats, q in stacks:
         rank_batch(mats, q)
     assert calls == []
-    dists = lifted_distances(y, und, 2)
+    dists = basis_distances(*received_basis(y, 4, 2), und, 2)
     assert calls == [(4, 8)]  # the one rref of Y
     assert dists.shape == (4096,) and dists[5] == 2
 
@@ -344,12 +345,12 @@ def test_lifted_distances_stack(f8, f9):
         und = field.underline(words)
         for rows in (0, 1, 3, 5):
             y = rng.integers(0, q, (rows, 2 + field.degree))
-            got = lifted_distances(y, und, q)
+            got = basis_distances(*received_basis(y, 2, q), und, q)
             want = [subspace_distance(Subspace(lift(field, tuple(w)), q), Subspace(y, q))
                     for w in words]
             assert got.tolist() == want
     with pytest.raises(ValueError):
-        lifted_distances(np.zeros((2, 5), dtype=np.int64), und, 3)
+        basis_distances(*received_basis(np.zeros((2, 5), dtype=np.int64), 2, 3), und, 3)
 
 
 def test_lifted_distances_int64_bound():
@@ -363,10 +364,10 @@ def test_lifted_distances_int64_bound():
         a = rng.integers(1, q, (1, 2))
         y = np.array((a.astype(object) @ lifts[0].astype(object)) % q, dtype=np.int64)
         want = [subspace_distance(Subspace(x, q), Subspace(y, q)) for x in lifts]
-        assert lifted_distances(y, und, q).tolist() == want
+        assert basis_distances(*received_basis(y, 2, q), und, q).tolist() == want
     y4 = np.hstack([np.eye(4, dtype=np.int64), rng.integers(0, q, (4, 3))])[:1]
     with pytest.raises(ValueError, match="too large"):
-        lifted_distances(y4, rng.integers(0, q, (3, 4, 3)), q)
+        basis_distances(*received_basis(y4, 4, q), rng.integers(0, q, (3, 4, 3)), q)
 
 
 def test_matrix_json_roundtrip():

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rankshot.channel import lift_multishot
 from rankshot.cosets import PartitionChain
+from rankshot.decoder import multistage_decode
 from rankshot.errors import ENUM_GUARD, STACK_GUARD_BYTES, GuardError, guard_enumeration
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode
@@ -64,6 +66,26 @@ def test_level_contributions_sum_to_encoding(tiny2shot):
             for lvl in contribs:
                 acc = f.vec_add(acc, lvl[j])
             assert acc == word[j]
+
+
+def test_random_messages_beyond_int64(widespec):
+    """A level alphabet of 2^64 symbols draws its symbols coordinate by
+    coordinate; the messages are in range and decode back on a clean
+    channel through the algebraic inner and outer decoders."""
+    spec = widespec
+    assert spec.outers[0].field.size == 2 ** 64
+    rng = np.random.default_rng(5)
+    level0 = []
+    for _ in range(4):
+        msgs = spec.random_messages(rng)
+        assert [len(m) for m in msgs] == [o.k for o in spec.outers]
+        for msg, outer in zip(msgs, spec.outers):
+            assert all(0 <= s < outer.field.size for s in msg)
+        level0.extend(msgs[0])
+        xs = lift_multishot(spec.field, spec.encode(msgs))
+        res = multistage_decode(xs, spec, outer_method="algebraic", inner_method="algebraic")
+        assert res.ok and res.messages == [tuple(m) for m in msgs]
+    assert max(level0) >= 2 ** 63
 
 
 def test_encoder_linearity(tiny2shot):

@@ -1,7 +1,8 @@
 """The one codebook enumerator, linalg.span_codebook, against brute force.
 
-Every codebook (Gabidulin, outer, multilevel) and every coset table is
-built from it.  The brute force encodes every message in
+Every codebook (Gabidulin, outer, multilevel) is built from it, and an
+exhaustive decoder reads a word's coset table entry off the product
+index it returns.  The brute force encodes every message in
 itertools.product order and sorts the codewords.
 """
 
@@ -87,16 +88,18 @@ def test_coset_tables_match_coset_leader(specs):
         fresh = PartitionChain(GabidulinCode(chain.field, chain.code.length, chain.code.dim,
                                              chain.code.points), chain.ks)
         for i in range(fresh.m):
-            leaders, symbols = fresh.coset_table(i)
-            assert fresh.subcode(i)._codebook is None
-            words = fresh.subcode(i).codewords()
-            assert leaders.dtype == symbols.dtype == np.int64
-            assert leaders.shape == (len(words), fresh.code.length)
-            assert symbols.shape == (len(words),)
-            # the symbol is the level's SymbolMap image of the coset message
+            table = fresh.coset_table(i)
+            assert fresh.subcode(i)._underlines is None
+            children = fresh.children_count(i)
+            assert len(table) == children
+            # the word with product index k lies in the coset of entry
+            # k % children, whose symbol is the level's SymbolMap image of
+            # the coset message
             smap = specs[name].maps[i]
-            for ld, sym, w in zip(leaders, symbols.tolist(), words):
-                assert (tuple(ld.tolist()), smap.to_tuple(sym)) == fresh.coset_leader(i, w)
+            index = fresh.subcode(i).codebook_arrays()[1].tolist()
+            for k, w in zip(index, fresh.subcode(i).codewords()):
+                leader, message = fresh.coset_leader(i, w)
+                assert table[k % children] == (leader, smap.to_symbol(message))
 
 
 def test_span_codebook_orders_by_element_ints():
