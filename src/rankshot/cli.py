@@ -4,7 +4,7 @@ Subcommands:
 
 * ``params``   report code parameters (per-level distances, rate, budget)
 * ``mindist``  minimum extended rank distance: the least weight of a
-               nonzero codeword (one scan, under the enumeration guard)
+               nonzero codeword (R_0's word ranks gathered, under the enumeration guard)
 * ``encode``   outer messages -> codeword + lifted transmit matrices
 * ``channel``  apply a seeded channel draw to lifted matrices
 * ``decode``   decode received matrices (multistage or oracle)
@@ -105,10 +105,11 @@ def cmd_mindist(args) -> int:
     if size <= 1:
         report.update({"pairs": 0, "note": "no pairs"})
     else:
-        # the code is linear, so d(u, v) = w(u - v) covers every pair, and
-        # in codeword order the zero word is entry 0
-        und = spec.codeword_underlines()[1:]  # (C-1, n, N, M), guarded
-        best = int(sum(rank_batch(und[:, j], q) for j in range(spec.n)).min())
+        # the code is linear, so d(u, v) = w(u - v) covers every pair; the
+        # zero word is row 0, and a shot's weight is its R_0 word's rank
+        rows = spec.codebook_arrays()[0][1:]  # guarded
+        weights = rank_batch(spec.code.codeword_underlines(), q)
+        best = int(sum(weights[rows[:, j]] for j in range(spec.n)).min())
         report.update({"pairs": size * (size - 1) // 2, "min_distance": best,
                        "meets_design": best >= design})
     _emit(json.dumps(report, indent=2) + "\n", args.out)

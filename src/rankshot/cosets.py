@@ -1,27 +1,20 @@
 """Nested chains of Gabidulin subcodes and their coset decompositions.
 
 A chain K = K_0 > K_1 > ... > K_m = 0 nests the column-span subcodes
-R_i generated by the first K_i generator columns.  The coset code
-[R_i / R_{i+1}] is spanned by columns K_{i+1} .. K_i - 1; every word of
-R_i splits uniquely as a coset leader from that span plus a remainder in
-R_{i+1}, which is what multistage decoding peels off level by level.
-The split solves G_i x = word with linalg.solve_field over R_i's
-generator, the first K_i generator columns, and reads the coset message
-off x; the coset generators' column blocks are sliced once per chain.
-R_0 is the code object itself.  coset_leader stays as the reference
-split, for the tests and for perfbench/spans.py; no decode path calls
-it.  The algebraic multistage path already holds the message
-polynomial and reads the split off it, and the exhaustive path reads
-coset_table.
+R_i generated by the first K_i generator columns; R_0 is the code object
+itself.  The coset code [R_i / R_{i+1}] is spanned by columns
+K_{i+1} .. K_i - 1, and every word of R_i splits uniquely as a coset
+leader from that span plus a remainder in R_{i+1}: the levels multistage
+decoding peels.  coset_leader, the reference split, solves G_i x = word
+with linalg.solve_field over R_i's generator; only the tests and
+perfbench/spans.py call it.  The algebraic multistage path reads the
+split off the message polynomial it already holds.
 
-coset_table(i) lists the cosets of R_{i+1} in R_i by coset message m,
-in itertools.product order, each as its leader, the product of m with
-the coset code's generator (the rule the encoder, coset_leader and the
-algebraic path apply), and m read as one symbol of the level alphabet.
-A word of R_i whose message has product index k has as coset message
-its message's last delta_k elements, the low digits of k, so an
-exhaustive decoder's argmin over R_i's words reads its decision as
-entry k % children_count(i).
+coset_table(i) lists the cosets of R_{i+1} in R_i by coset message, in
+itertools.product order, each as its leader and its level-alphabet
+symbol.  A word of R_i with product index k lies in the coset of entry
+k % children_count(i), which the exhaustive multistage decoder reads;
+the multilevel codebook reads the table from symbol to coset message.
 """
 
 from __future__ import annotations

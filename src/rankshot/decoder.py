@@ -7,39 +7,32 @@ subspace distance to the received row space (linalg.basis_distances):
   returns the codeword whose lifted image minimizes the extended
   subspace distance to the received row spaces.  It is exact but
   exponential, and guarantees success whenever rho + 2*tau stays below
-  half the design subspace distance.  The codebook is in codeword
-  order, so the first minimum is the smallest codeword.
+  half the design subspace distance.  Every shot is a word of R_0, so
+  it scores each shot once against R_0 and sums the scores gathered at
+  the codebook's table of R_0 rows (MultilevelCodeSpec.codebook_arrays),
+  in codeword order: the first minimum is the smallest codeword.
 
 * multistage_decode peels the partition chain level by level: per shot
   it picks the word x of the level subcode R_i minimizing
   d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
   contributions already accepted, and decodes the resulting coset
   symbols with the level's outer code.  V_j is held as its R_0
-  message, a list of field elements, and each received matrix is
-  row-reduced once per decode, to its basis [H | P]
-  (linalg.received_basis), on both inner paths.  V_j + R_i lies in R_0,
-  so the exhaustive inner path scores each shot once, against R_0's
-  codeword stack, and every stage's decision is the first minimum of a
-  gather from that score vector.  R_i's message is the first K_i
-  digits of an R_0 message, so with Q = q^M the word V_j + x has R_0
-  product index index_i(x) Q^(K_0 - K_i) + index(V_j), and index(V_j)
-  is read off V_j's message digits, an int64 under the enumeration
-  guard that path runs behind.  The low delta_k digits of index_i(x)
-  are the decision's coset message, which picks its coset leader and
-  symbol from the level's coset table (PartitionChain.coset_table).
-  The algebraic inner path reads the rank word r_j off the same basis
-  (reduction.rank_word: the payload rows under header pivots) and
-  decodes r_j - V_j with the Gabidulin interpolation decoder to its
-  message polynomial f (GabidulinCode.decode_message).  R_i is
-  generated by the first K_i generator columns, so the coset message is
-  f[K_{i+1}:K_i] and the coset leader its product with the coset code's
-  generator: no codeword is re-encoded and no coset_leader split runs.
-  A shot keeps f, and reads its later coset messages off it, for as
-  long as the outer code confirms its leaders; only erased or overruled
-  shots are decoded again, on r_j - encode(V_j's message).  That path
-  enumerates nothing, so it never forms a product index, which leaves
-  int64 once Q^(K_0 - 1) does.  Diagnostics record, per stage, how many
-  shots' inner decisions the outer decoder overruled.
+  message, and each received matrix is row-reduced once per decode, to
+  its basis [H | P] (linalg.received_basis), on both inner paths.
+  V_j + R_i lies in R_0, so the exhaustive inner path scores each shot
+  once against R_0's codeword stack.  With Q = q^M, V_j + x has R_0
+  product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64 under
+  the enumeration guard, so every stage's decision is the first
+  minimum of a gather from that score vector, and the low delta_k
+  digits of index_i(x), its coset message, pick its leader and symbol
+  from the level's coset table (PartitionChain.coset_table).  The
+  algebraic inner path reads the rank word r_j off the same basis
+  (reduction.rank_word) and decodes r_j - V_j to its message
+  polynomial f (GabidulinCode.decode_message), whose slice
+  f[K_{i+1}:K_i] is the coset message.  It enumerates nothing, so it
+  never forms a product index, which leaves int64 once Q^(K_0 - 1)
+  does.  Diagnostics record, per stage, how many shots' inner decisions
+  the outer decoder overruled.
 """
 
 from __future__ import annotations
@@ -65,10 +58,11 @@ def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
     q = spec.field.base.size
-    und = spec.codeword_underlines()  # guards the stack before enumerating
-    total = np.zeros(len(und), dtype=np.int64)
+    rows = spec.codebook_arrays()[0]  # guards the table before enumerating
+    und = spec.code.codeword_underlines()
+    total = np.zeros(len(rows), dtype=np.int64)
     for j, y in enumerate(Ys):
-        total += basis_distances(*received_basis(y, spec.shot_length, q), und[:, j], q)
+        total += basis_distances(*received_basis(y, spec.shot_length, q), und, q)[rows[:, j]]
     return spec.codeword(int(np.argmin(total)))
 
 
@@ -117,8 +111,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     encoded word.  Keeping f while the outer code confirms the shot's
     leaders is exact: if f was found at stage l, r_j - V_j then lies
     within rank t_l of a word of R_i, and t_l <= t_i < d_R(R_i) / 2
-    makes that word the decoder's unique answer at stage i.  Its
-    failures are handed to the outer decoder as erasures.
+    makes that word the decoder's unique answer at stage i; only erased
+    or overruled shots are decoded again.  Its failures are handed to
+    the outer decoder as erasures.
     """
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")

@@ -245,7 +245,8 @@ class ExtensionField:
 
     Elements are ints in [0, size); the coordinate tuple of an element in
     the polynomial basis (1, x, x^2, ...) is its base-|base| digit
-    expansion, low digit first.
+    expansion, low digit first.  A modulus and a degree given together
+    must agree.
     """
 
     def __init__(self, base, modulus=None, degree: int | None = None):
@@ -257,6 +258,8 @@ class ExtensionField:
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) < 2:
             raise ValueError("modulus must have degree >= 1")
+        if degree is not None and degree != len(modulus) - 1:
+            raise ValueError(f"modulus has degree {len(modulus) - 1}, not the given {degree}")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         if any(c < 0 or c >= base.size for c in modulus):

@@ -8,12 +8,10 @@ the points.  These codes are maximum rank distance: d_R = N - K + 1.
 
 Two decode paths are provided.  The exhaustive path is the reference
 semantics: scan the whole (guarded) codebook and return the codeword at
-the least rank distance.  The codebook is the F_q-span of the K*M
-encodings of the single-digit messages, built as one coordinate stack
-by linalg.span_codebook and held in codeword order, so the first
-minimum is the smallest codeword: ties break toward the smaller
-entry-tuple serialization.  The decoder reads its answer from the stack
-row; the Python codeword list is built only when codewords() is called.
+the least rank distance.  The codebook (codebook_arrays) is held in
+codeword order, so the first minimum is the smallest codeword: ties
+break toward the smaller entry-tuple serialization.  Every exhaustive
+decoder and the multilevel codebook read this one stack.
 The algebraic path is an interpolation decoder for rank errors only
 (Loidreau's Welch-Berlekamp analogue): it corrects up to
 floor((N-K)/2) rank errors and reports failure (None) beyond that.
@@ -22,12 +20,12 @@ multistage decoder splits into coset messages; decode_rank_errors
 encodes f back into the codeword.  The right half of every
 interpolation row, -g_i^(q^l), depends only on the code and is stored
 once per code; the received word contributes only its t + 1 Frobenius
-powers.  It is one path for every t, with no final
-check: once W = V o f holds exactly, every error e_i = r_i - c_i is a
-root of V (V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of
-q-degree <= t span at most t dimensions over F_q, so the codeword
-returned lies within rank t of the received word.  At t = 0, V is a
-nonzero constant and the kernel is empty unless the word is a codeword.
+powers.  It is one path for every t, with no final check: once
+W = V o f holds exactly, every error e_i = r_i - c_i is a root of V
+(V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of q-degree
+<= t span at most t dimensions over F_q, so the codeword returned lies
+within rank t of the received word.  At t = 0, V is a nonzero constant
+and the kernel is empty unless the word is a codeword.
 """
 
 from __future__ import annotations

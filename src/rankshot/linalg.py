@@ -27,10 +27,11 @@ the exhaustive multistage decoder row-reduces each shot once, scores it
 once against R_0's codeword stack and reads every later stage's scores
 off that vector.
 
-span_codebook is the one codebook enumerator: every code here is the
-F_q-span of the encodings of its single-digit messages, so one numpy
-broadcast step per message digit and one lexsort build any codebook's
-coordinate stack in codeword order, under the enumeration guard.
+span_codebook is the one codebook enumerator: a Gabidulin or outer code
+is the F_q-span of the encodings of its single-digit messages, so one
+numpy broadcast step per message digit and one lexsort build its
+coordinate stack in codeword order, under the enumeration guard; a
+multilevel codebook is a table of rows of R_0's stack instead.
 """
 
 from __future__ import annotations
@@ -315,18 +316,6 @@ def single_digit_messages(k: int, width: int, q: int):
     for j in range(k):
         for t in reversed(range(width)):
             yield tuple(q ** t if i == j else 0 for i in range(k))
-
-
-def mixed_radix_digits(index, radices) -> np.ndarray:
-    """Digits of product indices in the mixed radix *radices*, most
-    significant first: shape (len(index), len(radices)), int64."""
-    weights, w = [], 1
-    for r in reversed(radices):
-        weights.append(w)
-        w *= r
-    out = np.asarray(index, dtype=np.int64)[:, None] // np.array(weights[::-1], dtype=np.int64)
-    out %= np.array(radices, dtype=np.int64)
-    return out
 
 
 def matrix_to_json(m, q: int) -> dict:

@@ -5,11 +5,11 @@ chain with an outer Reed-Solomon code over an alphabet of matching size.
 Encoding runs every outer code, maps each outer symbol to a coefficient
 tuple, forms the per-shot coset contribution with the corresponding
 generator columns, and sums the contributions: the codeword is an
-n-tuple of rank words, one per channel use.  Every one of those maps is
-F_q-linear, so the codebook is the F_q-span of the contributions of the
-log_q |C| single-digit level messages; linalg.span_codebook builds it as
-one coordinate stack in codeword order, and the Python (messages,
-codeword) list only when codewords() is called.
+n-tuple of rank words, one per channel use.  Each shot is a word of R_0
+whose message holds level i's coset message at positions K_{i+1} ..
+K_i - 1, so the codebook is an (|C|, n) table of R_0 rows in codeword
+order (codebook_arrays); its coordinate stack and its Python
+(messages, codeword) list are built only when asked for.
 
 Size and distance bookkeeping:
 
@@ -26,16 +26,17 @@ closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .cosets import PartitionChain
-from .errors import INT64_MAX, json_int
+from .errors import INT64_MAX, guard_enumeration, json_int
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
 from .gabidulin import GabidulinCode
-from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
+from .linalg import element_ints
 from .outer import OuterCode, SymbolMap
 
 
@@ -53,7 +54,7 @@ class MultilevelCodeSpec:
             OuterCode(self.maps[i].alphabet, self.n, outer_ks[i]) for i in range(chain.m)
         )
         self._codebook = None
-        self._underlines = None
+        self._rows = None
         self._index = None
 
     @property
@@ -118,47 +119,64 @@ class MultilevelCodeSpec:
         return tuple(shots)
 
     def codebook_arrays(self) -> tuple:
-        """(stack, index) of the codebook in codeword order (guarded).
+        """(rows, index) of the codebook in codeword order (guarded).
 
-        stack holds the per-shot coordinate matrices, shape
-        (|C|, n, N, M), and index[r] is the product-order index of row
-        r's level messages (level 0 most significant).  The code is the
-        F_q-span of the level contributions of the messages with a single
-        base-q digit, so one span_codebook call builds both from
-        log_q |C| encodings.
+        rows[r, j] is the R_0 row, in R_0's codeword order, of shot j of
+        codeword r; index[r] is the product-order index of row r's level
+        messages (level 0 most significant).  Coset message k of level i
+        adds k Q^(K_0 - K_i) to a shot's R_0 product index (Q = q^M), so
+        one in-place broadcast per level over the outer codewords in
+        message order, R_0's index and one lexsort of the shot-major
+        table build it.  The guard counts the table, the sort order, one
+        shot's rows and R_0's map to rows before anything is built.
         """
-        if self._underlines is None:
-            f = self.field
-            q = f.base.size
-            rows = (f.underline(self.level_contribution(i, msg))
-                    for i, outer in enumerate(self.outers)
-                    for msg in single_digit_messages(outer.k, f.degree * self.chain.delta_k(i), q))
-            self._underlines, self._index = span_codebook(
-                rows, self.cardinality_logq(), q, (self.n, self.shot_length, f.degree))
-        return self._underlines, self._index
+        if self._rows is None:
+            Q, n, ks = self.field.size, self.n, self.chain.ks
+            count = self.field.base.size ** self.cardinality_logq()
+            guard_enumeration(count, (n,), transient=2 + -(-Q ** ks[0] // count))
+            row_of = np.argsort(self.code.codebook_arrays()[1])  # product index -> row
+            table = np.zeros((n, count), dtype=np.int64)
+            grid = table.reshape([n] + [o.field.size ** o.k for o in self.outers])
+            for i, outer in enumerate(self.outers):
+                place = np.argsort([s for _, s in self.chain.coset_table(i)])  # symbol -> k
+                place *= Q ** (ks[0] - ks[i])
+                words = [word for _, word in sorted(outer.codewords())]
+                for j, symbols in enumerate(zip(*words)):
+                    grid[j] += place[list(symbols)].reshape([-1] + [1] * (self.m - 1 - i))
+            for shot in table:
+                shot[:] = row_of[shot]
+            index = np.lexsort(table[::-1])
+            for shot in table:
+                shot[:] = shot[index]
+            self._rows, self._index = table.T, index
+        return self._rows, self._index
 
     def codeword_underlines(self) -> np.ndarray:
-        """Stack of per-shot coordinate matrices, shape (|C|, n, N, M) (guarded)."""
-        return self.codebook_arrays()[0]
+        """Stack of per-shot coordinate matrices, shape (|C|, n, N, M):
+        R_0's stack gathered at the table.  The guard counts the stack,
+        the table and R_0's stack before either codebook is built."""
+        f, N = self.field, self.shot_length
+        count = f.base.size ** self.cardinality_logq()
+        r0 = f.size ** self.code.dim * N * f.degree  # R_0's stack entries
+        guard_enumeration(count, (self.n, N, f.degree), transient=self.n + -(-r0 // count))
+        return self.code.codeword_underlines()[self.codebook_arrays()[0]]
 
     def codeword(self, k: int) -> tuple:
-        """The k-th codeword in codeword order, read from the stack."""
-        rows = element_ints(self.codeword_underlines()[k], self.field.base.size).tolist()
-        return tuple(map(tuple, rows))
+        """The k-th codeword in codeword order: R_0's words at row k of the table."""
+        und = self.code.codeword_underlines()[self.codebook_arrays()[0][k]]
+        return tuple(map(tuple, element_ints(und, self.field.base.size).tolist()))
 
     def codewords(self) -> list:
         """All (messages, codeword) pairs, in codeword order (guarded);
-        built from the arrays on first call."""
+        built from the table on first call."""
         if self._codebook is None:
-            und, index = self.codebook_arrays()
-            words = element_ints(und, self.field.base.size).tolist()
-            sizes = [outer.field.size for outer in self.outers for _ in range(outer.k)]
-            digits = mixed_radix_digits(index, sizes).tolist()
-            cuts = np.cumsum([0] + [outer.k for outer in self.outers]).tolist()
-            self._codebook = [
-                ([tuple(msg[a:b]) for a, b in zip(cuts, cuts[1:])], tuple(map(tuple, word)))
-                for msg, word in zip(digits, words)
-            ]
+            rows, index = self.codebook_arrays()
+            words = self.code.codewords()
+            messages = list(itertools.product(*(
+                itertools.product(range(outer.field.size), repeat=outer.k)
+                for outer in self.outers)))
+            self._codebook = [(list(messages[m]), tuple(words[r] for r in row))
+                              for m, row in zip(index.tolist(), rows.tolist())]
         return self._codebook
 
     # -- parameters ---------------------------------------------------------

@@ -33,10 +33,12 @@ freshly constructed degree-w extension of F_{q^M}.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import ExtensionField, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim
-from .linalg import element_ints, mixed_radix_digits, single_digit_messages, span_codebook
+from .linalg import element_ints, single_digit_messages, span_codebook
 
 
 def _base_digits(size: int, q: int) -> int:
@@ -121,7 +123,8 @@ class OuterCode:
 
         One span_codebook call over the encodings of the messages with a
         single base-q digit builds the codewords, as base-q coordinate
-        stacks, and their product-order message indices.
+        stacks, and their product-order message indices; each message is
+        read from itertools.product at its index.
         """
         if self._codebook is None:
             f, k = self.field, self.k
@@ -132,8 +135,8 @@ class OuterCode:
                     for msg in single_digit_messages(k, width, q))
             stack, index = span_codebook(rows, k * width, q, (self.n, width))
             words = element_ints(stack, q).tolist()
-            messages = mixed_radix_digits(index, [f.size] * k).tolist()
-            self._codebook = [(tuple(m), tuple(w)) for m, w in zip(messages, words)]
+            messages = list(itertools.product(range(f.size), repeat=k))
+            self._codebook = [(messages[m], tuple(w)) for m, w in zip(index.tolist(), words)]
         return self._codebook
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):

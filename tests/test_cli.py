@@ -151,14 +151,49 @@ def test_mindist_single_codeword(tmp_path, capsys):
     assert rep["codewords"] == 1 and rep["pairs"] == 0 and rep["note"] == "no pairs"
 
 
+# 2^56 codewords: the count guard refuses every enumeration of this code
+HUGE_SPEC = {"special": {"q": 2, "M": 7, "N": 7, "K": 3, "n": 3, "d": 6}}
+
+# level 1 has outer dimension 0, so the code has 2^7 codewords while its
+# R_0 has 2^21 words, more than the count guard allows
+K0_LEVEL_SPEC = {"field": {"q": 2, "M": 7}, "N": 7, "K": 3, "Ks": [3, 2, 0], "n": 2,
+                 "outers": [{"n": 2, "k": 1}, {"n": 2, "k": 0}]}
+
+
 def test_mindist_guard(tmp_path, capsys):
-    big = {"special": {"q": 2, "M": 4, "N": 4, "K": 2, "n": 3, "d": 4}}
-    p = tmp_path / "big.json"
-    p.write_text(json.dumps(big))
+    # the 2^20 preset's shots are gathered from its 256-word R_0
+    code, out, _ = run(capsys, ["mindist", "--config", str(CONFIGS / "special_preset.json")])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["codewords"] == 2 ** 20
+    assert rep["min_distance"] == rep["design_distance"] == 4
+
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(HUGE_SPEC))
     code, out, err = run(capsys, ["mindist", "--config", str(p)])
-    assert code == 3
+    assert code == 3 and out == ""
     assert "refused" in err
     assert str(errors.STACK_GUARD_BYTES) in err
+
+
+@pytest.mark.parametrize("command, decoder", [("mindist", None), ("decode", "oracle"),
+                                              ("decode", "multistage")])
+def test_exhaustive_paths_refuse_a_code_smaller_than_its_r0(tmp_path, capsys, command,
+                                                            decoder):
+    """The one input the R_0 table loses: the oracle and mindist gather
+    from R_0, so they refuse a code whose outer k = 0 level leaves it
+    with fewer codewords than its R_0 has words when R_0 is beyond the
+    guard, as the multistage decoder does."""
+    p = tmp_path / "k0.json"
+    p.write_text(json.dumps(K0_LEVEL_SPEC))
+    argv = [command, "--config", str(p)]
+    if command == "decode":
+        rx = tmp_path / "rx.json"
+        rx.write_text(json.dumps(lifted_zero_word(7, 7, 2)))
+        argv += ["--in", str(rx), "--decoder", decoder]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("refused:") and "Traceback" not in err
 
 
 def test_pipeline_encode_channel_decode(spec_path, tmp_path, capsys):
@@ -354,6 +389,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("command", ["params", "simulate", "decode"])
+def test_field_degree_must_match_its_modulus(tmp_path, capsys, command):
+    # M = 3 with a degree-4 modulus would otherwise build F_16 and report M = 4
+    spec = {"field": {"q": 2, "M": 3, "modulus": [1, 1, 0, 0, 1]}, "N": 3, "K": 2,
+            "Ks": [2, 1, 0], "n": 2, "outers": [{"k": 1}, {"k": 1}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"spec": spec, "channel": {"rho": 0, "tau": 0}}
+                            if command == "simulate" else spec))
+    argv = [command, "--config", str(p)]
+    if command == "decode":
+        rx = tmp_path / "rx.json"
+        rx.write_text(json.dumps(lifted_zero_word(3, 3, 2)))
+        argv += ["--in", str(rx)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "degree 4" in err and "Traceback" not in err
+
+
 def test_encode_validates_messages(spec_path, tmp_path, capsys):
     p = tmp_path / "msg.json"
     p.write_text(json.dumps({"messages": [[9], [0]]}))  # 9 not in F_8
@@ -446,12 +499,21 @@ def test_matrix_documents_read_integers_strictly(spec_path, tmp_path, capsys,
 
 
 def test_decode_oracle_refuses_special_preset(tmp_path, capsys):
-    # 2^20 codewords pass the count guard, but the underline stack is 384 MiB
+    # the 2^20 preset passes the guard: its table of R_0 rows is 24 MiB
     rx = tmp_path / "rx.json"
     rx.write_text(json.dumps(lifted_zero_word(4, 4, 3)))
-    code, _, err = run(capsys, ["decode", "--config", str(CONFIGS / "special_preset.json"),
+    code, out, _ = run(capsys, ["decode", "--config", str(CONFIGS / "special_preset.json"),
                                 "--in", str(rx), "--decoder", "oracle"])
-    assert code == 3
+    assert code == 0
+    assert json.loads(out) == {"decoder": "oracle", "codeword": [[0] * 4] * 3}
+
+    # 2^56 codewords do not
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(HUGE_SPEC))
+    rx.write_text(json.dumps(lifted_zero_word(7, 7, 3)))
+    code, out, err = run(capsys, ["decode", "--config", str(huge), "--in", str(rx),
+                                  "--decoder", "oracle"])
+    assert code == 3 and out == ""
     assert err.startswith("refused:") and "stack bytes" in err
 
 

@@ -13,7 +13,7 @@ from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import received_basis, subspace_distance_to_lifted
-from rankshot.multilevel import special_situation, spec_from_json
+from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
 from rankshot.reduction import rank_word, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
@@ -506,4 +506,26 @@ def test_decoders_pinned(tiny2shot, decode12, q3spec, towerspec, preset):
                     h.update(repr(oracle_decode_multishot(ys, spec)).encode())
     assert h.hexdigest() == (
         "ae12f7d48023105ac6f7bc3d49cddb26bc0158bcdcbc666b6325aa48de0fd5fb"
+    )
+
+
+def test_oracle_pinned(tiny2shot, decode12, q3spec, towerspec):
+    """The oracle's outputs are byte-identical to the pinned stream.
+
+    One sha256 over oracle_decode_multishot on seeded inputs of the
+    decode-12, q = 3, tower (delta_k = 2) and k0-level codes, with
+    rho + 2*tau swept past each budget so that distances tie and the
+    first minimum decides.  The first three have more codewords than R_0
+    has words, the k0-level code fewer.
+    """
+    k0_level = MultilevelCodeSpec(tiny2shot.chain, 2, [1, 0])
+    h = hashlib.sha256()
+    for ci, spec in enumerate((decode12, q3spec, towerspec, k0_level)):
+        rng = np.random.default_rng(131 + ci)
+        for rho, tau in itertools.product(range(6), range(2)):
+            for seed in range(4):
+                _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
+                h.update(repr(oracle_decode_multishot(ys, spec)).encode())
+    assert h.hexdigest() == (
+        "c5b960713507d9074b0fa20e24ccf7f71d43b88d2df69118ff6128a86f20a0eb"
     )

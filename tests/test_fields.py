@@ -130,6 +130,9 @@ def test_modulus_validation():
         ExtensionField(f2, modulus=[1, 1, 0, 2])   # coefficient out of range
     with pytest.raises(ValueError):
         ExtensionField(f2, modulus=[1, 1, 0, 0])   # not monic
+    with pytest.raises(ValueError, match="degree 3, not the given 4"):
+        ExtensionField(f2, modulus=[1, 1, 0, 1], degree=4)
+    assert ExtensionField(f2, modulus=[1, 1, 0, 1], degree=3).degree == 3
 
 
 def test_f8_hand_values(f8):

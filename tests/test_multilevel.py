@@ -257,7 +257,7 @@ def test_underline_stack_guard_runs_before_enumeration():
     with pytest.raises(GuardError, match="402653184 stack bytes"):
         spec.codeword_underlines()
     assert time.perf_counter() - t0 < 1.0
-    assert spec._codebook is None and spec._underlines is None
+    assert spec._codebook is None and spec._rows is None
 
 
 def test_guard_bounds_count_and_stack_bytes():

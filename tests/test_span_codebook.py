@@ -1,9 +1,10 @@
-"""The one codebook enumerator, linalg.span_codebook, against brute force.
+"""The codebooks against brute force.
 
-Every codebook (Gabidulin, outer, multilevel) is built from it, and an
+linalg.span_codebook builds the Gabidulin and outer codebooks, and an
 exhaustive decoder reads a word's coset table entry off the product
-index it returns.  The brute force encodes every message in
-itertools.product order and sorts the codewords.
+index it returns; the multilevel codebook is a table of R_0 rows built
+from those.  The brute force encodes every message in itertools.product
+order and sorts the codewords.
 """
 
 import itertools
@@ -148,6 +149,41 @@ def test_span_guard_counts_bytes_held_while_building(monkeypatch):
     assert 2 * stack_bytes < built_peak <= held
 
 
+def test_table_guard_counts_bytes_held_while_building(preset, monkeypatch):
+    """The multilevel table's guard counts the table, the sort order, one
+    shot's gathered or permuted rows and R_0's row of every product
+    index, and refuses before any of them is allocated."""
+    spec = MultilevelCodeSpec(preset.chain, preset.n, [o.k for o in preset.outers])
+    # R_0, the outer codebooks and the coset tables are guarded on their own
+    spec.code.codebook_arrays()
+    for i, outer in enumerate(spec.outers):
+        outer.codewords()
+        spec.chain.coset_table(i)
+    count = 2 ** 20
+    table_bytes = 8 * count * spec.n
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", table_bytes)
+    with pytest.raises(errors.GuardError, match=f"{table_bytes} stack bytes") as refused:
+        spec.codebook_arrays()
+    held = _held_bytes(refused.value)
+
+    monkeypatch.setattr(errors, "STACK_GUARD_BYTES", held - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.GuardError):
+            spec.codebook_arrays()
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(errors, "STACK_GUARD_BYTES", held)
+        rows, index = spec.codebook_arrays()
+        built_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (count, spec.n) and rows.nbytes == table_bytes
+    assert refused_peak < table_bytes // 100
+    assert table_bytes + index.nbytes < built_peak <= held
+    assert rows[0].tolist() == [0] * spec.n and spec.codeword(0) == preset.encode([(0, 0), (0, 0, 0)])
+
+
 def test_codebook_guard_runs_before_the_basis_is_encoded(monkeypatch):
     spec = special_situation(2, 4, 4, 2, 2, 4)[0]
     monkeypatch.setattr(errors, "STACK_GUARD_BYTES", 1 << 20)
@@ -155,7 +191,8 @@ def test_codebook_guard_runs_before_the_basis_is_encoded(monkeypatch):
     monkeypatch.setattr(spec, "level_contribution", lambda *a: calls.append(a))
     with pytest.raises(errors.GuardError, match="1048576 stack bytes"):
         spec.codeword_underlines()
-    assert calls == [] and spec._underlines is None and spec._codebook is None
+    assert calls == [] and spec._rows is None and spec._codebook is None
+    assert spec.code._underlines is None
 
 
 def test_decode12_decodes_leave_the_codebook_lists_unbuilt():
