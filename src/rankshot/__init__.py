@@ -5,7 +5,8 @@ per shot, with MDS outer codes protecting each level across shots.
 Lifted codewords [I | underline(u_j)] travel through Y_j = A_j X_j + Z_j
 under global budgets on rank deficiency (rho) and noise rank (tau).
 Decoding: an exact oracle (minimum extended subspace distance) and a
-hard-decision multistage peeling decoder.
+hard-decision multistage peeling decoder, exhaustive or algebraic per
+step; decoder.ROLES names the three the command line runs.
 """
 
 from .channel import ChannelConfig, apply_channel, lift, lift_multishot, sample_channel

@@ -10,8 +10,9 @@ requested per-shot ranks: A_j = B C with B uniform N x (N - rho_j) of
 full column rank and C uniform full row rank (rejection sampled), and
 Z_j = F H likewise with inner dimension tau_j.  Budget splits across
 shots are uniform over weak compositions by default, may be forced onto
-the first shot, or given explicitly.  Draws are a pure function of the
-config, including its seed.
+the first shot, or given explicitly as one (rho_j, tau_j) pair per shot;
+ChannelConfig.validate checks all three without drawing.  Draws are a
+pure function of the config, including its seed.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ class ChannelConfig:
             raise ConfigError(f"rho budget {self.rho} exceeds n*N = {self.n * self.N}")
         if self.tau > self.n * self.N:
             raise ConfigError(f"tau budget {self.tau} exceeds n*N = {self.n * self.N}")
+        if isinstance(self.split, str):
+            if self.split not in ("uniform", "first"):
+                raise ConfigError(f"unknown split mode {self.split!r}")
+            if self.split == "first" and max(self.rho, self.tau) > self.N:
+                raise ConfigError("first-shot split exceeds the per-shot cap")
+            return
+        if len(self.split) != self.n:
+            raise ConfigError("custom split needs one (rho_j, tau_j) pair per shot")
+        rho_split, tau_split = zip(*self.split)
+        if sum(rho_split) != self.rho or sum(tau_split) != self.tau:
+            raise ConfigError("custom split does not sum to the configured budgets")
+        if not all(0 <= b <= self.N for b in rho_split + tau_split):
+            raise ConfigError("custom split entry outside [0, N]")
 
     def to_json(self) -> dict:
         split = self.split
@@ -87,9 +101,10 @@ class ChannelDraw:
 
 
 def _random_composition(rng: np.random.Generator, total: int, parts: int, cap: int) -> tuple:
-    """Uniform weak composition of *total* into *parts* parts, each <= cap."""
-    if total > parts * cap:
-        raise ConfigError(f"cannot split {total} into {parts} parts of at most {cap}")
+    """Uniform weak composition of *total* into *parts* parts, each <= cap.
+
+    The caller guarantees total <= parts * cap (ChannelConfig.validate).
+    """
     if parts == 1:
         return (total,)
     while True:
@@ -114,31 +129,13 @@ def _random_full_rank(rng: np.random.Generator, rows: int, cols: int, q: int) ->
 
 
 def _split_budgets(cfg: ChannelConfig, rng: np.random.Generator):
-    cap = cfg.N
-    if isinstance(cfg.split, str):
-        if cfg.split == "uniform":
-            rho_split = _random_composition(rng, cfg.rho, cfg.n, cap)
-            tau_split = _random_composition(rng, cfg.tau, cfg.n, cap)
-        elif cfg.split == "first":
-            if cfg.rho > cap or cfg.tau > cap:
-                raise ConfigError("first-shot split exceeds the per-shot cap")
-            rho_split = (cfg.rho,) + (0,) * (cfg.n - 1)
-            tau_split = (cfg.tau,) + (0,) * (cfg.n - 1)
-        else:
-            raise ConfigError(f"unknown split mode {cfg.split!r}")
-    else:
-        pairs = tuple(cfg.split)
-        if len(pairs) != cfg.n:
-            raise ConfigError("custom split needs one (rho_j, tau_j) pair per shot")
-        rho_split = tuple(int(p[0]) for p in pairs)
-        tau_split = tuple(int(p[1]) for p in pairs)
-        if sum(rho_split) != cfg.rho or sum(tau_split) != cfg.tau:
-            raise ConfigError("custom split does not sum to the configured budgets")
-        if any(r < 0 or r > cap for r in rho_split) or any(
-            t < 0 or t > cap for t in tau_split
-        ):
-            raise ConfigError("custom split entry outside [0, N]")
-    return rho_split, tau_split
+    """Per-shot (rho_j) and (tau_j) of a validated config."""
+    if cfg.split == "uniform":
+        return (_random_composition(rng, cfg.rho, cfg.n, cfg.N),
+                _random_composition(rng, cfg.tau, cfg.n, cfg.N))
+    if cfg.split == "first":
+        return (cfg.rho,) + (0,) * (cfg.n - 1), (cfg.tau,) + (0,) * (cfg.n - 1)
+    return tuple(int(r) for r, _ in cfg.split), tuple(int(t) for _, t in cfg.split)
 
 
 def sample_channel(cfg: ChannelConfig) -> ChannelDraw:

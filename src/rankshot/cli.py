@@ -7,7 +7,7 @@ Subcommands:
                nonzero codeword (R_0's word ranks gathered, under the enumeration guard)
 * ``encode``   outer messages -> codeword + lifted transmit matrices
 * ``channel``  apply a seeded channel draw to lifted matrices
-* ``decode``   decode received matrices (multistage or oracle)
+* ``decode``   decode received matrices with a decoder role (decoder.ROLES)
 * ``simulate`` seeded Monte-Carlo campaign over a (rho, tau) grid
 
 Exit codes: 0 success, 2 configuration error, 3 enumeration-guard refusal.
@@ -20,7 +20,7 @@ import json
 import sys
 
 from .channel import apply_channel, config_from_json, lift_multishot, sample_channel
-from .decoder import multistage_decode, oracle_decode_multishot
+from .decoder import ROLES
 from .errors import Q_GUARD, ConfigError, GuardError, int64_products_fit, json_int
 from .experiment import (
     fer_table,
@@ -210,12 +210,7 @@ def cmd_decode(args) -> int:
             raise ConfigError(
                 f"received matrix {j} has {m.shape[1]} columns, the code needs N+M={cols}"
             )
-    ys = tuple(m for m, _ in mats)
-    if args.decoder == "oracle":
-        word = oracle_decode_multishot(ys, spec)
-        out = {"decoder": "oracle", "codeword": [list(w) for w in word]}
-    else:
-        out = multistage_decode(ys, spec).to_json()
+    out = ROLES[args.decoder](tuple(m for m, _ in mats), spec)
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
@@ -271,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode received matrices")
     common(p, infile=True)
-    p.add_argument("--decoder", choices=("multistage", "oracle"),
-                   default="multistage")
+    p.add_argument("--decoder", choices=tuple(ROLES), default="multistage")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="run a seeded Monte-Carlo campaign")

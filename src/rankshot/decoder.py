@@ -33,6 +33,11 @@ subspace distance to the received row space (linalg.basis_distances):
   never forms a product index, which leaves int64 once Q^(K_0 - 1)
   does.  Diagnostics record, per stage, how many shots' inner decisions
   the outer decoder overruled.
+
+ROLES maps each decoder role that ``decode --decoder`` and the
+``decoders`` of ``simulate`` name to its wire document: "oracle",
+"multistage" (exhaustive steps) and "algebraic" (Gabidulin interpolation
+per shot, Gao's errors-and-erasures decoder across shots).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .multilevel import MultilevelCodeSpec
 from .reduction import rank_word
 
 __all__ = [
+    "ROLES",
     "oracle_decode_multishot",
     "MultistageResult",
     "multistage_decode",
@@ -198,3 +204,18 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
         ok=True, stage_failed=None, messages=messages, wrong_inner_counts=wrong_counts,
         erasure_counts=erasure_counts, inner_leaders=leaders_all,
     )
+
+
+def _oracle_doc(Ys, spec):
+    return {"decoder": "oracle", "codeword": [list(w) for w in oracle_decode_multishot(Ys, spec)]}
+
+
+# Decoder role -> (Ys, spec) -> the role's ``decode`` wire document.  Each
+# entry calls its decoder through this module's globals, so wrapping them
+# (perfbench/spans.py does) reaches every role.
+ROLES = {
+    "oracle": _oracle_doc,
+    "multistage": lambda Ys, spec: multistage_decode(Ys, spec).to_json(),
+    "algebraic": lambda Ys, spec: multistage_decode(
+        Ys, spec, outer_method="algebraic", inner_method="algebraic").to_json(),
+}

@@ -2,7 +2,8 @@
 
 A run sweeps the cartesian grid of (rho, tau) budgets; every trial draws
 fresh messages and a fresh channel, transmits, and scores each requested
-decoder.  Trial randomness is a pure function of (master_seed, grid
+decoder role (decoder.ROLES) on the decisions its document holds.  The
+whole grid is validated before any trial runs.  Trial randomness is a pure function of (master_seed, grid
 index, trial index): the message stream uses the seed sequence spawn key
 (gi, ti, 0) and the channel seed comes from (gi, ti, 1), so results are
 reproducible regardless of worker scheduling.  Records are emitted in
@@ -26,12 +27,12 @@ import numpy as np
 from .channel import (
     ChannelConfig, apply_channel, lift_multishot, sample_channel, split_from_json,
 )
-from .decoder import multistage_decode, oracle_decode_multishot
+from .decoder import ROLES
 from .errors import ConfigError, json_int
 from .linalg import subspace_distance_to_lifted
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
-DECODERS = ("oracle", "multistage")
+DEFAULT_DECODERS = ("oracle", "multistage")  # roles of decoder.ROLES
 CSV_COLUMNS = ("rho", "tau", "trial", "decoder", "success", "ds_observed",
                "stage_failed", "wall_us")
 
@@ -73,28 +74,30 @@ class TrialRecord:
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
     try:
         spec_doc = json.dumps(doc["spec"], sort_keys=True)
-        _build_spec(spec_doc)  # validate eagerly
+        spec = _build_spec(spec_doc)  # validate eagerly
         chan = doc["channel"]
         rhos = _budgets(chan["rho"], "channel rho")
         taus = _budgets(chan["tau"], "channel tau")
         grid = tuple((r, t) for r in rhos for t in taus)
         split = split_from_json(chan.get("split", "uniform"))
         trials = json_int(doc.get("trials", 100), "trials")
-        decoders = doc.get("decoders", list(DECODERS))
+        decoders = doc.get("decoders", list(DEFAULT_DECODERS))
         if not isinstance(decoders, list):
             raise ConfigError(f"decoders must be a list of decoder names, got {decoders!r}")
         decoders = tuple(decoders)
         if not decoders:
             raise ConfigError("decoders must name at least one decoder")
         for d in decoders:
-            if d not in DECODERS:
-                raise ConfigError(f"unknown decoder {d!r}")
+            if d not in ROLES:
+                raise ConfigError(f"unknown decoder {d!r}; the roles are {', '.join(ROLES)}")
         if len(set(decoders)) != len(decoders):
             raise ConfigError(f"decoders repeat a name: {list(decoders)}")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         if not grid:
             raise ConfigError("empty (rho, tau) grid")
+        for rho, tau in grid:  # before any trial runs
+            _channel_config(spec, rho, tau, split, seed=0).validate()
         master_seed = json_int(doc.get("master_seed", 0), "master_seed")
         if master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
@@ -120,6 +123,11 @@ def _budgets(value, what: str) -> list:
     return values
 
 
+def _channel_config(spec: MultilevelCodeSpec, rho: int, tau: int, split, seed: int):
+    return ChannelConfig(rho=rho, tau=tau, n=spec.n, seed=seed, N=spec.shot_length,
+                         T=spec.lifted_length, q=spec.field.base.size, split=split)
+
+
 def trial_seeds(master_seed: int, grid_index: int, trial_index: int):
     """Message RNG and channel seed for one trial (documented derivation)."""
     msg_ss = np.random.SeedSequence(master_seed, spawn_key=(grid_index, trial_index, 0))
@@ -136,32 +144,25 @@ def run_trial(spec: MultilevelCodeSpec, rho: int, tau: int, split, master_seed: 
     messages = spec.random_messages(msg_rng)
     word = spec.encode(messages)
     xs = lift_multishot(field, word)
-    cfg = ChannelConfig(rho=rho, tau=tau, n=spec.n, seed=chan_seed, N=spec.shot_length,
-                        T=spec.lifted_length, q=q, split=split)
-    draw = sample_channel(cfg)
+    draw = sample_channel(_channel_config(spec, rho, tau, split, chan_seed))
     ys = apply_channel(draw, xs, q)
     ds_obs = sum(
         subspace_distance_to_lifted(field.underline(w), y, q)
         for w, y in zip(word, ys)
     )
+    # each role's document is scored on the decisions it holds
+    sent = {"codeword": [list(w) for w in word], "messages": [list(m) for m in messages]}
     records = []
     for dec in decoders:
         t0 = time.perf_counter() if timing else 0.0
-        if dec == "oracle":
-            decoded = oracle_decode_multishot(ys, spec)
-            success = decoded == word
-            stage_failed = None
-            diagnostics = None
-        else:
-            res = multistage_decode(ys, spec)
-            success = res.ok and list(res.messages) == [tuple(m) for m in messages]
-            stage_failed = res.stage_failed
-            diagnostics = res.to_json()["diagnostics"]
+        doc = ROLES[dec](ys, spec)
+        success = all(doc[key] == value for key, value in sent.items() if key in doc)
         wall = int((time.perf_counter() - t0) * 1e6) if timing else 0
         records.append(TrialRecord(
             rho=rho, tau=tau, trial=trial_index, decoder=dec, success=success,
-            ds_observed=ds_obs, stage_failed=stage_failed, wall_us=wall,
-            rho_split=draw.rho_split, tau_split=draw.tau_split, diagnostics=diagnostics,
+            ds_observed=ds_obs, stage_failed=doc.get("stage_failed"), wall_us=wall,
+            rho_split=draw.rho_split, tau_split=draw.tau_split,
+            diagnostics=doc.get("diagnostics"),
         ))
     return records
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,12 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankshot import errors
+from rankshot import errors, experiment
+from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
 from rankshot.cli import main
+from rankshot.decoder import ROLES, multistage_decode
 from rankshot.linalg import extended_rank_distance, matrix_to_json
 from rankshot.multilevel import MultilevelCodeSpec, spec_from_json
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 TINY_SPEC = {
     "field": {"q": 2, "M": 3, "modulus": [1, 1, 0, 1]},
@@ -247,6 +251,108 @@ def test_decode_clean_multistage(spec_path, tmp_path, capsys):
     ms = json.loads(out)
     assert ms["ok"] is True and ms["messages"] == [[2], [7]]
     assert ms["diagnostics"]["wrong_inner_counts"] == [0, 0]
+
+
+def test_decode_algebraic_role_prints_the_library_document(spec_path, tmp_path, capsys):
+    spec = spec_from_json(TINY_SPEC)
+    word = spec.encode([(3,), (6,)])
+    draw = sample_channel(ChannelConfig(rho=1, tau=1, n=2, seed=4, N=3, T=6, q=2))
+    ys = apply_channel(draw, lift_multishot(spec.field, word), 2)
+    rx_p = tmp_path / "rx.json"
+    rx_p.write_text(json.dumps({"received": [matrix_to_json(y, 2) for y in ys]}))
+    code, out, _ = run(capsys, ["decode", "--config", spec_path, "--in", str(rx_p),
+                                "--decoder", "algebraic"])
+    assert code == 0
+    res = multistage_decode(ys, spec, outer_method="algebraic", inner_method="algebraic")
+    assert out == json.dumps(res.to_json(), indent=2) + "\n"
+
+
+def test_unknown_role_exits_2(spec_path, tmp_path, capsys):
+    sim = {"spec": TINY_SPEC, "channel": {"rho": 0, "tau": 0}, "decoders": ["viterbi"]}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "'viterbi'" in err and all(role in err for role in ROLES)
+
+    rx_p = tmp_path / "rx.json"
+    rx_p.write_text(json.dumps(lifted_zero_word(3, 3, 2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--config", spec_path, "--in", str(rx_p), "--decoder", "viterbi"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'viterbi'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decoder, expected", [("algebraic", 0), ("multistage", 3)])
+def test_simulate_algebraic_role_runs_past_the_guard(tmp_path, capsys, decoder, expected):
+    """The algebraic role enumerates nothing, so it runs the 2^56-codeword
+    code whose R_0 the guard refuses the exhaustive multistage role."""
+    sim = {"spec": HUGE_SPEC, "channel": {"rho": [0, 1], "tau": [0, 1]}, "trials": 2,
+           "master_seed": 3, "decoders": [decoder]}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p), "--format", "json"])
+    assert code == expected and "Traceback" not in err
+    if expected:
+        assert out == "" and err.startswith("refused:")
+        return
+    records = json.loads(out)["records"]
+    assert len(records) == 4 * 2 and {r["decoder"] for r in records} == {"algebraic"}
+    assert all(r["success"] for r in records if r["rho"] == r["tau"] == 0)
+
+
+def test_simulate_per_shot_split_pairs(tmp_path, capsys):
+    # "split" holds one [rho_j, tau_j] pair per shot
+    sim = {"spec": TINY_SPEC, "channel": {"rho": 1, "tau": 1, "split": [[1, 0], [0, 1]]},
+           "trials": 3, "master_seed": 2, "decoders": ["multistage"]}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, _ = run(capsys, ["simulate", "--config", str(cfg_p), "--format", "json"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 3
+    for r in records:
+        assert r["rho_split"] == [1, 0] and r["tau_split"] == [0, 1]
+
+
+# q 2, M 3, N 3, K 2, n 2, d 2: two shots of N = 3, so rho and tau are at most 6
+TINY_SPECIAL = {"special": {"q": 2, "M": 3, "N": 3, "K": 2, "n": 2, "d": 2}}
+
+
+@pytest.mark.parametrize("channel, message", [
+    ({"rho": [0, 7], "tau": 0}, "rho budget 7 exceeds n*N = 6"),
+    ({"rho": 0, "tau": [0, 4], "split": "first"}, "first-shot split exceeds"),
+    ({"rho": 0, "tau": 0, "split": "last"}, "unknown split mode 'last'"),
+    ({"rho": 1, "tau": 0, "split": [[1, 0]]}, "one (rho_j, tau_j) pair per shot"),
+    ({"rho": [1, 2], "tau": 0, "split": [[1, 0], [0, 0]]}, "does not sum"),
+], ids=["rho-beyond-nN", "first-beyond-N", "unknown-split", "split-length", "split-sum"])
+def test_simulate_checks_every_grid_point_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                           channel, message):
+    calls = []
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: calls.append(args) or [])
+    sim = {"spec": TINY_SPECIAL, "channel": channel, "trials": 2000}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert message in err
+    assert calls == []
+    # the counter sees trials once the grid is valid
+    cfg_p.write_text(json.dumps(dict(sim, channel={"rho": [0, 1], "tau": 0})))
+    assert run(capsys, ["simulate", "--config", str(cfg_p)])[0] == 0
+    assert len(calls) == 2 * 2000
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    """Every ``rankshot`` command README documents exits 0, run in order
+    from the repository root with its /tmp paths under tmp_path."""
+    lines = [line for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("rankshot ")]
+    assert any("--decoder algebraic" in line for line in lines)
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        argv = shlex.split(line.replace("/tmp/", f"{tmp_path}/"))[1:]
+        assert run(capsys, argv)[0] == 0, line
 
 
 def test_simulate_csv(spec_path, tmp_path, capsys):
@@ -553,7 +659,7 @@ _RECEIVED_DOCS = st.one_of(
 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_RECEIVED_DOCS, decoder=st.sampled_from(["multistage", "oracle"]))
+@given(doc=_RECEIVED_DOCS, decoder=st.sampled_from(sorted(ROLES)))
 def test_decode_malformed_documents_exit_cleanly(spec_path, tmp_path, capsys, doc, decoder):
     p = tmp_path / "rx.json"
     p.write_text(json.dumps(doc))

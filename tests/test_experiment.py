@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
+from rankshot.decoder import multistage_decode
 from rankshot.errors import ConfigError
 from rankshot.experiment import (
     CSV_COLUMNS,
@@ -241,6 +243,32 @@ def test_simulate_tiny_pinned():
     assert h.hexdigest() == (
         "16272c2d1a6f704a7bf7b2b6266ec366cd5f47b5451fe00b44419d8ed1368821"
     )
+
+
+def test_algebraic_records_match_a_direct_decode():
+    """Each algebraic record of configs/simulate_tiny.json is what
+    multistage_decode(..., "algebraic", "algebraic") makes of its trial."""
+    doc = json.loads((CONFIGS / "simulate_tiny.json").read_text())
+    cfg = parse_experiment_config(dict(doc, decoders=["algebraic"]))
+    spec = cfg.spec()
+    recs = run_experiment(cfg)
+    assert len(recs) == len(cfg.grid) * cfg.trials
+    for r in recs:
+        msg_rng, chan_seed = trial_seeds(cfg.master_seed, cfg.grid.index((r.rho, r.tau)),
+                                         r.trial)
+        messages = spec.random_messages(msg_rng)
+        draw = sample_channel(ChannelConfig(
+            rho=r.rho, tau=r.tau, n=spec.n, seed=chan_seed, N=spec.shot_length,
+            T=spec.lifted_length, q=2, split=cfg.split))
+        ys = apply_channel(draw, lift_multishot(spec.field, spec.encode(messages)), 2)
+        res = multistage_decode(ys, spec, "algebraic", "algebraic")
+        assert r.decoder == "algebraic"
+        assert r.success == (res.ok and res.messages == [tuple(m) for m in messages])
+        assert r.stage_failed == res.stage_failed
+        assert r.diagnostics == res.to_json()["diagnostics"]
+    # the grid reaches past the budget: trials succeed, and fail at each stage
+    assert 0 < sum(r.success for r in recs) < len(recs)
+    assert {r.stage_failed for r in recs} == {None, 0, 1}
 
 
 def test_json_records_include_fer():

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from rankshot.gabidulin import GabidulinCode
 from rankshot.outer import OuterCode
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +68,17 @@ def test_decoders_split_by_method(spans, fn):
 def test_run_trial_binds_sim_tiny_arguments():
     # SimTiny.setup: run_trial(spec, rho, tau, "first", seed, gi, 0, decoders)
     inspect.signature(experiment.run_trial).bind(None, 1, 0, "first", 7, 0, 0, ("oracle",))
+
+
+def test_every_role_reaches_the_traced_decoders(spans):
+    # decoder.ROLES calls the decoders through decoder's module globals,
+    # which the Tracer wraps; a role holding the original function would
+    # leave its decoder.* layer at zero calls
+    doc = json.loads((CONFIGS / "simulate_tiny.json").read_text())
+    spec = experiment.parse_experiment_config(doc).spec()
+    with spans.Tracer() as tr, tr.root():
+        experiment.run_trial(spec, 1, 0, "first", 7, 0, 0,
+                             ("oracle", "multistage", "algebraic"))
+    stats = tr.snapshot()
+    assert stats["decoder.oracle_decode_multishot"]["calls"] == 1
+    assert stats["decoder.multistage_decode"]["calls"] == 2
