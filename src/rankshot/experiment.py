@@ -3,11 +3,11 @@
 A run sweeps the cartesian grid of (rho, tau) budgets; every trial draws
 fresh messages and a fresh channel, transmits, and scores each requested
 decoder role (decoder.ROLES) on the decisions its document holds.  The
-whole grid is validated before any trial runs.  Trial randomness is a pure function of (master_seed, grid
-index, trial index): the message stream uses the seed sequence spawn key
-(gi, ti, 0) and the channel seed comes from (gi, ti, 1), so results are
-reproducible regardless of worker scheduling.  Records are emitted in
-(grid, trial, decoder) order.
+whole grid is validated before any trial runs.  Trial randomness is a
+pure function of (master_seed, grid index, trial index): the message
+stream uses the seed sequence spawn key (gi, ti, 0) and the channel seed
+comes from (gi, ti, 1), so results are reproducible regardless of worker
+scheduling.  Records are emitted in (grid, trial, decoder) order.
 
 The wall_us column is written as 0 unless timing is enabled, keeping
 output files byte-identical across repeated runs of the same config.
