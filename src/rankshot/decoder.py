@@ -17,18 +17,18 @@ subspace distance to the received row space (linalg.basis_distances):
   d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
   contributions already accepted, and decodes the resulting coset
   symbols with the level's outer code.  V_j is held as its R_0
-  message, and each received matrix is row-reduced once per decode, to
-  its basis [H | P] (linalg.received_basis), on both inner paths.
-  V_j + R_i lies in R_0, so the exhaustive inner path scores each shot
-  once against R_0's codeword stack.  With Q = q^M, V_j + x has R_0
-  product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64 under
-  the enumeration guard, so every stage's decision is the first
+  message, and each received matrix is row-reduced once per decode.
+  The exhaustive inner path reduces it to its basis [H | P]
+  (linalg.received_basis) and, as V_j + R_i lies in R_0, scores each
+  shot once against R_0's codeword stack.  With Q = q^M, V_j + x has
+  R_0 product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64
+  under the enumeration guard, so every stage's decision is the first
   minimum of a gather from that score vector, and the low delta_k
   digits of index_i(x), its coset message, pick its leader and symbol
   from the level's coset table (PartitionChain.coset_table).  The
-  algebraic inner path reads the rank word r_j off the same basis
-  (reduction.rank_word) and decodes r_j - V_j to its message
-  polynomial f (GabidulinCode.decode_message), whose slice
+  algebraic inner path reads the rank word r_j off one packed-bit F_2
+  elimination (reduction.received_word) and decodes r_j - V_j to its
+  message polynomial f (GabidulinCode.decode_message), whose slice
   f[K_{i+1}:K_i] is the coset message.  It enumerates nothing, so it
   never forms a product index, which leaves int64 once Q^(K_0 - 1)
   does.  Diagnostics record, per stage, how many shots' inner decisions
@@ -49,7 +49,7 @@ import numpy as np
 from .fields import matvec
 from .linalg import basis_distances, received_basis
 from .multilevel import MultilevelCodeSpec
-from .reduction import rank_word
+from .reduction import received_word
 
 __all__ = [
     "ROLES",
@@ -59,10 +59,18 @@ __all__ = [
 ]
 
 
-def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
-    """Codeword minimizing the extended subspace distance to the shots."""
+def _check_received(Ys, spec: MultilevelCodeSpec):
+    """Refuse a wrong shot count or shape before any shot is row-reduced."""
     if len(Ys) != spec.n:
         raise ValueError(f"need {spec.n} received matrices")
+    width = spec.lifted_length
+    if any(np.shape(y)[1:] != (width,) for y in Ys):  # 2-D, N + M columns
+        raise ValueError(f"received matrices need N + M = {width} columns")
+
+
+def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
+    """Codeword minimizing the extended subspace distance to the shots."""
+    _check_received(Ys, spec)
     q = spec.field.base.size
     rows = spec.codebook_arrays()[0]  # guards the table before enumerating
     und = spec.code.codeword_underlines()
@@ -111,18 +119,17 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     the shot's scores over R_0 at the rows of V_j + R_i, so the scores
     and their tie order are those of scoring lift(V_j + x) directly.
     inner_method="algebraic" instead runs the rank-error decoder on
-    r_j - V_j and splits the decoded message polynomial f: the coset
-    message is f[K_{i+1}:K_i] and the leader its image under the coset
-    code's generator, exactly PartitionChain.coset_leader's split of the
-    encoded word.  Keeping f while the outer code confirms the shot's
-    leaders is exact: if f was found at stage l, r_j - V_j then lies
+    r_j - V_j (r_j from reduction.received_word) and splits the decoded
+    message polynomial f: the coset message is f[K_{i+1}:K_i] and the
+    leader its image under the coset code's generator, exactly
+    PartitionChain.coset_leader's split of the encoded word.  Keeping f
+    while the outer code confirms the shot's leaders is exact: if f was found at stage l, r_j - V_j then lies
     within rank t_l of a word of R_i, and t_l <= t_i < d_R(R_i) / 2
     makes that word the decoder's unique answer at stage i; only erased
     or overruled shots are decoded again.  Its failures are handed to
     the outer decoder as erasures.
     """
-    if len(Ys) != spec.n:
-        raise ValueError(f"need {spec.n} received matrices")
+    _check_received(Ys, spec)
     field = spec.field
     q, Q = field.base.size, field.size
     chain, code, n = spec.chain, spec.code, spec.n
@@ -130,18 +137,15 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     if inner_method not in ("exhaustive", "algebraic"):
         raise ValueError(f"unknown inner method {inner_method!r}")
     exhaustive = inner_method == "exhaustive"
-    bases = [received_basis(y, spec.shot_length, q) for y in Ys]
-    if any(p.shape[1] != field.degree for _, p in bases):
-        raise ValueError(f"received matrices need N + M = {spec.lifted_length} columns")
     if exhaustive:
         # every shot's scores over R_0, scattered into product-index order
         und, index = code.codebook_arrays()
         scores = np.empty((n, len(index)), dtype=np.int64)
-        for j, (h, p) in enumerate(bases):
-            scores[j, index] = basis_distances(h, p, und, q)
+        for j, y in enumerate(Ys):
+            scores[j, index] = basis_distances(*received_basis(y, spec.shot_length, q), und, q)
         shots = np.arange(n)[:, None]
     else:
-        words = [rank_word(h, p, q)[1] for h, p in bases]
+        words = [received_word(y, spec.shot_length, q)[1] for y in Ys]
         polys = [None] * n   # message polynomial of each shot's last interpolation
         redo = range(n)      # the shots to interpolate at this stage
     accepted = [[0] * code.dim for _ in range(n)]  # R_0 message of each shot's V_j

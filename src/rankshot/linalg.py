@@ -5,15 +5,16 @@ throughout: rank distance, subspace distance and their multishot
 Matrices over F_q are numpy int64 arrays with entries reduced mod q; the
 JSON form records rows, cols, q and the row-major entry list.
 
-Every single-matrix elimination runs one routine, rref_field, on
-Python row lists through a field object's row primitives; on matrices
-of a few rows and at most a few dozen columns that beats per-call numpy
-overhead.  rref(m, q) is its numpy adapter over the cached
-PrimeField(q), so q must be a prime below Q_GUARD; rank counts its
-pivots, and reduction, Subspace, received_basis and the channel
+Every single-matrix elimination but one runs one routine, rref_field,
+on Python row lists through a field object's row primitives; on
+matrices of a few rows and at most a few dozen columns that beats
+per-call numpy overhead.  rref(m, q) is its numpy adapter over the
+cached PrimeField(q), so q must be a prime below Q_GUARD; rank counts
+its pivots, and reduction, Subspace, received_basis and the channel
 sampler's full-rank test read it.  kernel_field and solve_field (the
 reference coset split, cosets.coset_leader) run rref_field over
-extension fields.
+extension fields.  The one other, rref_bits, row-reduces F_2 rows
+packed as ints for the algebraic decoder (reduction.received_word).
 rank_batch ranks a stack (count, r, c) without it: binary shapes with
 r*c <= 16 index a uint8 table of every bit pattern's rank, and every
 other shape runs one batched elimination over the whole stack, with
@@ -347,7 +348,7 @@ def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
 def rref_field(field, rows):
     """RREF of a list-of-lists matrix over *field*; returns (rows, pivots).
 
-    The one single-matrix elimination of the package.  Row operations go
+    The one single-matrix elimination over any field.  Row operations go
     through the field's row primitives (scale_row, sub_scaled_row), so
     the per-element work stays inside the field; a pivot that is already
     1 is neither inverted nor scaled.  The primitives return new rows and
@@ -380,6 +381,24 @@ def rref_field(field, rows):
         if pr == nrows:
             break
     return R, pivots
+
+
+def rref_bits(rows):
+    """rref(m, 2)'s nonzero rows, each row a nonnegative int whose bit c
+    is entry c, so a row operation is one XOR and a pivot a lowest set
+    bit.  Each row is cleared of the pivots found so far, and a new
+    pivot is cleared from the rows before it; returns them in pivot order.
+    """
+    R = []
+    for x in rows:
+        for b in R:
+            if x & b & -b:
+                x ^= b
+        if x:
+            low = x & -x
+            R = [b ^ x if b & low else b for b in R]
+            R.append(x)
+    return sorted(R, key=lambda b: b & -b)
 
 
 def solve_field(field, rows, rhs):

@@ -10,10 +10,10 @@ payload block.  reconstruct() inverts the split: the row space of
     [         0          |      E       ]
 
 equals the row space of the original Y.  The split starts from the RREF
-basis [H | P] of linalg.received_basis, and rank_word reads r off it;
-the algebraic inner path of decoder.multistage_decode calls rank_word on
-the one basis per shot it shares with the exhaustive inner path, which
-scores [H | P] itself (linalg.basis_distances).
+basis [H | P] of linalg.received_basis, and rank_word reads r off it.
+The algebraic inner path of decoder.multistage_decode reads r through
+received_word, which over F_2 takes it off one packed-bit elimination
+(linalg.rref_bits) and otherwise calls rank_word.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, element_ints, received_basis
+from .linalg import as_matrix, element_ints, received_basis, rref_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +49,8 @@ def rank_word(h, p, q: int):
     Row k's pivot is its first nonzero header entry (a 1), and the rank
     word r holds row k's payload, as an element int, at that position;
     positions without a header pivot hold 0.  Returns (pivots, r), the
-    pivots in increasing order.  This is the one copy of the rule that
-    both reduce_received and the algebraic multistage path read.
+    pivots in increasing order.  This is the one copy of the rule;
+    a test pins received_word's packed F_2 reader equal to it.
     """
     word = [0] * h.shape[1]
     pivots = []
@@ -60,6 +60,28 @@ def rank_word(h, p, q: int):
         k = head.index(1)
         pivots.append(k)
         word[k] = value
+    return pivots, tuple(word)
+
+
+def received_word(Y, n: int, q: int):
+    """rank_word(*received_basis(Y, n, q), q); over F_2 off one packed
+    elimination (linalg.rref_bits) of Y's rows, exact ints past 63
+    columns.  A row's header pivot is the lowest set bit of its low n
+    bits, and the row shifted right by n is its payload's element int.
+    """
+    if q != 2:
+        return rank_word(*received_basis(Y, n, q), q)
+    m = as_matrix(Y, 2)
+    weights = 1 << np.arange(m.shape[1], dtype=np.int64 if m.shape[1] < 64 else object)
+    word = [0] * n
+    pivots = []
+    for x in rref_bits((m @ weights).tolist()):
+        head = x & ((1 << n) - 1)
+        if not head:
+            break
+        k = (head & -head).bit_length() - 1
+        pivots.append(k)
+        word[k] = x >> n
     return pivots, tuple(word)
 
 

@@ -7,14 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from rankshot import decoder, linalg
+from rankshot import decoder, linalg, reduction
 from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
 from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import received_basis, subspace_distance_to_lifted
 from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
-from rankshot.reduction import rank_word, reduce_received
+from rankshot.reduction import rank_word, received_word, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
 
 
@@ -224,31 +224,36 @@ def test_multistage_corrects_one_erasure_on_shot_0(tiny2shot):
 
 @pytest.mark.parametrize("inner", ["exhaustive", "algebraic"])
 def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
-    """Both inner paths row-reduce each received shot once, to the RREF
-    basis [H | P] of linalg.received_basis, and never call
-    reduce_received.  The algebraic path reads its rank word off that
-    basis with reduction.rank_word, the rule reduce_received applies, so
-    the word equals reduce_received(field, y).r, also on shots with
-    erasures (mu > 0) and deviations (delta > 0)."""
+    """Each inner path row-reduces each received shot once per decode and
+    never calls reduce_received.  The exhaustive path takes the RREF
+    basis [H | P] of linalg.received_basis, one linalg.rref per shot; the
+    algebraic path reads its rank word through reduction.received_word,
+    one packed F_2 elimination (linalg.rref_bits) per shot and no rref
+    of a received matrix.  That word equals reduce_received(field, y).r,
+    also on shots with erasures (mu > 0) and deviations (delta > 0)."""
     spec = tiny2shot
     assert not hasattr(decoder, "reduce_received")
-    received_rrefs, words = [], []
-    real_rref, real_rank_word = linalg.rref, decoder.rank_word
+    received_rrefs, packed, words = [], [], []
+    real_rref, real_bits, real_word = linalg.rref, reduction.rref_bits, decoder.received_word
 
     def counting_rref(m, q):
-        # the Gabidulin decoder's final rank check row-reduces N x M
-        # matrices; only the N + M column ones are received shots
+        # only the N + M column matrices are received shots
         if np.shape(m)[1] == spec.lifted_length:
             received_rrefs.append(1)
         return real_rref(m, q)
 
-    def recording_rank_word(h, p, q):
-        out = real_rank_word(h, p, q)
+    def counting_bits(rows):
+        packed.append(1)
+        return real_bits(rows)
+
+    def recording_word(y, n, q):
+        out = real_word(y, n, q)
         words.append(out[1])
         return out
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(decoder, "rank_word", recording_rank_word)
+    monkeypatch.setattr(reduction, "rref_bits", counting_bits)
+    monkeypatch.setattr(decoder, "received_word", recording_word)
     rng = np.random.default_rng(3)
     saw_mu = saw_delta = False
     for rho, tau in [(1, 0), (0, 1), (1, 1), (2, 1)]:
@@ -256,16 +261,54 @@ def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
             _, _, ys = seeded_trial(spec, rho, tau, seed, rng)
             triples = [reduce_received(spec.field, y) for y in ys]
             received_rrefs.clear()
+            packed.clear()
             words.clear()
             multistage_decode(ys, spec, inner_method=inner)
-            assert len(received_rrefs) == spec.n, (rho, tau, seed)
             if inner == "exhaustive":
-                assert words == []
+                assert (len(received_rrefs), len(packed), words) == (spec.n, 0, []), (rho, tau, seed)
             else:
+                assert (len(received_rrefs), len(packed)) == (0, spec.n), (rho, tau, seed)
                 assert words == [t.r for t in triples], (rho, tau, seed)
                 saw_mu |= any(t.mu for t in triples)
                 saw_delta |= any(t.delta for t in triples)
     assert inner == "exhaustive" or (saw_mu and saw_delta)
+
+
+@pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
+def test_received_word_matches_reduction_on_channel_shots(code, request):
+    """On channel-drawn shots the packed F_2 reader equals rank_word on
+    the RREF basis and the r of reduce_received, erasures and deviations
+    included."""
+    spec = request.getfixturevalue(code)
+    n, q = spec.shot_length, spec.field.base.size
+    rng = np.random.default_rng(17)
+    saw_mu = saw_delta = False
+    for rho, tau in [(0, 0), (2, 0), (0, 1), (1, 1), (3, 1)]:
+        for seed in range(25):
+            for y in seeded_trial(spec, rho, tau, seed, rng)[2]:
+                t = reduce_received(spec.field, y)
+                word = received_word(y, n, q)
+                assert word == rank_word(*received_basis(y, n, q), q)
+                assert word[1] == t.r
+                saw_mu |= t.mu > 0
+                saw_delta |= t.delta > 0
+    assert saw_mu and saw_delta
+
+
+@pytest.mark.parametrize("role", sorted(decoder.ROLES))
+def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, monkeypatch):
+    """A received array that is not a matrix with N + M columns raises the
+    decoders' ValueError before any shot is row-reduced, on every role."""
+    def no_elimination(*args):
+        raise AssertionError("a shot was row-reduced")
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    monkeypatch.setattr(reduction, "rref_bits", no_elimination)
+    good = np.zeros((4, 8), dtype=np.int64)
+    for ys in ([np.zeros(8, dtype=int)] * 2, [good, np.zeros(8, dtype=int)],
+               [good, np.zeros((1, 4, 8), dtype=int)], [good, np.zeros((4, 7), dtype=int)]):
+        with pytest.raises(ValueError, match=r"N \+ M = 8 columns"):
+            decoder.ROLES[role](ys, decode12)
 
 
 @pytest.mark.parametrize("code", ["tiny2shot", "decode12"])

@@ -95,6 +95,19 @@ def test_rref_property(mat):
     assert rank_batch(stacked[None], q)[0] == len(piv)
 
 
+def test_rref_bits_is_rref_packed():
+    """rref_bits returns rref(m, 2)'s nonzero rows, packed, in pivot order,
+    past 63 columns too."""
+    def pack(rows):
+        return [sum(int(b) << c for c, b in enumerate(row)) for row in rows]
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = rng.integers(0, 2, (int(rng.integers(1, 7)), int(rng.integers(1, 70))))
+        R, piv = rref(m, 2)
+        assert linalg.rref_bits(pack(m)) == pack(R[: len(piv)])
+
+
 def test_rank_and_rankdef():
     assert rank(np.eye(4, dtype=np.int64), 2) == 4
     assert rankdef(np.eye(4, dtype=np.int64), 2) == 0

@@ -1,0 +1,43 @@
+"""The seed-7 outputs of every perfbench workload, pinned by digest.
+
+perfbench/run.py digests each workload's canonical output texts, and a
+change that keeps the package's outputs byte-identical keeps these
+digests.  The module is loaded from its file, as
+test_perfbench_contract.py loads spans.py; one untimed pass and the
+one-off decodes of seed 7 are digested, with no timing loop.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+SEED_7 = {
+    "sim-tiny": "dab29b26e0754f26aab91a19e68ba3e58610316ecceca1ac8d13dbbdb9a0e570",
+    "decode-12": "b1d49fe12e6cdc99c3098ec960ce53cc82d1f2bdbd4be20103f590213615f16e",
+    "algebraic-20": "91c1e1b026ec7dcb9ddea46dd6cfb325c52b82daa9d50c248822e429954cc347",
+}
+
+
+@pytest.fixture(scope="module")
+def run():
+    with pytest.MonkeyPatch.context() as mp:
+        # run.py imports spans.py from beside itself, and dataclasses look
+        # their module up in sys.modules while the module executes
+        mp.syspath_prepend(str(RUN.parent))
+        spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(SEED_7))
+def test_seed_7_digest(run, name):
+    w = run.WORKLOADS[name](7)
+    w.setup()
+    w.make_inputs()
+    assert run.digest(w.run_pass()[0] + w.run_once()[0]) == SEED_7[name]

@@ -1,10 +1,13 @@
 """Reduction of received matrices and row-space-preserving reconstruction."""
 
+import itertools
+
 import numpy as np
+import pytest
 
 from rankshot.channel import ChannelConfig, apply_channel, lift, sample_channel
-from rankshot.linalg import rref
-from rankshot.reduction import reduce_received, reconstruct
+from rankshot.linalg import received_basis, rref
+from rankshot.reduction import rank_word, received_word, reduce_received, reconstruct
 
 
 def spans_equal(a, b, q):
@@ -69,3 +72,53 @@ def test_reconstruct_channel_shapes(f8):
             (y,) = apply_channel(sample_channel(cfg), (x,), 2)
             t = reduce_received(f8, y)
             assert spans_equal(reconstruct(t), y, 2)
+
+
+def rule(y, n, q):
+    return rank_word(*received_basis(y, n, q), q)
+
+
+def test_received_word_every_binary_3x5():
+    """The packed F_2 reader equals rank_word on the RREF basis for every
+    0/1 matrix of shape 3 x 5, at every header width N = 1..4."""
+    for bits in itertools.product((0, 1), repeat=15):
+        y = np.array(bits, dtype=np.int64).reshape(3, 5)
+        for n in range(1, 5):
+            assert received_word(y, n, 2) == rule(y, n, 2), (bits, n)
+
+
+def exact_rule(y, n):
+    """rank_word over F_2 with each payload read as an exact int."""
+    h, p = received_basis(y, n, 2)
+    pivots, _ = rank_word(h, p, 2)
+    word = [0] * n
+    for k, row in zip(pivots, p.tolist()):
+        word[k] = sum(b << t for t, b in enumerate(row))
+    return pivots, tuple(word)
+
+
+@pytest.mark.parametrize("cols", range(61, 67))
+def test_received_word_wide_binary_rows(cols):
+    """Rows of 61 to 66 columns: bit 63 and beyond are packed exactly,
+    never as a sign bit.  rank_word's element ints are int64, as every
+    code's are (GabidulinCode refuses q^M beyond it), so the rule is the
+    reference while the payload has at most 63 columns; past that the
+    packed reader still gives the exact payload."""
+    rng = np.random.default_rng(cols)
+    for _ in range(40):
+        y = rng.integers(0, 2, (int(rng.integers(1, 6)), cols))
+        y[:, 60:] |= rng.integers(0, 2, (y.shape[0], cols - 60)) | (rng.random() < 0.5)
+        for n in range(1, cols):
+            got = received_word(y, n, 2)
+            assert got == exact_rule(y, n), (cols, n)
+            if cols - n < 64:
+                assert got == rule(y, n, 2), (cols, n)
+
+
+def test_received_word_odd_q_takes_the_rule():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        y = rng.integers(0, 3, (int(rng.integers(1, 5)), 6))
+        for n in range(1, 6):
+            assert received_word(y, n, 3) == rule(y, n, 3)
+
