@@ -10,11 +10,13 @@ with linalg.solve_field over R_i's generator; only the tests and
 perfbench/spans.py call it.  The algebraic multistage path reads the
 split off the message polynomial it already holds.
 
-coset_table(i) lists the cosets of R_{i+1} in R_i by coset message, in
-itertools.product order, each as its leader and its level-alphabet
-symbol.  A word of R_i with product index k lies in the coset of entry
-k % children_count(i), which the exhaustive multistage decoder reads;
-the multilevel codebook reads the table from symbol to coset message.
+coset_entry(i, message) maps a coset message to its leader and to its
+symbol in the level alphabet maps[i], built once with the chain; every
+caller applies this one rule.  coset_table(i) applies it to every coset
+message, in itertools.product order.  A word of R_i with product index k
+lies in the coset of entry k % children_count(i), which the exhaustive
+multistage decoder reads; the multilevel codebook reads the table from
+symbol to coset message.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class PartitionChain:
         self._coset_generators = tuple(
             tuple(row[lo:hi] for row in code.generator) for hi, lo in zip(ks, ks[1:])
         )
+        self.maps = tuple(SymbolMap(code.field, hi - lo) for hi, lo in zip(ks, ks[1:]))
 
     @property
     def m(self) -> int:
@@ -83,26 +86,26 @@ class PartitionChain:
         if sol is None:
             raise ValueError(f"word is not a member of the level-{i} subcode")
         message = sol[self.ks[i + 1]: self.ks[i]]
+        return self.coset_entry(i, message)[0], message
+
+    def coset_entry(self, i: int, message) -> tuple:
+        """(leader, symbol) of a level-i coset message of delta_k elements:
+        its image under coset_code_generator(i) and its maps[i] symbol."""
         leader = matvec(self.field, self._coset_generators[i], message)
-        return leader, message
+        return leader, self.maps[i].to_symbol(message)
 
     def coset_table(self, i: int) -> list:
-        """(leader, symbol) of every coset of R_{i+1} in R_i, by coset message.
+        """coset_entry(i, m) of every coset message m, in
+        itertools.product(range(q^M), repeat=delta_k) order.
 
-        Entry k belongs to the k-th coset message m of
-        itertools.product(range(q^M), repeat=delta_k): its leader is
-        matvec(coset_code_generator(i), m), as coset_leader returns it,
-        and its symbol SymbolMap.to_symbol(m), the level-i outer symbol
-        sum_t m_t (q^M)^t.  A word of R_i with product index k lies in the
-        coset of entry k % children_count(i).  Built on first use; the
-        count guard runs before the first matvec, and nothing is
-        enumerated.
+        A word of R_i with product index k lies in the coset of entry
+        k % children_count(i).  Built on first use; the count guard runs
+        before the first matvec, and nothing is enumerated.
         """
         if i not in self._tables:
             guard_enumeration(self.children_count(i))
-            gen, smap = self._coset_generators[i], SymbolMap(self.field, self.delta_k(i))
             self._tables[i] = [
-                (matvec(self.field, gen, m), smap.to_symbol(m))
+                self.coset_entry(i, m)
                 for m in itertools.product(range(self.field.size), repeat=self.delta_k(i))
             ]
         return self._tables[i]

@@ -8,8 +8,8 @@ subspace distance to the received row space (linalg.basis_distances):
   subspace distance to the received row spaces.  It is exact but
   exponential, and guarantees success whenever rho + 2*tau stays below
   half the design subspace distance.  Every shot is a word of R_0, so
-  it scores each shot once against R_0 and sums the scores gathered at
-  the codebook's table of R_0 rows (MultilevelCodeSpec.codebook_arrays),
+  it sums each shot's scores over R_0 (shot_scores) gathered at the
+  codebook's table of R_0 rows (MultilevelCodeSpec.codebook_arrays),
   in codeword order: the first minimum is the smallest codeword.
 
 * multistage_decode peels the partition chain level by level: per shot
@@ -18,10 +18,9 @@ subspace distance to the received row space (linalg.basis_distances):
   contributions already accepted, and decodes the resulting coset
   symbols with the level's outer code.  V_j is held as its R_0
   message, and each received matrix is row-reduced once per decode.
-  The exhaustive inner path reduces it to its basis [H | P]
-  (linalg.received_basis) and, as V_j + R_i lies in R_0, scores each
-  shot once against R_0's codeword stack.  With Q = q^M, V_j + x has
-  R_0 product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64
+  The exhaustive inner path scatters the shot scores (shot_scores)
+  into R_0's product-index order, as V_j + R_i lies in R_0.  With Q = q^M, V_j + x
+  has R_0 product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64
   under the enumeration guard, so every stage's decision is the first
   minimum of a gather from that score vector, and the low delta_k
   digits of index_i(x), its coset message, pick its leader and symbol
@@ -29,9 +28,10 @@ subspace distance to the received row space (linalg.basis_distances):
   algebraic inner path reads the rank word r_j off one packed-bit F_2
   elimination (reduction.received_word) and decodes r_j - V_j to its
   message polynomial f (GabidulinCode.decode_message), whose slice
-  f[K_{i+1}:K_i] is the coset message.  It enumerates nothing, so it
-  never forms a product index, which leaves int64 once Q^(K_0 - 1)
-  does.  Diagnostics record, per stage, how many shots' inner decisions
+  f[K_{i+1}:K_i] is the coset message; PartitionChain.coset_entry
+  gives its leader and symbol.  It enumerates nothing, so it never
+  forms a product index, which leaves int64 once Q^(K_0 - 1) does.
+  Diagnostics record, per stage, how many shots' inner decisions
   the outer decoder overruled.
 
 ROLES maps each decoder role that ``decode --decoder`` and the
@@ -46,13 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import matvec
 from .linalg import basis_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .reduction import received_word
 
 __all__ = [
     "ROLES",
+    "shot_scores",
     "oracle_decode_multishot",
     "MultistageResult",
     "multistage_decode",
@@ -68,15 +68,21 @@ def _check_received(Ys, spec: MultilevelCodeSpec):
         raise ValueError(f"received matrices need N + M = {width} columns")
 
 
+def shot_scores(Ys, spec: MultilevelCodeSpec) -> list:
+    """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
+    codeword order, from one received_basis of the shot and one basis_distances."""
+    code = spec.code
+    q, und = code.field.base.size, code.codebook_arrays()[0]
+    return [basis_distances(*received_basis(y, code.length, q), und, q) for y in Ys]
+
+
 def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     """Codeword minimizing the extended subspace distance to the shots."""
     _check_received(Ys, spec)
-    q = spec.field.base.size
     rows = spec.codebook_arrays()[0]  # guards the table before enumerating
-    und = spec.code.codeword_underlines()
     total = np.zeros(len(rows), dtype=np.int64)
-    for j, y in enumerate(Ys):
-        total += basis_distances(*received_basis(y, spec.shot_length, q), und, q)[rows[:, j]]
+    for j, scores in enumerate(shot_scores(Ys, spec)):
+        total += scores[rows[:, j]]
     return spec.codeword(int(np.argmin(total)))
 
 
@@ -139,10 +145,10 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     exhaustive = inner_method == "exhaustive"
     if exhaustive:
         # every shot's scores over R_0, scattered into product-index order
-        und, index = code.codebook_arrays()
+        index = code.codebook_arrays()[1]
         scores = np.empty((n, len(index)), dtype=np.int64)
-        for j, y in enumerate(Ys):
-            scores[j, index] = basis_distances(*received_basis(y, spec.shot_length, q), und, q)
+        for j, row in enumerate(shot_scores(Ys, spec)):
+            scores[j, index] = row
         shots = np.arange(n)[:, None]
     else:
         words = [received_word(y, spec.shot_length, q)[1] for y in Ys]
@@ -154,7 +160,6 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     wrong_counts, erasure_counts = [], []
     leaders_all = []
     for i in range(spec.m):
-        smap = spec.maps[i]
         if exhaustive:
             table, children = chain.coset_table(i), chain.children_count(i)
             sub_index = chain.subcode(i).codebook_arrays()[1]
@@ -182,9 +187,9 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
                     leaders.append(None)
                     symbols.append(0)
                     continue
-                mtup = f[ks[i + 1]:ks[i]]
-                leaders.append(matvec(field, chain.coset_code_generator(i), mtup))
-                symbols.append(smap.to_symbol(mtup))
+                leader, symbol = chain.coset_entry(i, f[ks[i + 1]:ks[i]])
+                leaders.append(leader)
+                symbols.append(symbol)
         leaders_all.append(leaders)
         erasure_counts.append(len(erased))
         msg = spec.outers[i].decode(tuple(symbols), erasures=tuple(erased),
@@ -201,7 +206,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
         wrong_counts.append(len(overruled))
         messages.append(tuple(msg))
         for j, sym in enumerate(outer_word):
-            accepted[j][ks[i + 1]:ks[i]] = smap.to_tuple(sym)
+            accepted[j][ks[i + 1]:ks[i]] = spec.maps[i].to_tuple(sym)
         redo = erased + overruled
 
     return MultistageResult(

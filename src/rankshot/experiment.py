@@ -109,8 +109,6 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             master_seed=master_seed, decoders=decoders, timing=timing,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import INT64_MAX, json_int
-from .fields import PrimeField, matvec, field_from_json, field_to_json
+from .fields import PrimeField, matvec
 from .linalg import (
     element_ints, kernel_field, rank, rank_batch, single_digit_messages, span_codebook,
 )
@@ -169,19 +169,8 @@ class GabidulinCode:
         msg = self.decode_message(received)
         return None if msg is None else self.encode(msg)
 
-    def to_json(self) -> dict:
-        doc = field_to_json(self.field)
-        doc.update({"N": self.length, "K": self.dim, "points": list(self.points)})
-        return doc
-
     def __repr__(self):
         return f"GabidulinCode(N={self.length}, K={self.dim}, q^M={self.field.size})"
-
-
-def code_from_json(doc: dict) -> GabidulinCode:
-    field = field_from_json(doc)
-    return GabidulinCode(field, json_int(doc["N"], "N"), json_int(doc["K"], "K"),
-                         doc.get("points"))
 
 
 def _lin_left_divide(field, v_poly, w_poly):

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import Q_GUARD, guard_enumeration, int64_products_fit, json_int
+from .errors import INT64_MAX, Q_GUARD, guard_enumeration, int64_products_fit, json_int
 from .fields import PrimeField
 
 
@@ -156,10 +156,8 @@ def rank_batch(mats, q: int) -> np.ndarray:
     if r == 0 or c == 0:
         return np.zeros(count, dtype=np.int64)
     if q == 2 and r * c <= 16:
-        tab = _f2_rank_table(r, c)
-        weights = (1 << np.arange(r * c, dtype=np.int64))
-        idx = mats.reshape(count, r * c) @ weights
-        return tab[idx].astype(np.int64)
+        idx = element_ints(mats.reshape(count, r * c), 2)
+        return _f2_rank_table(r, c)[idx].astype(np.int64)
     if q == 2 and c <= 64:
         # column 63's weight wraps to the int64 sign bit, which the XORs
         # and the lowest-set-bit trick treat like any other bit
@@ -270,8 +268,11 @@ def extended_subspace_distance(us, vs) -> int:
 
 
 def element_ints(coords, q: int) -> np.ndarray:
-    """Element ints sum_t c_t q^t of base-q coordinates held along the last axis."""
-    return coords @ (q ** np.arange(coords.shape[-1], dtype=np.int64))
+    """Element ints sum_t c_t q^t of base-q coordinates held along the last
+    axis: int64 while q^width - 1 fits there, exact Python ints past that."""
+    width = coords.shape[-1]
+    exact = q ** width - 1 > INT64_MAX
+    return coords @ (q ** np.arange(width, dtype=object if exact else np.int64))
 
 
 def span_codebook(rows, digits: int, q: int, word_shape: tuple):
@@ -331,15 +332,19 @@ def matrix_to_json(m, q: int) -> dict:
 
 def matrix_from_json(doc: dict) -> tuple[np.ndarray, int]:
     """(matrix, q) from the JSON form; rows, cols, q and every entry must
-    be JSON integers (errors.json_int raises TypeError otherwise)."""
+    be JSON integers (errors.json_int raises TypeError otherwise), the
+    shape nonnegative and every entry a residue in [0, q)."""
     rows, cols, q = (json_int(doc[key], f"matrix {key}") for key in ("rows", "cols", "q"))
     if q < 2:
         raise ValueError(f"matrix field size q={q} is below 2")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows} x {cols} is negative")
     data = [json_int(x, "matrix entry") for x in doc["data"]]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
-    m = np.array(data, dtype=np.int64).reshape(rows, cols) % q
-    return m, q
+    if not all(0 <= x < q for x in data):
+        raise ValueError(f"matrix entries must lie in [0, {q})")
+    return np.array(data, dtype=np.int64).reshape(rows, cols), q
 
 
 # ---------------------------------------------------------------------------

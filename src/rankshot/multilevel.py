@@ -34,10 +34,10 @@ import numpy as np
 
 from .cosets import PartitionChain
 from .errors import INT64_MAX, guard_enumeration, json_int
-from .fields import ExtensionField, PrimeField, field_from_json, field_to_json, matvec
+from .fields import ExtensionField, PrimeField, field_from_json, field_to_json
 from .gabidulin import GabidulinCode
 from .linalg import element_ints
-from .outer import OuterCode, SymbolMap
+from .outer import OuterCode
 
 
 class MultilevelCodeSpec:
@@ -49,7 +49,7 @@ class MultilevelCodeSpec:
             )
         self.chain = chain
         self.n = int(n)
-        self.maps = tuple(SymbolMap(chain.field, chain.delta_k(i)) for i in range(chain.m))
+        self.maps = chain.maps
         self.outers = tuple(
             OuterCode(self.maps[i].alphabet, self.n, outer_ks[i]) for i in range(chain.m)
         )
@@ -99,10 +99,9 @@ class MultilevelCodeSpec:
 
     def level_contribution(self, i: int, message) -> tuple:
         """The n per-shot words that level i contributes for its outer message."""
-        gen = self.chain.coset_code_generator(i)
         smap = self.maps[i]
         return tuple(
-            matvec(self.field, gen, smap.to_tuple(s)) for s in self.outers[i].encode(message)
+            self.chain.coset_entry(i, smap.to_tuple(s))[0] for s in self.outers[i].encode(message)
         )
 
     def level_contributions(self, messages) -> list:
@@ -232,12 +231,12 @@ def spec_from_json(doc: dict) -> MultilevelCodeSpec:
     field = field_from_json(doc["field"])
     code = GabidulinCode(field, json_int(doc["N"], "N"), json_int(doc["K"], "K"),
                          doc.get("points"))
-    chain = PartitionChain(code, doc["Ks"])
     outers = doc["outers"]
     n = json_int(doc["n"], "n")
-    for o in outers:
+    for o in outers:  # before the chain builds any level alphabet
         if "n" in o and json_int(o["n"], "outer n") != n:
             raise ValueError("outer block length disagrees with the shot count n")
+    chain = PartitionChain(code, doc["Ks"])
     return MultilevelCodeSpec(chain, n, [json_int(o["k"], "outer k") for o in outers])
 
 

@@ -116,6 +116,8 @@ class OuterCode:
         if len(message) != self.k:
             raise ValueError(f"message must have length {self.k}")
         coeffs = [int(c) for c in message]
+        if coeffs and not 0 <= min(coeffs) <= max(coeffs) < self.field.size:
+            raise ValueError(f"message symbols must lie in [0, {self.field.size})")
         return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
 
     def codewords(self) -> list:

@@ -65,17 +65,15 @@ def rank_word(h, p, q: int):
 
 def received_word(Y, n: int, q: int):
     """rank_word(*received_basis(Y, n, q), q); over F_2 off one packed
-    elimination (linalg.rref_bits) of Y's rows, exact ints past 63
-    columns.  A row's header pivot is the lowest set bit of its low n
-    bits, and the row shifted right by n is its payload's element int.
+    elimination (linalg.rref_bits) of Y's rows as element ints.  A row's
+    header pivot is the lowest set bit of its low n bits, and the row
+    shifted right by n is its payload's element int.
     """
     if q != 2:
         return rank_word(*received_basis(Y, n, q), q)
-    m = as_matrix(Y, 2)
-    weights = 1 << np.arange(m.shape[1], dtype=np.int64 if m.shape[1] < 64 else object)
     word = [0] * n
     pivots = []
-    for x in rref_bits((m @ weights).tolist()):
+    for x in rref_bits(element_ints(as_matrix(Y, 2), 2).tolist()):
         head = x & ((1 << n) - 1)
         if not head:
             break

@@ -47,6 +47,13 @@ def test_config_validation():
         ChannelConfig(rho=7, tau=0, n=2, seed=0, N=3, T=6, q=2).validate()
     with pytest.raises(ConfigError):
         ChannelConfig(rho=0, tau=0, n=0, seed=0, N=3, T=6, q=2).validate()
+    with pytest.raises(ConfigError, match=r"tau budget 7 exceeds n\*N = 6"):
+        ChannelConfig(rho=0, tau=7, n=2, seed=0, N=3, T=6, q=2).validate()
+    # each split sums to its budget, but one entry leaves [0, N]
+    for split in (((4, 0), (0, 0)), ((-1, 0), (3, 0)), ((0, 4), (0, -1))):
+        with pytest.raises(ConfigError, match=r"custom split entry outside \[0, N\]"):
+            ChannelConfig(rho=sum(r for r, _ in split), tau=sum(t for _, t in split), n=2,
+                          seed=0, N=3, T=6, q=2, split=split).validate()
 
 
 def test_zero_budget_draw(f8):

@@ -315,6 +315,23 @@ def test_simulate_per_shot_split_pairs(tmp_path, capsys):
         assert r["rho_split"] == [1, 0] and r["tau_split"] == [0, 1]
 
 
+def test_simulate_one_shot_code(tmp_path, capsys):
+    """A one-shot code runs every role, and each trial's budgets are its
+    one shot's split."""
+    spec = {**TINY_SPEC, "n": 1, "outers": [{"n": 1, "k": 1}, {"n": 1, "k": 1}]}
+    sim = {"spec": spec, "channel": {"rho": [0, 2], "tau": [0, 1]}, "trials": 3,
+           "master_seed": 4, "decoders": sorted(ROLES)}
+    cfg_p = tmp_path / "sim.json"
+    cfg_p.write_text(json.dumps(sim))
+    code, out, err = run(capsys, ["simulate", "--config", str(cfg_p), "--format", "json"])
+    assert code == 0 and "Traceback" not in err
+    records = json.loads(out)["records"]
+    assert len(records) == 4 * 3 * len(ROLES)
+    for r in records:
+        assert r["rho_split"] == [r["rho"]] and r["tau_split"] == [r["tau"]]
+    assert all(r["success"] for r in records if r["rho"] == r["tau"] == 0)
+
+
 # q 2, M 3, N 3, K 2, n 2, d 2: two shots of N = 3, so rho and tau are at most 6
 TINY_SPECIAL = {"special": {"q": 2, "M": 3, "N": 3, "K": 2, "n": 2, "d": 2}}
 
@@ -584,6 +601,14 @@ def test_decode_rejects_wrong_q(spec_path, tmp_path, capsys):
     assert "received matrix 0 has q=3" in err
 
 
+def _run_on_matrices(command, doc, spec_path, tmp_path, capsys):
+    """Run ``decode`` (TINY_SPEC) or ``channel`` on a received document's matrices."""
+    p = tmp_path / "rx.json"
+    p.write_text(json.dumps(doc if command == "decode" else {"lifted": doc["received"]}))
+    config = spec_path if command == "decode" else str(CONFIGS / "channel_example.json")
+    return run(capsys, [command, "--config", config, "--in", str(p)])
+
+
 @pytest.mark.parametrize("key, value", [
     ("rows", 3.7), ("cols", 6.0), ("q", True), ("data", 1.9), ("data", False),
 ], ids=["rows-float", "cols-float", "q-bool", "entry-float", "entry-bool"])
@@ -596,12 +621,24 @@ def test_matrix_documents_read_integers_strictly(spec_path, tmp_path, capsys,
         mat["data"][1] = value
     else:
         mat[key] = value
-    p = tmp_path / "rx.json"
-    p.write_text(json.dumps(doc if command == "decode" else {"lifted": doc["received"]}))
-    config = spec_path if command == "decode" else str(CONFIGS / "channel_example.json")
-    code, out, err = run(capsys, [command, "--config", config, "--in", str(p)])
+    code, out, err = _run_on_matrices(command, doc, spec_path, tmp_path, capsys)
     assert code == 2 and out == ""
     assert "must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rows": -3, "cols": -6}, "matrix shape -3 x -6 is negative"),
+    ({"data": [5] + [0] * 17}, "matrix entries must lie in [0, 2)"),
+    ({"data": [-1] + [0] * 17}, "matrix entries must lie in [0, 2)"),
+], ids=["negative-shape", "entry-beyond-q", "negative-entry"])
+@pytest.mark.parametrize("command", ["decode", "channel"])
+def test_matrix_documents_refuse_bad_shapes_and_entries(spec_path, tmp_path, capsys,
+                                                        command, change, message):
+    doc = lifted_zero_word(3, 3, 2)  # 3 x 6 matrices, 18 entries
+    doc["received"][0].update(change)
+    code, out, err = _run_on_matrices(command, doc, spec_path, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_decode_oracle_refuses_special_preset(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from rankshot.errors import GuardError
 from rankshot.fields import ExtensionField, PrimeField
-from rankshot.gabidulin import GabidulinCode, code_from_json
+from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import rank, rank_distance
 from rankshot.multilevel import special_situation
 
@@ -246,14 +246,6 @@ def test_decode_message_is_the_decoded_codewords_message(f8, f9, which):
             answered += 1
             assert len(msg) == code.dim and code.encode(msg) == word, w
     assert answered and refused
-
-
-def test_json_roundtrip(f8):
-    code = GabidulinCode(f8, 3, 2)
-    doc = code.to_json()
-    assert doc["N"] == 3 and doc["K"] == 2 and doc["points"] == [1, 2, 4]
-    again = code_from_json(doc)
-    assert again.generator == code.generator
 
 
 def _preset_subcodes():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rankshot import outer
 from rankshot.channel import lift_multishot
 from rankshot.cosets import PartitionChain
 from rankshot.decoder import multistage_decode
@@ -127,6 +128,19 @@ def test_single_level_reduces_to_gabidulin(f8):
         assert word[j] == code.encode(smap.to_tuple(s))
 
 
+def test_level_alphabets_are_built_once(towerspec, monkeypatch):
+    """The chain builds each level's alphabet when it is made; the spec,
+    its outer codes and the coset tables read that one map."""
+    assert towerspec.maps is towerspec.chain.maps
+    assert all(o.field is smap.alphabet for o, smap in zip(towerspec.outers, towerspec.maps))
+    fresh = PartitionChain(towerspec.code, towerspec.chain.ks)
+    built = []
+    monkeypatch.setattr(outer, "ExtensionField", lambda *args, **kwargs: built.append(args))
+    table = fresh.coset_table(0)
+    assert built == [] and len(table) == 16
+    assert table == towerspec.chain.coset_table(0)
+
+
 def test_zero_dimension_outers(f8):
     code = GabidulinCode(f8, 3, 2)
     spec = MultilevelCodeSpec(PartitionChain(code, [2, 1, 0]), 2, [0, 0])
@@ -202,11 +216,19 @@ def test_json_special_preset():
     assert spec.cardinality_logq() == 6
 
 
-def test_json_outer_length_mismatch(tiny2shot):
+def test_json_outer_length_mismatch(tiny2shot, towerspec, monkeypatch):
     doc = tiny2shot.to_json()
     doc["outers"][0]["n"] = 3
     with pytest.raises(ValueError):
         spec_from_json(doc)
+    # refused before the chain builds the level's F_16 alphabet
+    doc = towerspec.to_json()
+    doc["outers"][0]["n"] = 4
+    built = []
+    monkeypatch.setattr(outer, "ExtensionField", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="outer block length"):
+        spec_from_json(doc)
+    assert built == []
 
 
 def test_lifted_code_preserves_cardinality_and_distance(tiny2shot):

@@ -57,6 +57,14 @@ def test_mds_distance_exhaustive(f8):
         assert best == n - k + 1
 
 
+def test_encode_refuses_symbols_outside_the_alphabet():
+    outer = special_situation(2, 4, 4, 2, 2, 4)[0].outers[1]  # [2, 2] over F_16
+    for message in ((16, 0), (0, 255), (-1, 0)):
+        with pytest.raises(ValueError, match=r"message symbols must lie in \[0, 16\)"):
+            outer.encode(message)
+    assert outer.encode((15, 3)) == (12, 9)
+
+
 def test_encode_linear(f8):
     code = OuterCode(f8, 3, 2)
     rng = np.random.default_rng(2)

@@ -4,7 +4,9 @@ perfbench/run.py digests each workload's canonical output texts, and a
 change that keeps the package's outputs byte-identical keeps these
 digests.  The module is loaded from its file, as
 test_perfbench_contract.py loads spans.py; one untimed pass and the
-one-off decodes of seed 7 are digested, with no timing loop.
+one-off decodes of seed 7 are digested, with no timing loop, once plain
+and once under the per-layer spans of a traced run (spans.Tracer), which
+wrap package functions and methods such as MultilevelCodeSpec.encode.
 """
 
 import importlib.util
@@ -41,3 +43,16 @@ def test_seed_7_digest(run, name):
     w.setup()
     w.make_inputs()
     assert run.digest(w.run_pass()[0] + w.run_once()[0]) == SEED_7[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED_7))
+def test_seed_7_digest_traced(run, name):
+    """A traced set-up and pass decode to the same digest, and no decode
+    path splits a word with PartitionChain.coset_leader."""
+    w = run.WORKLOADS[name](7)
+    with run.spans.Tracer() as tracer, tracer.root():
+        w.setup()
+        w.make_inputs()
+        texts = w.run_pass()[0] + w.run_once()[0]
+    assert run.digest(texts) == SEED_7[name]
+    assert tracer.stats and "cosets.coset_leader" not in tracer.stats

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankshot.channel import ChannelConfig, apply_channel, lift, sample_channel
+from rankshot.fields import ExtensionField, PrimeField
 from rankshot.linalg import received_basis, rref
 from rankshot.reduction import rank_word, received_word, reduce_received, reconstruct
 
@@ -88,7 +89,7 @@ def test_received_word_every_binary_3x5():
 
 
 def exact_rule(y, n):
-    """rank_word over F_2 with each payload read as an exact int."""
+    """rank_word over F_2 with each payload summed bit by bit as a Python int."""
     h, p = received_basis(y, n, 2)
     pivots, _ = rank_word(h, p, 2)
     word = [0] * n
@@ -100,10 +101,7 @@ def exact_rule(y, n):
 @pytest.mark.parametrize("cols", range(61, 67))
 def test_received_word_wide_binary_rows(cols):
     """Rows of 61 to 66 columns: bit 63 and beyond are packed exactly,
-    never as a sign bit.  rank_word's element ints are int64, as every
-    code's are (GabidulinCode refuses q^M beyond it), so the rule is the
-    reference while the payload has at most 63 columns; past that the
-    packed reader still gives the exact payload."""
+    never as a sign bit, by the packed reader and by rank_word alike."""
     rng = np.random.default_rng(cols)
     for _ in range(40):
         y = rng.integers(0, 2, (int(rng.integers(1, 6)), cols))
@@ -111,8 +109,15 @@ def test_received_word_wide_binary_rows(cols):
         for n in range(1, cols):
             got = received_word(y, n, 2)
             assert got == exact_rule(y, n), (cols, n)
-            if cols - n < 64:
-                assert got == rule(y, n, 2), (cols, n)
+            assert got == rule(y, n, 2), (cols, n)
+
+
+def test_reduce_received_reads_a_64_bit_payload_exactly():
+    """A payload of 64 binary columns is read as its exact element int,
+    2^64 - 1 for all ones, not wrapped into int64."""
+    y = np.ones((1, 65), dtype=np.int64)
+    assert rank_word(*received_basis(y, 1, 2), 2) == ([0], (2 ** 64 - 1,))
+    assert reduce_received(ExtensionField(PrimeField(2), degree=64), y).r == (2 ** 64 - 1,)
 
 
 def test_received_word_odd_q_takes_the_rule():
