@@ -1,7 +1,6 @@
 """Receivers for the lifted matrix channel.
 
-Two decoders of the multilevel code, both scoring candidates by the
-subspace distance to the received row space (linalg.basis_distances):
+Two decoders of the multilevel code:
 
 * oracle_decode_multishot scans the whole multilevel codebook and
   returns the codeword whose lifted image minimizes the extended
@@ -12,27 +11,10 @@ subspace distance to the received row space (linalg.basis_distances):
   codebook's table of R_0 rows (MultilevelCodeSpec.codebook_arrays),
   in codeword order: the first minimum is the smallest codeword.
 
-* multistage_decode peels the partition chain level by level: per shot
-  it picks the word x of the level subcode R_i minimizing
-  d_S(<Y_j>, lift(V_j + x)), where V_j is the sum of the level
-  contributions already accepted, and decodes the resulting coset
-  symbols with the level's outer code.  V_j is held as its R_0
-  message, and each received matrix is row-reduced once per decode.
-  The exhaustive inner path scatters the shot scores (shot_scores)
-  into R_0's product-index order, as V_j + R_i lies in R_0.  With Q = q^M, V_j + x
-  has R_0 product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64
-  under the enumeration guard, so every stage's decision is the first
-  minimum of a gather from that score vector, and the low delta_k
-  digits of index_i(x), its coset message, pick its leader and symbol
-  from the level's coset table (PartitionChain.coset_table).  The
-  algebraic inner path reads the rank word r_j off one packed-bit F_2
-  elimination (reduction.received_word) and decodes r_j - V_j to its
-  message polynomial f (GabidulinCode.decode_message), whose slice
-  f[K_{i+1}:K_i] is the coset message; PartitionChain.coset_entry
-  gives its leader and symbol.  It enumerates nothing, so it never
-  forms a product index, which leaves int64 once Q^(K_0 - 1) does.
-  Diagnostics record, per stage, how many shots' inner decisions
-  the outer decoder overruled.
+* multistage_decode peels the partition chain level by level in one
+  stage loop over an inner step, _exhaustive_inner or _algebraic_inner.
+  Diagnostics record, per stage, how many shots' inner decisions the
+  outer decoder overruled.
 
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
@@ -108,88 +90,104 @@ class MultistageResult:
         }
 
 
+def _exhaustive_inner(Ys, spec: MultilevelCodeSpec):
+    """The reference inner step: at stage i, the first minimum in codeword
+    order of d_S(<Y_j>, lift(V_j + x)) over x in R_i.  It always commits
+    to a decision, so it erases nothing.
+
+    Set-up scatters each shot's scores over R_0 (shot_scores) into R_0's
+    product-index order.  With Q = q^M, V_j + x lies in R_0 with product
+    index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64 under the
+    enumeration guard, so a stage's scores are a gather from that vector,
+    with the scores and tie order of scoring lift(V_j + x) directly.  The
+    low delta_k digits of index_i(x), x's coset message, pick its entry
+    from the level's coset table (PartitionChain.coset_table).
+    """
+    chain, n, Q = spec.chain, spec.n, spec.field.size
+    index = spec.code.codebook_arrays()[1]
+    scores = np.empty((n, len(index)), dtype=np.int64)
+    for j, row in enumerate(shot_scores(Ys, spec)):
+        scores[j, index] = row
+    shots = np.arange(n)[:, None]
+
+    def stage(i, accepted, redo):
+        table, children = chain.coset_table(i), chain.children_count(i)
+        sub_index = chain.subcode(i).codebook_arrays()[1]
+        # row-major over (index_i(x), index(V_j)): R_0's product index
+        by_level = scores.reshape(n, len(sub_index), -1)
+        # index(V_j): its message digits K_i .. K_0 - 1 in base Q
+        v_index = np.zeros((n, 1), dtype=np.int64)
+        for k in range(chain.ks[i], chain.ks[0]):
+            v_index = v_index * Q + [[v[k]] for v in accepted]
+        picks = by_level[shots, sub_index, v_index].argmin(axis=1)
+        return [table[k] for k in (sub_index[picks] % children).tolist()]
+
+    return stage
+
+
+def _algebraic_inner(Ys, spec: MultilevelCodeSpec):
+    """The paper's inner step, which enumerates nothing: the rank-error
+    decoder on r_j - V_j, its failures returned as erasures.
+
+    Set-up reads each shot's rank word r_j off one packed-bit F_2
+    elimination (reduction.received_word).  At stage i only the shots in
+    redo are decoded (GabidulinCode.decode_message); each shot's last
+    message polynomial f splits as coset message f[K_{i+1}:K_i], whose
+    leader and symbol PartitionChain.coset_entry gives, exactly
+    coset_leader's split of the encoded word.  Keeping f while the outer
+    code confirms the shot's leaders is exact: if f was found at stage l,
+    r_j - V_j lies within rank t_l of a word of R_i, and
+    t_l <= t_i < d_R(R_i) / 2 makes that word the decoder's unique answer
+    at stage i.  It forms no product index, which leaves int64 once
+    Q^(K_0 - 1) does.
+    """
+    field, chain, code = spec.field, spec.chain, spec.code
+    ks = chain.ks
+    words = [received_word(y, spec.shot_length, field.base.size)[1] for y in Ys]
+    polys = [None] * spec.n  # message polynomial of each shot's last decode
+
+    def stage(i, accepted, redo):
+        sub = chain.subcode(i)
+        for j in redo:
+            target = words[j] if not i else field.vec_sub(words[j], code.encode(accepted[j]))
+            polys[j] = sub.decode_message(target)
+        return [None if f is None else chain.coset_entry(i, f[ks[i + 1]:ks[i]])
+                for f in polys]
+
+    return stage
+
+
+_INNER_STEPS = {"exhaustive": _exhaustive_inner, "algebraic": _algebraic_inner}
+
+
 def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaustive",
                       inner_method: str = "exhaustive") -> MultistageResult:
     """Hard-decision multistage decoding of the multilevel code.
 
-    Stage i inner-decodes each shot within the level subcode R_i, hands
-    the per-shot coset symbols to outer code i, and adds the accepted
-    contribution v_hat^(i) to each shot's accepted sum V_j; a shot whose
-    coset symbol differs from the outer codeword's was overruled.  A
-    stage whose outer decoder fails ends the run with ok=False and that
-    stage index.
-
-    The reference inner path takes the first minimum, in codeword order,
-    of d_S(<Y_j>, lift(V_j + x)) over x in R_i; it always commits to a
-    decision, so no erasures arise.  Its stage-i scores are a gather from
-    the shot's scores over R_0 at the rows of V_j + R_i, so the scores
-    and their tie order are those of scoring lift(V_j + x) directly.
-    inner_method="algebraic" instead runs the rank-error decoder on
-    r_j - V_j (r_j from reduction.received_word) and splits the decoded
-    message polynomial f: the coset message is f[K_{i+1}:K_i] and the
-    leader its image under the coset code's generator, exactly
-    PartitionChain.coset_leader's split of the encoded word.  Keeping f
-    while the outer code confirms the shot's leaders is exact: if f was found at stage l, r_j - V_j then lies
-    within rank t_l of a word of R_i, and t_l <= t_i < d_R(R_i) / 2
-    makes that word the decoder's unique answer at stage i; only erased
-    or overruled shots are decoded again.  Its failures are handed to
-    the outer decoder as erasures.
+    The inner step that inner_method names does its set-up once and
+    returns stage(i, accepted, redo): each shot's coset entry (leader,
+    symbol) of R_i / R_{i+1}, or None for an erasure, given the R_0
+    messages of the shots' accepted sums V_j.  Stage i hands the symbols
+    and erasures to outer code i (outer_method) and adds the accepted
+    contribution v_hat^(i) to each V_j.  A decided shot whose symbol
+    differs from the outer codeword's was overruled; the erased and
+    overruled shots are the next stage's redo.  A stage whose outer
+    decoder fails ends the run with ok=False and that stage index.
     """
     _check_received(Ys, spec)
-    field = spec.field
-    q, Q = field.base.size, field.size
-    chain, code, n = spec.chain, spec.code, spec.n
-    ks = chain.ks
-    if inner_method not in ("exhaustive", "algebraic"):
+    if inner_method not in _INNER_STEPS:
         raise ValueError(f"unknown inner method {inner_method!r}")
-    exhaustive = inner_method == "exhaustive"
-    if exhaustive:
-        # every shot's scores over R_0, scattered into product-index order
-        index = code.codebook_arrays()[1]
-        scores = np.empty((n, len(index)), dtype=np.int64)
-        for j, row in enumerate(shot_scores(Ys, spec)):
-            scores[j, index] = row
-        shots = np.arange(n)[:, None]
-    else:
-        words = [received_word(y, spec.shot_length, q)[1] for y in Ys]
-        polys = [None] * n   # message polynomial of each shot's last interpolation
-        redo = range(n)      # the shots to interpolate at this stage
-    accepted = [[0] * code.dim for _ in range(n)]  # R_0 message of each shot's V_j
+    stage = _INNER_STEPS[inner_method](Ys, spec)
+    ks, n = spec.chain.ks, spec.n
+    accepted = [[0] * spec.code.dim for _ in range(n)]  # R_0 message of each shot's V_j
+    redo = range(n)  # the shots to decode again at this stage
 
-    messages = []
-    wrong_counts, erasure_counts = [], []
-    leaders_all = []
+    messages, wrong_counts, erasure_counts, leaders_all = [], [], [], []
     for i in range(spec.m):
-        if exhaustive:
-            table, children = chain.coset_table(i), chain.children_count(i)
-            sub_index = chain.subcode(i).codebook_arrays()[1]
-            # row-major over (index_i(x), index(V_j)): R_0's product index
-            by_level = scores.reshape(n, len(sub_index), -1)
-            # index(V_j): its message digits K_i .. K_0 - 1 in base Q
-            v_index = np.zeros((n, 1), dtype=np.int64)
-            for k in range(ks[i], ks[0]):
-                v_index = v_index * Q + [[v[k]] for v in accepted]
-            picks = by_level[shots, sub_index, v_index].argmin(axis=1)
-            # the low delta_k digits of index_i(x): x's coset message
-            entries = [table[k] for k in (sub_index[picks] % children).tolist()]
-            leaders = [leader for leader, _ in entries]
-            symbols = [symbol for _, symbol in entries]
-            erased = []
-        else:
-            sub = chain.subcode(i)
-            for j in redo:
-                target = words[j] if not i else field.vec_sub(words[j], code.encode(accepted[j]))
-                polys[j] = sub.decode_message(target)
-            leaders, symbols, erased = [], [], []
-            for j, f in enumerate(polys):
-                if f is None:
-                    erased.append(j)
-                    leaders.append(None)
-                    symbols.append(0)
-                    continue
-                leader, symbol = chain.coset_entry(i, f[ks[i + 1]:ks[i]])
-                leaders.append(leader)
-                symbols.append(symbol)
+        entries = stage(i, accepted, redo)
+        erased = [j for j, e in enumerate(entries) if e is None]
+        leaders = [None if e is None else e[0] for e in entries]
+        symbols = [0 if e is None else e[1] for e in entries]
         leaders_all.append(leaders)
         erasure_counts.append(len(erased))
         msg = spec.outers[i].decode(tuple(symbols), erasures=tuple(erased),
@@ -202,7 +200,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
             )
         outer_word = spec.outers[i].encode(msg)
         overruled = [j for j in range(n)
-                     if leaders[j] is not None and symbols[j] != outer_word[j]]
+                     if entries[j] is not None and symbols[j] != outer_word[j]]
         wrong_counts.append(len(overruled))
         messages.append(tuple(msg))
         for j, sym in enumerate(outer_word):

@@ -10,7 +10,6 @@ from rankshot.cosets import PartitionChain
 from rankshot.fields import matvec
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import solve_field
-from rankshot.outer import SymbolMap
 
 
 @pytest.fixture
@@ -140,11 +139,12 @@ def test_coset_leader_matches_solve_field(f8, f9, decode12):
                     assert ch.coset_leader(i, other)[1] == other_sol[lo:hi]
 
 
-def test_coset_table_matches_coset_leader(f8, f9, decode12):
+def test_coset_table_matches_coset_leader(f8, f9, decode12, q3spec, towerspec):
     """The word of R_i with product index k splits as entry k % children
     of level i's table: its leader, and its coset message as the level's
-    outer symbol.  The table is built without enumerating R_i."""
-    for ch in _chains(f8, f9, decode12):
+    outer symbol.  The table is built without enumerating R_i.  The tower
+    chain's one level has delta_k = 2, so its symbols are F_16 over F_4."""
+    for ch in _chains(f8, f9, decode12) + (q3spec.chain, towerspec.chain):
         fresh = PartitionChain(GabidulinCode(ch.field, ch.code.length, ch.code.dim,
                                              ch.code.points), ch.ks)
         for i in range(fresh.m):
@@ -152,11 +152,10 @@ def test_coset_table_matches_coset_leader(f8, f9, decode12):
             assert fresh.subcode(i)._underlines is None
             children = fresh.children_count(i)
             assert len(table) == children
-            smap = SymbolMap(fresh.field, fresh.delta_k(i))
             index = fresh.subcode(i).codebook_arrays()[1].tolist()
             for k, w in zip(index, fresh.subcode(i).codewords()):
                 leader, message = fresh.coset_leader(i, w)
-                assert table[k % children] == (leader, smap.to_symbol(message))
+                assert table[k % children] == (leader, ch.maps[i].to_symbol(message))
 
 
 def test_coset_table_guard_runs_before_any_matvec(f8, monkeypatch):

@@ -446,9 +446,18 @@ def test_multistage_algebraic_interpolates_unconfirmed_shots(code, outer, reques
 
 
 def test_multistage_rejects_unknown_inner_method(tiny2shot):
-    ys = lift_multishot(tiny2shot.field, tiny2shot.encode([(0,), (0,)]))
-    with pytest.raises(ValueError, match="inner method"):
-        multistage_decode(ys, tiny2shot, inner_method="gmd")
+    """An unknown method name is refused: by the multistage decoder for
+    either step, and by the outer and Gabidulin decoders."""
+    spec = tiny2shot
+    word = spec.encode([(0,), (0,)])
+    ys = lift_multishot(spec.field, word)
+    with pytest.raises(ValueError, match="unknown inner method 'gmd'"):
+        multistage_decode(ys, spec, inner_method="gmd")
+    for call in (lambda: multistage_decode(ys, spec, outer_method="gmd"),
+                 lambda: spec.outers[0].decode((0, 0), method="gmd"),
+                 lambda: spec.code.decode_bounded(word[0], method="gmd")):
+        with pytest.raises(ValueError, match="unknown decode method 'gmd'"):
+            call()
 
 
 def test_multistage_algebraic_inner_erasures(tiny2shot):
@@ -483,18 +492,17 @@ def test_multistage_stage_update_algebra(tiny2shot):
 
 
 def test_multistage_outer_failure_reports_stage(tiny2shot):
-    """Force an uncorrectable stage-0 pattern: replace both shots with
-    lifts of words from a different coset so the outer [2,1] code sees
-    two wrong symbols and no erasures -> algebraic failure at stage 0."""
+    """Replace both shots with lifts of words from two other level-0
+    cosets: the outer [2,1] code sees two wrong symbols and no erasures,
+    so its algebraic decoder fails at stage 0, after either inner step."""
     spec = tiny2shot
-    word = spec.encode([(0,), (0,)])
-    bad = spec.encode([(1,), (0,)])
-    mixed = (bad[0], spec.encode([(2,), (0,)])[1])
+    mixed = (spec.encode([(1,), (0,)])[0], spec.encode([(2,), (0,)])[1])
     ys = lift_multishot(spec.field, mixed)
-    res = multistage_decode(ys, spec, outer_method="algebraic")
-    if not res.ok:
-        assert res.stage_failed == 0
-        assert res.messages is None
+    for inner in ("exhaustive", "algebraic"):
+        res = multistage_decode(ys, spec, outer_method="algebraic", inner_method=inner)
+        assert not res.ok
+        assert res.stage_failed == 0 and res.messages is None
+        assert res.erasure_counts == [0] and res.wrong_inner_counts == [None]
         doc = res.to_json()
         assert doc["messages"] is None and doc["stage_failed"] == 0
 

@@ -1,10 +1,10 @@
 """The codebooks against brute force.
 
-linalg.span_codebook builds the Gabidulin and outer codebooks, and an
-exhaustive decoder reads a word's coset table entry off the product
-index it returns; the multilevel codebook is a table of R_0 rows built
-from those.  The brute force encodes every message in itertools.product
-order and sorts the codewords.
+linalg.span_codebook builds the Gabidulin and outer codebooks, and the
+multilevel codebook is a table of R_0 rows built from those; the coset
+tables read off its product index are checked in test_cosets.  The
+brute force encodes every message in itertools.product order and sorts
+the codewords.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import pytest
 
 from rankshot import errors
 from rankshot.channel import lift_multishot
-from rankshot.cosets import PartitionChain
 from rankshot.decoder import multistage_decode, oracle_decode_multishot
 from rankshot.fields import PrimeField
 from rankshot.gabidulin import GabidulinCode
@@ -81,26 +80,6 @@ def test_outer_codebooks_match_brute_force(specs, f8):
                         for m in itertools.product(range(fresh.field.size), repeat=fresh.k)),
                        key=lambda pair: pair[1])
         assert fresh.codewords() == brute
-
-
-def test_coset_tables_match_coset_leader(specs):
-    for name in ("q3", "tower", "k0-level"):
-        chain = specs[name].chain
-        fresh = PartitionChain(GabidulinCode(chain.field, chain.code.length, chain.code.dim,
-                                             chain.code.points), chain.ks)
-        for i in range(fresh.m):
-            table = fresh.coset_table(i)
-            assert fresh.subcode(i)._underlines is None
-            children = fresh.children_count(i)
-            assert len(table) == children
-            # the word with product index k lies in the coset of entry
-            # k % children, whose symbol is the level's SymbolMap image of
-            # the coset message
-            smap = specs[name].maps[i]
-            index = fresh.subcode(i).codebook_arrays()[1].tolist()
-            for k, w in zip(index, fresh.subcode(i).codewords()):
-                leader, message = fresh.coset_leader(i, w)
-                assert table[k % children] == (leader, smap.to_symbol(message))
 
 
 def test_span_codebook_orders_by_element_ints():
