@@ -30,6 +30,7 @@ import numpy as np
 
 from .linalg import basis_distances, received_basis
 from .multilevel import MultilevelCodeSpec
+from .outer import OuterCode
 from .reduction import received_word
 
 __all__ = [
@@ -177,6 +178,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     _check_received(Ys, spec)
     if inner_method not in _INNER_STEPS:
         raise ValueError(f"unknown inner method {inner_method!r}")
+    OuterCode.decoder_for(outer_method)  # refuse an unknown name before any set-up
     stage = _INNER_STEPS[inner_method](Ys, spec)
     ks, n = spec.chain.ks, spec.n
     accepted = [[0] * spec.code.dim for _ in range(n)]  # R_0 message of each shot's V_j

@@ -4,13 +4,15 @@ Outer codes are evaluation codes: a message (f_0 .. f_{k-1}) encodes to
 the values of the polynomial at the points 1, g, g^2, ..., g^(n-1),
 where g is the alphabet field's canonical generator element.  They are
 MDS with minimum Hamming distance n - k + 1 and decoded either by an
-exhaustive nearest-codeword scan (reference semantics; the codebook,
+exhaustive nearest-codeword decoder (reference semantics; the codebook,
 the F_q-span of the encodings of the single-digit messages built by
 linalg.span_codebook, is held in codeword order, so the first minimum
-is the smallest codeword tuple) or by a Gao-style algebraic decoder that
-handles errors and erasures up to 2e + f <= d - 1 and reports failure
-beyond that.  Gao's decoder interpolates the live positions in Lagrange
-form from per-code data, computed once: each point's linear factor
+of its scan is the smallest codeword tuple, and a received codeword is
+read from the codebook without a scan) or by a Gao-style algebraic
+decoder that handles errors and erasures up to 2e + f <= d - 1 and
+reports failure beyond that.  Gao's decoder interpolates the live
+positions in Lagrange form from per-code data, computed once: each
+point's linear factor
 x - x_i and the inverse differences 1 / (x_i - x_j).  A decode multiplies
 the live factors into g0, divides out each point's factor by synthetic
 division and scales by the product of its inverse differences; it
@@ -39,6 +41,14 @@ import numpy as np
 
 from .fields import ExtensionField, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim
 from .linalg import element_ints, single_digit_messages, span_codebook
+
+
+def _product_index(symbols, size: int) -> int:
+    """Index of *symbols* in itertools.product(range(size), repeat=len(symbols))."""
+    index = 0
+    for s in symbols:
+        index = index * size + s
+    return index
 
 
 def _base_digits(size: int, q: int) -> int:
@@ -107,17 +117,23 @@ class OuterCode:
             for x in points
         )
         self._codebook = None
+        self._by_message = None  # the codewords in message order, once enumerated
 
     @property
     def d_min(self) -> int:
         return self.n - self.k + 1
 
     def encode(self, message) -> tuple:
+        """The codeword of *message*: read from the message-order table
+        once codewords() has enumerated the code, else evaluated by
+        Horner's rule.  It never enumerates the code itself."""
         if len(message) != self.k:
             raise ValueError(f"message must have length {self.k}")
         coeffs = [int(c) for c in message]
         if coeffs and not 0 <= min(coeffs) <= max(coeffs) < self.field.size:
             raise ValueError(f"message symbols must lie in [0, {self.field.size})")
+        if self._by_message is not None:
+            return self._by_message[_product_index(coeffs, self.field.size)]
         return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
 
     def codewords(self) -> list:
@@ -127,6 +143,14 @@ class OuterCode:
         single base-q digit builds the codewords, as base-q coordinate
         stacks, and their product-order message indices; each message is
         read from itertools.product at its index.
+
+        The one enumeration also indexes the code both ways, exactly,
+        since encoding is a bijection.  Message to word: a list of the
+        same codeword tuples in message (product) order, which encode
+        reads.  Word to message: the codebook itself.  Any k positions of
+        an MDS codeword determine it, so the first k symbols of the
+        codewords run through every k-tuple once, and codeword order puts
+        the codeword whose first k symbols have product index j at row j.
         """
         if self._codebook is None:
             f, k = self.field, self.k
@@ -138,7 +162,12 @@ class OuterCode:
             stack, index = span_codebook(rows, k * width, q, (self.n, width))
             words = element_ints(stack, q).tolist()
             messages = list(itertools.product(range(f.size), repeat=k))
-            self._codebook = [(messages[m], tuple(w)) for m, w in zip(index.tolist(), words)]
+            index = index.tolist()
+            book = [(messages[m], tuple(w)) for m, w in zip(index, words)]
+            by_message = [None] * len(book)
+            for m, (_, cw) in zip(index, book):
+                by_message[m] = cw
+            self._codebook, self._by_message = book, by_message
         return self._codebook
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):
@@ -146,26 +175,40 @@ class OuterCode:
 
         Positions listed in *erasures* are ignored when counting
         disagreements.  The exhaustive method always returns the nearest
-        codeword's message; the algebraic method is bounded-distance and
-        fails (None) outside 2e + f <= d - 1.
+        codeword's message: with no erasures, a word that is a codeword
+        is read from the codebook's word-to-message index (distance 0 is
+        the unique minimum); any other word, and any word with erasures,
+        where several codewords can agree on the live positions, is
+        scanned.  The algebraic method is bounded-distance and fails
+        (None) outside 2e + f <= d - 1.
         """
         if len(word) != self.n:
             raise ValueError("word has the wrong length")
         erasures = tuple(sorted(set(int(e) for e in erasures)))
         if erasures and (erasures[0] < 0 or erasures[-1] >= self.n):
             raise ValueError("erasure index out of range")
-        if method == "exhaustive":
-            return self._decode_exhaustive(word, erasures)
-        if method == "algebraic":
-            return self._decode_gao(word, erasures)
-        raise ValueError(f"unknown decode method {method!r}")
+        return self.decoder_for(method)(self, word, erasures)
+
+    @classmethod
+    def decoder_for(cls, method: str):
+        """The decoder that *method* names; ValueError for an unknown name."""
+        if method not in cls._DECODERS:
+            raise ValueError(f"unknown decode method {method!r}")
+        return cls._DECODERS[method]
 
     def _decode_exhaustive(self, word, erasures):
+        book = self.codewords()
+        if not erasures:
+            # the candidate row is the product index of word[:k]; the
+            # comparison alone decides, whatever the word's symbols
+            row = _product_index(word[:self.k], self.field.size)
+            if 0 <= row < len(book) and book[row][1] == tuple(word):
+                return book[row][0]
         # the codebook is in codeword order, so the first strict minimum
         # is the smallest (distance, codeword) key
         live = [(i, word[i]) for i in range(self.n) if i not in erasures]
         best, best_msg = len(live) + 1, None
-        for msg, cw in self.codewords():
+        for msg, cw in book:
             dist = 0
             for i, w in live:
                 if cw[i] != w:
@@ -218,6 +261,8 @@ class OuterCode:
         if rem or len(quot) > self.k:
             return None
         return tuple(quot) + (0,) * (self.k - len(quot))
+
+    _DECODERS = {"exhaustive": _decode_exhaustive, "algebraic": _decode_gao}
 
     def __repr__(self):
         return f"OuterCode(n={self.n}, k={self.k}, alphabet={self.field.size})"

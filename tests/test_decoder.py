@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from rankshot.linalg import received_basis, subspace_distance_to_lifted
 from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
 from rankshot.reduction import rank_word, received_word, reduce_received
 from rankshot.fields import ExtensionField, PrimeField
+from rankshot.outer import OuterCode
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def all_messages(spec):
@@ -445,19 +449,47 @@ def test_multistage_algebraic_interpolates_unconfirmed_shots(code, outer, reques
     assert again > 0
 
 
-def test_multistage_rejects_unknown_inner_method(tiny2shot):
+def test_multistage_rejects_unknown_inner_method(tiny2shot, monkeypatch):
     """An unknown method name is refused: by the multistage decoder for
-    either step, and by the outer and Gabidulin decoders."""
+    either step, before any shot is row-reduced, and by the outer and
+    Gabidulin decoders."""
     spec = tiny2shot
     word = spec.encode([(0,), (0,)])
     ys = lift_multishot(spec.field, word)
+
+    def no_elimination(*args):
+        raise AssertionError("a shot was row-reduced")
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    monkeypatch.setattr(reduction, "rref_bits", no_elimination)
     with pytest.raises(ValueError, match="unknown inner method 'gmd'"):
         multistage_decode(ys, spec, inner_method="gmd")
     for call in (lambda: multistage_decode(ys, spec, outer_method="gmd"),
+                 lambda: multistage_decode(ys, spec, outer_method="gmd",
+                                           inner_method="algebraic"),
                  lambda: spec.outers[0].decode((0, 0), method="gmd"),
                  lambda: spec.code.decode_bounded(word[0], method="gmd")):
         with pytest.raises(ValueError, match="unknown decode method 'gmd'"):
             call()
+
+
+@pytest.mark.parametrize("doc", [json.loads((CONFIGS / "special_preset.json").read_text()),
+                                 {"special": {"q": 2, "M": 7, "N": 7, "K": 3, "n": 3, "d": 6}}],
+                         ids=["preset", "2^56"])
+def test_algebraic_role_never_enumerates_an_outer_code(doc, monkeypatch):
+    """The algebraic role decodes and re-encodes its outer codewords
+    without their codebook: OuterCode.encode reads the message-order
+    table only once codewords() has built it, and never builds it."""
+    spec = spec_from_json(doc)
+    rng = np.random.default_rng(29)
+    trials = [seeded_trial(spec, rho, tau, 0, rng) for rho in range(3) for tau in range(2)]
+
+    def no_codebook(self):
+        raise AssertionError("an outer codebook was enumerated")
+
+    monkeypatch.setattr(OuterCode, "codewords", no_codebook)
+    docs = [decoder.ROLES["algebraic"](ys, spec) for _, _, ys in trials]
+    assert docs[0]["messages"] == [list(m) for m in trials[0][0]]  # the clean channel
 
 
 def test_multistage_algebraic_inner_erasures(tiny2shot):

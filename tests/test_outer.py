@@ -81,6 +81,11 @@ def test_decode_identity(f8):
     code = OuterCode(f8, 3, 2)
     for msg in itertools.product(range(8), repeat=2):
         assert code.decode(code.encode(msg)) == msg
+    # a symbol outside the alphabet is in no codeword, whatever row its
+    # first k symbols index: the word is scanned
+    for word in ((7, 9, 0), (0, 9, 3), (-1, 0, 0)):
+        want = min((hamming(cw, word), cw, msg) for msg, cw in code.codewords())[2]
+        assert code.decode(word) == want
 
 
 def test_decode_single_error(f8):
@@ -151,14 +156,22 @@ def test_decode_algebraic_with_erasures(f8):
 
 
 def test_codewords_in_codeword_order(f8, f9):
+    """The codebook is in codeword order, its row j the codeword whose
+    first k symbols are the j-th k-tuple in product order, and encode
+    gives the same word before the codebook exists (Horner's rule) and
+    after (the message-order table)."""
     f4 = ExtensionField(PrimeField(2), degree=2)
-    for field, n, k in ((f8, 2, 1), (f9, 3, 1), (f4, 3, 2), (f8, 3, 2)):
+    for field, n, k in ((f8, 2, 1), (f9, 3, 1), (f4, 3, 2), (f8, 3, 2), (f8, 3, 0), (f4, 3, 3)):
         code = OuterCode(field, n, k)
+        messages = list(itertools.product(range(field.size), repeat=k))
+        before = [code.encode(msg) for msg in messages]
         book = code.codewords()
         assert len(book) == field.size ** k
         assert all(a < b for (_, a), (_, b) in zip(book, book[1:]))
+        assert [cw[:k] for _, cw in book] == messages
         for msg, cw in book:
             assert code.encode(msg) == cw
+        assert [code.encode(msg) for msg in messages] == before
 
 
 def test_exhaustive_decode_matches_brute_force(f8, f9):
