@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, json_int
-from .linalg import rank
+from .linalg import as_matrix, rank
 
 
 def lift(field, word) -> np.ndarray:
@@ -148,10 +148,10 @@ def sample_channel(cfg: ChannelConfig) -> ChannelDraw:
         inner = cfg.N - rho_j
         b = _random_full_rank(rng, cfg.N, inner, cfg.q)
         c = _random_full_rank(rng, inner, cfg.N, cfg.q)
-        As.append((b @ c) % cfg.q)
+        As.append(as_matrix(b @ c, cfg.q))
         f = _random_full_rank(rng, cfg.N, tau_j, cfg.q)
         h = _random_full_rank(rng, tau_j, cfg.T, cfg.q)
-        Zs.append((f @ h) % cfg.q)
+        Zs.append(as_matrix(f @ h, cfg.q))
     return ChannelDraw(As=tuple(As), Zs=tuple(Zs), rho_split=rho_split, tau_split=tau_split)
 
 
@@ -161,5 +161,5 @@ def apply_channel(draw: ChannelDraw, Xs, q: int) -> tuple:
         raise ValueError("shot count mismatch")
     out = []
     for a, x, z in zip(draw.As, Xs, draw.Zs):
-        out.append((a @ np.asarray(x, dtype=np.int64) + z) % q)
+        out.append(as_matrix(a @ np.asarray(x, dtype=np.int64) + z, q))
     return tuple(out)

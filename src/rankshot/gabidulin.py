@@ -132,7 +132,7 @@ class GabidulinCode:
         if method == "exhaustive":
             q = self.field.base.size
             ru = self.field.underline(received)
-            dists = rank_batch((self.codeword_underlines() - ru[None]) % q, q)
+            dists = rank_batch(self.codeword_underlines() - ru[None], q)
             return self.codeword(int(np.argmin(dists)))
         if method == "algebraic":
             return self.decode_rank_errors(received)

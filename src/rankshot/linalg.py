@@ -15,11 +15,12 @@ sampler's full-rank test read it.  kernel_field and solve_field (the
 reference coset split, cosets.coset_leader) run rref_field over
 extension fields.  The one other, rref_bits, row-reduces F_2 rows
 packed as ints for the algebraic decoder (reduction.received_word).
-rank_batch ranks a stack (count, r, c) without it: binary shapes with
-r*c <= 16 index a uint8 table of every bit pattern's rank, and every
-other shape runs one batched elimination over the whole stack, with
-rows packed into 64-bit words for q = 2 and c <= 64 and modular row
-updates otherwise.
+rank_batch ranks a stack (count, r, c) without it, and without
+division over F_2, where as_matrix reduces by a bit mask: every shape
+with q^(r*c) <= 2^16, whatever the prime q, indexes a uint8 table of
+every pattern's rank, and every other shape runs one batched
+elimination over the whole stack, with rows packed into 64-bit words
+for q = 2 and c <= 64 and modular row updates otherwise.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
@@ -42,12 +43,16 @@ import math
 
 import numpy as np
 
-from .errors import INT64_MAX, Q_GUARD, guard_enumeration, int64_products_fit, json_int
+from .errors import INT64_MAX, guard_enumeration, int64_products_fit, json_int
 from .fields import PrimeField
 
 
 def as_matrix(m, q: int) -> np.ndarray:
-    return np.mod(np.asarray(m, dtype=np.int64), q)
+    """int64 residues mod q of an integer array.  Over F_2 a bit mask,
+    which is mod 2 for every int64, negatives included (two's
+    complement), at a fraction of the cost of the division."""
+    m = np.asarray(m, dtype=np.int64)
+    return m & 1 if q == 2 else np.mod(m, q)
 
 
 def rref(m, q: int):
@@ -119,45 +124,52 @@ def _modular_ranks(mats, q: int) -> np.ndarray:
     return np.count_nonzero(mats.any(axis=2), axis=1)
 
 
-_F2_RANK_TABLES: dict = {}
+TABLE_PATTERNS = 1 << 16  # the most patterns one rank table holds
 
 
-def _f2_rank_table(r: int, c: int) -> np.ndarray:
-    """uint8 ranks of every binary r x c matrix, indexed by its bit pattern."""
-    key = (r, c)
-    tab = _F2_RANK_TABLES.get(key)
-    if tab is None:
+@functools.lru_cache(maxsize=64)
+def _rank_table(q: int, r: int, c: int) -> np.ndarray:
+    """uint8 ranks of every r x c matrix over F_q, indexed by its element
+    int: entry t of the row-major entries is base-q digit t.  Each table
+    holds at most TABLE_PATTERNS bytes, and the cache at most 64 tables;
+    each is filled once, by rank_batch's own elimination of every
+    pattern."""
+    idx = np.arange(q ** (r * c), dtype=np.int32)
+    if q == 2:
         # row i of bit pattern idx is the c-bit word idx >> (i * c); the
         # narrow dtypes keep the fill's transient arrays small, and the
         # column-major words give _xor_ranks contiguous per-row columns
-        idx = np.arange(1 << (r * c), dtype=np.int32)
         words = np.empty((idx.size, r), dtype=np.int8 if c <= 8 else np.int16, order="F")
         for i in range(r):
             words[:, i] = (idx >> (i * c)) & ((1 << c) - 1)
-        tab = _xor_ranks(words).astype(np.uint8)
-        _F2_RANK_TABLES[key] = tab
-    return tab
+        return _xor_ranks(words).astype(np.uint8)
+    # the narrowest dtype holding 2 (q-1)^2, the elimination's largest term
+    digits = idx[:, None] // q ** np.arange(r * c, dtype=np.int32) % q
+    mats = digits.astype(np.min_scalar_type(-2 * (q - 1) ** 2)).reshape(-1, r, c)
+    return _modular_ranks(mats, q).astype(np.uint8)
 
 
 def rank_batch(mats, q: int) -> np.ndarray:
     """Ranks of a stack of matrices, shape (count, r, c) -> int64 (count,).
 
-    Binary shapes with r*c <= 16 index a lookup table of every bit
-    pattern's rank; every other shape goes through one batched
-    elimination over the whole stack (packed XOR rows for q = 2 and
-    c <= 64, modular row updates otherwise).  q must be below Q_GUARD.
+    One rule for every prime q: a shape with q^(r*c) <= TABLE_PATTERNS
+    indexes a lookup table of every pattern's rank (_rank_table); every
+    other shape goes through one batched elimination over the whole
+    stack (packed XOR rows for q = 2 and c <= 64, modular row updates
+    otherwise).  Entries may be any int64s: as_matrix reduces them, by a
+    bit mask over F_2.  q must be a prime below Q_GUARD, the rule of
+    rank, checked before any table is built.
     """
-    if q >= Q_GUARD:
-        raise ValueError(f"rank_batch needs q below {Q_GUARD}, got {q}")
+    q = _prime_field(q).q  # a Python int, so q ** (r * c) cannot wrap
     mats = as_matrix(mats, q)
     if mats.ndim != 3:
         raise ValueError("expected a 3-d stack of matrices")
     count, r, c = mats.shape
     if r == 0 or c == 0:
         return np.zeros(count, dtype=np.int64)
-    if q == 2 and r * c <= 16:
-        idx = element_ints(mats.reshape(count, r * c), 2)
-        return _f2_rank_table(r, c)[idx].astype(np.int64)
+    if r * c <= 16 and q ** (r * c) <= TABLE_PATTERNS:  # q >= 2: 16 digits at most
+        idx = element_ints(mats.reshape(count, r * c), q)
+        return _rank_table(q, r, c)[idx].astype(np.int64)
     if q == 2 and c <= 64:
         # column 63's weight wraps to the int64 sign bit, which the XORs
         # and the lowest-set-bit trick treat like any other bit
@@ -251,8 +263,7 @@ def rank_distance(field, u, v) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     q = field.base.size
-    diff = (field.underline(v) - field.underline(u)) % q
-    return rank(diff, q)
+    return rank(field.underline(v) - field.underline(u), q)
 
 
 def extended_rank_distance(field, us, vs) -> int:

@@ -139,8 +139,7 @@ class MultilevelCodeSpec:
             for i, outer in enumerate(self.outers):
                 place = np.argsort([s for _, s in self.chain.coset_table(i)])  # symbol -> k
                 place *= Q ** (ks[0] - ks[i])
-                words = [word for _, word in sorted(outer.codewords())]
-                for j, symbols in enumerate(zip(*words)):
+                for j, symbols in enumerate(zip(*outer.codewords_by_message())):
                     grid[j] += place[list(symbols)].reshape([-1] + [1] * (self.m - 1 - i))
             for shot in table:
                 shot[:] = row_of[shot]

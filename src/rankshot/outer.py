@@ -170,6 +170,12 @@ class OuterCode:
             self._codebook, self._by_message = book, by_message
         return self._codebook
 
+    def codewords_by_message(self) -> list:
+        """The codewords in message (product) order (guarded): the list
+        encode reads, built by the one enumeration of codewords()."""
+        self.codewords()
+        return self._by_message
+
     def decode(self, word, erasures=(), method: str = "exhaustive"):
         """Decode to a message tuple, or None on failure.
 

@@ -96,7 +96,7 @@ def reduce_received(field, Y) -> ReductionTriple:
     head[pivots] = h[: len(pivots)]
     erased = tuple(i for i in range(n) if i not in pivots)
     eye = np.eye(n, dtype=np.int64)
-    L = (head - eye)[:, list(erased)] % q if erased else np.zeros((n, 0), dtype=np.int64)
+    L = as_matrix((head - eye)[:, list(erased)], q) if erased else np.zeros((n, 0), dtype=np.int64)
     return ReductionTriple(field=field, r=r, L=L, E=p[len(pivots):], erased=erased)
 
 
@@ -108,7 +108,7 @@ def reconstruct(triple: ReductionTriple) -> np.ndarray:
     head = np.eye(n, dtype=np.int64)
     if triple.erased:
         idx = list(triple.erased)
-        head[:, idx] = (head[:, idx] + triple.L) % q
+        head[:, idx] = as_matrix(head[:, idx] + triple.L, q)
     top = np.hstack([head, field.underline(triple.r)])
     delta = triple.delta
     if delta:

@@ -128,14 +128,15 @@ def test_rank_batch_matches_scalar_rank():
     assert rank_batch(big, 2).tolist() == [rank(m, 2) for m in big]
 
 
-def binary_patterns(rows, cols):
-    """Every binary rows x cols matrix; bit k of the index is entry k row-major."""
-    codes = np.arange(1 << (rows * cols))[:, None] >> np.arange(rows * cols)
-    return (codes & 1).reshape(-1, rows, cols)
+def patterns(q, rows, cols):
+    """Every rows x cols matrix over F_q; base-q digit k of the index is
+    entry k row-major."""
+    codes = np.arange(q ** (rows * cols))[:, None] // q ** np.arange(rows * cols)
+    return (codes % q).reshape(-1, rows, cols)
 
 
 def test_rank_batch_all_binary_4x4():
-    mats = binary_patterns(4, 4)
+    mats = patterns(2, 4, 4)
     assert rank_batch(mats, 2).tolist() == [rank(m, 2) for m in mats]
 
 
@@ -184,9 +185,60 @@ def test_rank_batch_binary_wide_rows():
 
 
 def test_f2_rank_tables_match_rank():
-    for r, c in ((3, 3), (3, 4), (4, 3), (2, 6), (1, 12), (12, 1), (4, 4), (2, 8), (1, 16)):
-        want = [rank(m, 2) for m in binary_patterns(r, c)]
-        assert linalg._f2_rank_table(r, c).tolist() == want
+    shapes = {2: ((3, 3), (3, 4), (4, 3), (2, 6), (1, 12), (12, 1), (4, 4), (2, 8), (1, 16)),
+              3: ((3, 3), (2, 5), (1, 10)), 5: ((2, 3),), 7: ((1, 5),)}
+    for q, qshapes in shapes.items():
+        for r, c in qshapes:
+            want = [rank(m, q) for m in patterns(q, r, c)]
+            assert linalg._rank_table(q, r, c).tolist() == want
+
+
+def test_f2_table_fill_never_runs_modular_ranks(monkeypatch):
+    """Over F_2 the tables fill by packed XOR rows; the general modular
+    fill would take tens of milliseconds for 2^16 patterns."""
+    def refuse(mats, q):
+        raise AssertionError("an F_2 table fill ran _modular_ranks")
+
+    linalg._rank_table.cache_clear()
+    monkeypatch.setattr(linalg, "_modular_ranks", refuse)
+    for r, c in ((4, 4), (2, 8), (1, 16), (16, 1), (3, 5)):
+        assert linalg._rank_table(2, r, c).size == 1 << (r * c)
+
+
+def test_as_matrix_over_f2_is_mod_2():
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    m = np.array([[lo, lo + 1, -3, -2, -1], [0, 1, 2, hi - 1, hi]], dtype=np.int64)
+    m = np.vstack([m, np.random.default_rng(61).integers(lo, hi, (40, 5), endpoint=True)])
+    got = linalg.as_matrix(m, 2)
+    assert got.dtype == np.int64 and np.array_equal(got, np.mod(m, 2))
+
+
+def test_rank_batch_on_unreduced_table_shapes():
+    """Every table shape of the primes 2, 3, 5 and 7, on entries that are
+    not residues: rank_batch reduces them as rank does."""
+    rng = np.random.default_rng(67)
+    for q in (2, 3, 5, 7):
+        for r in range(1, 17):
+            for c in range(1, 17):
+                if q ** (r * c) > linalg.TABLE_PATTERNS:
+                    break
+                mats = rng.integers(-20, 20, (12, r, c))
+                assert rank_batch(mats, q).tolist() == [rank(m, q) for m in mats], (q, r, c)
+
+
+def test_rank_batch_refuses_what_rank_refuses(monkeypatch):
+    """A q that is not prime is refused before any table is built:
+    eliminating mod 4 would rank diag(2, 2) as 1 and cache the error."""
+    def refuse(q, r, c):
+        raise AssertionError("a rank table was built for a field that is not prime")
+
+    monkeypatch.setattr(linalg, "_rank_table", refuse)
+    for q in (0, 1, 4, 6, 9):
+        mats = np.array([np.diag([2, 2]), np.diag([2, 3])])
+        with pytest.raises(ValueError, match="prime"):
+            rank(mats[0], q)
+        with pytest.raises(ValueError, match="prime"):
+            rank_batch(mats, q)
 
 
 def test_rank_batch_returns_int64_on_every_path():
@@ -199,7 +251,7 @@ def test_rank_batch_returns_int64_on_every_path():
 def test_rank_batch_4x4_binary_uses_the_table(monkeypatch):
     rng = np.random.default_rng(59)
     mats = rng.integers(0, 2, (256, 4, 4))
-    linalg._f2_rank_table(4, 4)
+    linalg._rank_table(2, 4, 4)
     calls = []
     real_xor_ranks = linalg._xor_ranks
 
@@ -211,6 +263,13 @@ def test_rank_batch_4x4_binary_uses_the_table(monkeypatch):
     got = rank_batch(mats, 2)
     assert calls == []
     assert got.tolist() == [rank(m, 2) for m in mats]
+    # q = 3 shapes with 3^(r*c) <= 2^16 read a table too, once it is filled
+    mats3 = rng.integers(0, 3, (256, 3, 3))
+    linalg._rank_table(3, 3, 3)
+    monkeypatch.setattr(linalg, "_modular_ranks", lambda mats, q: calls.append(mats.shape))
+    got3 = rank_batch(mats3, 3)
+    assert calls == []
+    assert got3.tolist() == [rank(m, 3) for m in mats3]
 
 
 def test_rank_batch_q_guard():
