@@ -16,6 +16,13 @@ Two decoders of the multilevel code:
   Diagnostics record, per stage, how many shots' inner decisions the
   outer decoder overruled.
 
+Both exhaustive decoders read each shot's scores over R_0 from
+shot_scores, which keeps them, with each shot's basis (received_bases),
+in a one-entry memo on the spec for the last received shots.  So a
+simulate trial row-reduces each received shot once and scores it over
+R_0 once, for ds_observed, the oracle and the multistage decoder
+together.  The memo's arrays are read-only.
+
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
 "multistage" (exhaustive steps) and "algebraic" (Gabidulin interpolation
@@ -35,6 +42,7 @@ from .reduction import received_word
 
 __all__ = [
     "ROLES",
+    "received_bases",
     "shot_scores",
     "oracle_decode_multishot",
     "MultistageResult",
@@ -51,12 +59,47 @@ def _check_received(Ys, spec: MultilevelCodeSpec):
         raise ValueError(f"received matrices need N + M = {width} columns")
 
 
-def shot_scores(Ys, spec: MultilevelCodeSpec) -> list:
+def _received(Ys, spec: MultilevelCodeSpec) -> list:
+    """spec's memo entry [key, bases, scores] for the received shots Ys.
+
+    The key is each shot's dtype, shape and bytes, so an array changed in
+    place misses.  A miss replaces the entry, row-reducing each shot once;
+    shot_scores fills the scores.  Callers keep the entry they were given,
+    so a miss in another thread changes nothing they read.
+    """
+    arrays = [np.asarray(y) for y in Ys]
+    key = [(y.dtype, y.shape, y.tobytes()) for y in arrays]
+    entry = spec.received_memo
+    if entry is None or entry[0] != key:
+        q, n = spec.field.base.size, spec.shot_length
+        bases = tuple(received_basis(y, n, q) for y in arrays)
+        for h, p in bases:
+            h.setflags(write=False)
+            p.setflags(write=False)
+        entry = spec.received_memo = [key, bases, None]
+    return entry
+
+
+def received_bases(Ys, spec: MultilevelCodeSpec) -> tuple:
+    """Per shot, the RREF basis (H, P) of <Y_j> (linalg.received_basis),
+    split after the shot length: one reduction per shot, shared through
+    the spec's memo with shot_scores and both exhaustive decoders."""
+    return _received(Ys, spec)[1]
+
+
+def shot_scores(Ys, spec: MultilevelCodeSpec) -> tuple:
     """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
-    codeword order, from one received_basis of the shot and one basis_distances."""
-    code = spec.code
-    q, und = code.field.base.size, code.codebook_arrays()[0]
-    return [basis_distances(*received_basis(y, code.length, q), und, q) for y in Ys]
+    codeword order: one basis_distances on the shot's memo basis, computed
+    once per received tuple and then read from the spec's memo."""
+    entry = _received(Ys, spec)
+    if entry[2] is None:
+        code = spec.code
+        q, und = code.field.base.size, code.codebook_arrays()[0]
+        scores = tuple(basis_distances(h, p, und, q) for h, p in entry[1])
+        for row in scores:
+            row.setflags(write=False)
+        entry[2] = scores
+    return entry[2]
 
 
 def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):

@@ -8,6 +8,9 @@ pure function of (master_seed, grid index, trial index): the message
 stream uses the seed sequence spawn key (gi, ti, 0) and the channel seed
 comes from (gi, ti, 1), so results are reproducible regardless of worker
 scheduling.  Records are emitted in (grid, trial, decoder) order.
+A trial's ds_observed, sum_j d_S(<Y_j>, lift(x_j)), is scored on the
+received bases the decoders then share (decoder.received_bases), so it
+enumerates nothing and each shot is row-reduced once a trial.
 
 The wall_us column is written as 0 unless timing is enabled, keeping
 output files byte-identical across repeated runs of the same config.
@@ -27,9 +30,9 @@ import numpy as np
 from .channel import (
     ChannelConfig, apply_channel, lift_multishot, sample_channel, split_from_json,
 )
-from .decoder import ROLES
+from .decoder import ROLES, received_bases
 from .errors import ConfigError, json_int
-from .linalg import subspace_distance_to_lifted
+from .linalg import basis_distances
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
 DEFAULT_DECODERS = ("oracle", "multistage")  # roles of decoder.ROLES
@@ -144,10 +147,11 @@ def run_trial(spec: MultilevelCodeSpec, rho: int, tau: int, split, master_seed: 
     xs = lift_multishot(field, word)
     draw = sample_channel(_channel_config(spec, rho, tau, split, chan_seed))
     ys = apply_channel(draw, xs, q)
-    ds_obs = sum(
-        subspace_distance_to_lifted(field.underline(w), y, q)
-        for w, y in zip(word, ys)
-    )
+    # each shot's basis is the decoders' own (decoder.received_bases), and
+    # xs[j][:, N:] is underline(word[j])
+    N = spec.shot_length
+    ds_obs = sum(int(basis_distances(h, p, x[None, :, N:], q)[0])
+                 for (h, p), x in zip(received_bases(ys, spec), xs))
     # each role's document is scored on the decisions it holds
     sent = {"codeword": [list(w) for w in word], "messages": [list(m) for m in messages]}
     records = []

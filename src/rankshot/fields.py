@@ -10,9 +10,10 @@ ExtensionField may itself be an ExtensionField.
 Moduli are monic irreducible polynomials kept as low-degree-first
 coefficient tuples.  When no modulus is given, the lexicographically
 smallest irreducible monic polynomial of the requested degree is used
-(coefficients compared low-degree-first).  Irreducibility is Rabin's
-test, polynomial in the degree and in log q: no field element is
-enumerated, so a large q costs no more than its bit length.
+(coefficients compared low-degree-first).  Irreducibility is a root
+test for quadratics and Rabin's test otherwise, both polynomial in the
+degree and in log q: no field element is enumerated, so a large q costs
+no more than its bit length.
 
 Fields of size at most _TABLE_LIMIT build exp/log tables at construction;
 larger fields keep polynomial arithmetic, and that size test is the only
@@ -194,18 +195,47 @@ def _poly_gcd(field, a, b):
     return a
 
 
-def is_irreducible(field, coeffs) -> bool:
-    """Rabin's test of a polynomial f of degree n >= 1 over F_Q, Q = field.size.
+def _quadratic_irreducible(field, f) -> bool:
+    """Whether a x^2 + b x + c, f = [c, b, a], has no root in F_Q.
 
-    f is irreducible iff it divides x^(Q^n) - x and shares no factor
-    with x^(Q^(n/p)) - x for any prime p dividing n.  The powers come
-    from n Q-th powerings mod f, each log2(Q) squarings: polynomial in
-    n and log Q, and no field element is enumerated.
+    In characteristic 2 it has one iff b = 0 (every element is a square)
+    or Tr(ac / b^2) = 0, Tr the absolute trace a + a^2 + ... +
+    a^(2^(k-1)), Q = 2^k.  In odd characteristic it has one iff its
+    discriminant b^2 - 4ac is a square, by Euler's criterion: zero, or
+    its (Q-1)/2-th power is 1.  About log2(Q) multiplications either way.
+    """
+    c, b, a = f
+    ac = field.mul(a, c)
+    if field.characteristic == 2:
+        if not b:
+            return False
+        s = trace = field.div(ac, field.mul(b, b))
+        for _ in range(field.size.bit_length() - 2):
+            s = field.mul(s, s)
+            trace = field.add(trace, s)
+        return trace == 1
+    ac2 = field.add(ac, ac)
+    disc = field.sub(field.mul(b, b), field.add(ac2, ac2))
+    return disc != 0 and field.pow(disc, (field.size - 1) // 2) != 1
+
+
+def is_irreducible(field, coeffs) -> bool:
+    """Whether a polynomial f of degree n >= 1 over F_Q, Q = field.size, is
+    irreducible.
+
+    A quadratic is irreducible iff it has no root (_quadratic_irreducible).
+    Any other degree runs Rabin's test: f is irreducible iff it divides
+    x^(Q^n) - x and shares no factor with x^(Q^(n/p)) - x for any prime
+    p dividing n.  The powers come from n Q-th powerings mod f, each
+    log2(Q) squarings.  Both are polynomial in n and log Q, and no field
+    element is enumerated.
     """
     f = poly_trim(coeffs)
     n = len(f) - 1
     if n < 1:
         return False
+    if n == 2:
+        return _quadratic_irreducible(field, f)
     x = poly_divmod(field, [0, 1], f)[1]
     frobenius = [x]                   # frobenius[k] = x^(Q^k) mod f
     for _ in range(n):

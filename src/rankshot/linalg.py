@@ -9,9 +9,8 @@ Every single-matrix elimination but one runs one routine, rref_field,
 on Python row lists through a field object's row primitives; on
 matrices of a few rows and at most a few dozen columns that beats
 per-call numpy overhead.  rref(m, q) is its numpy adapter over the
-cached PrimeField(q), so q must be a prime below Q_GUARD; rank counts
-its pivots, and reduction, Subspace, received_basis and the channel
-sampler's full-rank test read it.  kernel_field and solve_field (the
+cached PrimeField(q), so q must be a prime below Q_GUARD; reduction,
+Subspace and received_basis read it.  kernel_field and solve_field (the
 reference coset split, cosets.coset_leader) run rref_field over
 extension fields.  The one other, rref_bits, row-reduces F_2 rows
 packed as ints for the algebraic decoder (reduction.received_word).
@@ -20,14 +19,19 @@ division over F_2, where as_matrix reduces by a bit mask: every shape
 with q^(r*c) <= 2^16, whatever the prime q, indexes a uint8 table of
 every pattern's rank, and every other shape runs one batched
 elimination over the whole stack, with rows packed into 64-bit words
-for q = 2 and c <= 64 and modular row updates otherwise.
+for q = 2 and c <= 64 and modular row updates otherwise.  rank, of one
+matrix, reads the same table at an element int built in Python, which
+answers the channel sampler's full-rank tests; larger shapes count
+rref_field's pivots.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
-[H | P] (received_basis, one rref).  Every caller runs the two in turn:
-the exhaustive multistage decoder row-reduces each shot once, scores it
-once against R_0's codeword stack and reads every later stage's scores
-off that vector.
+[H | P] (received_basis, one rref).  A simulate trial reduces each
+received shot once (decoder.received_bases, a memo on the code spec)
+and scores that basis against the sent shot for ds_observed and, once,
+against R_0's codeword stack for the oracle and the exhaustive
+multistage decoder, which reads every later stage's scores off that
+vector.
 
 span_codebook is the one codebook enumerator: a Gabidulin or outer code
 is the F_q-span of the encodings of its single-digit messages, so one
@@ -74,9 +78,21 @@ def _prime_field(q: int) -> PrimeField:
 
 
 def rank(m, q: int) -> int:
-    """Rank mod prime q: the pivot count of rref_field, with no int64
-    result array built."""
-    return len(rref_field(_prime_field(q), as_matrix(m, q).tolist())[1])
+    """Rank mod prime q.  A shape with q^(r*c) <= TABLE_PATTERNS reads
+    rank_batch's table (_rank_table) at the matrix's element int, built
+    in Python from its entries; any other shape counts the pivots of
+    rref_field, with no int64 result array built.  q is checked first,
+    as by rref."""
+    field = _prime_field(q)
+    q = field.q  # a Python int, so q ** (r * c) cannot wrap
+    m = as_matrix(m, q)
+    r, c = m.shape
+    if 0 < r * c <= 16 and q ** (r * c) <= TABLE_PATTERNS:  # q >= 2: 16 digits at most
+        idx = 0
+        for x in reversed(m.ravel().tolist()):  # entry t is base-q digit t
+            idx = idx * q + x
+        return _rank_table(q, r, c).item(idx)
+    return len(rref_field(field, m.tolist())[1])
 
 
 def rankdef(m, q: int) -> int:
@@ -125,6 +141,7 @@ def _modular_ranks(mats, q: int) -> np.ndarray:
 
 
 TABLE_PATTERNS = 1 << 16  # the most patterns one rank table holds
+FILL_CHUNK = 1 << 12      # patterns a table fill ranks at once
 
 
 @functools.lru_cache(maxsize=64)
@@ -133,20 +150,26 @@ def _rank_table(q: int, r: int, c: int) -> np.ndarray:
     int: entry t of the row-major entries is base-q digit t.  Each table
     holds at most TABLE_PATTERNS bytes, and the cache at most 64 tables;
     each is filled once, by rank_batch's own elimination of every
-    pattern."""
-    idx = np.arange(q ** (r * c), dtype=np.int32)
-    if q == 2:
-        # row i of bit pattern idx is the c-bit word idx >> (i * c); the
-        # narrow dtypes keep the fill's transient arrays small, and the
-        # column-major words give _xor_ranks contiguous per-row columns
-        words = np.empty((idx.size, r), dtype=np.int8 if c <= 8 else np.int16, order="F")
-        for i in range(r):
-            words[:, i] = (idx >> (i * c)) & ((1 << c) - 1)
-        return _xor_ranks(words).astype(np.uint8)
-    # the narrowest dtype holding 2 (q-1)^2, the elimination's largest term
-    digits = idx[:, None] // q ** np.arange(r * c, dtype=np.int32) % q
-    mats = digits.astype(np.min_scalar_type(-2 * (q - 1) ** 2)).reshape(-1, r, c)
-    return _modular_ranks(mats, q).astype(np.uint8)
+    pattern, FILL_CHUNK patterns at a time, so that the fill's transient
+    arrays stay under 1 MiB whatever the table's size."""
+    table = np.empty(q ** (r * c), dtype=np.uint8)
+    for start in range(0, table.size, FILL_CHUNK):
+        idx = np.arange(start, min(start + FILL_CHUNK, table.size), dtype=np.int32)
+        if q == 2:
+            # row i of bit pattern idx is the c-bit word idx >> (i * c); the
+            # narrow dtypes keep the transient arrays small, and the
+            # column-major words give _xor_ranks contiguous per-row columns
+            words = np.empty((idx.size, r), dtype=np.int8 if c <= 8 else np.int16, order="F")
+            for i in range(r):
+                words[:, i] = (idx >> (i * c)) & ((1 << c) - 1)
+            ranks = _xor_ranks(words)
+        else:
+            # the narrowest dtype holding 2 (q-1)^2, the elimination's largest term
+            digits = idx[:, None] // q ** np.arange(r * c, dtype=np.int32) % q
+            mats = digits.astype(np.min_scalar_type(-2 * (q - 1) ** 2)).reshape(-1, r, c)
+            ranks = _modular_ranks(mats, q)
+        table[start:start + idx.size] = ranks
+    return table
 
 
 def rank_batch(mats, q: int) -> np.ndarray:
@@ -240,10 +263,12 @@ def basis_distances(h, p, und, q: int) -> np.ndarray:
     from [H | P] leaves [0 | P - H U], so dim([I|U] + <Y>) =
     N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y); any basis
     of <Y> will do, not only the RREF one.  One call scores a whole
-    codebook: the exhaustive multistage decoder scores each shot once
-    against R_0, and every word V + x it considers later, x in a level
-    subcode, is a row of R_0.  H U is taken in int64, so N (q-1)^2 + q
-    must stay inside it; a ValueError says when not.
+    codebook: decoder.shot_scores scores each shot once against R_0, and
+    every word V + x the exhaustive multistage decoder considers later,
+    x in a level subcode, is a row of R_0.  A one-word stack, the sent
+    shot's underline, gives a simulate trial's ds_observed.  H U is taken
+    in int64, so N (q-1)^2 + q must stay inside it; a ValueError says
+    when not.
     """
     _, n, m = und.shape
     if h.shape[1] != n or p.shape[1] != m:

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from rankshot import decoder, linalg, reduction
 from rankshot.channel import ChannelConfig, apply_channel, lift_multishot, sample_channel
 from rankshot.cosets import PartitionChain
 from rankshot.decoder import MultistageResult, multistage_decode, oracle_decode_multishot
+from rankshot.experiment import run_trial
 from rankshot.gabidulin import GabidulinCode
 from rankshot.linalg import received_basis, subspace_distance_to_lifted
 from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
@@ -317,12 +320,15 @@ def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, mo
 
 @pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
 def test_multistage_reads_each_shot_once(code, request, monkeypatch):
-    """Once the per-level coset tables exist, a default decode row-reduces
-    each received matrix once and reads every inner decision's split from
-    the tables, with no coset_leader call."""
+    """Once the per-level coset tables exist, a default decode of fresh shots
+    row-reduces each received matrix once and reads every inner decision's
+    split from the tables, with no coset_leader call.  A repeat decode of
+    the same shots row-reduces none (the spec's memo), and one whole
+    simulate trial with the oracle and the multistage decoder row-reduces
+    each shot once for ds_observed and both decoders together."""
     spec = request.getfixturevalue(code)
+    multistage_decode(seeded_trial(spec, 1, 1, 4, np.random.default_rng(58))[2], spec)
     _, _, ys = seeded_trial(spec, 2, 1, 5, np.random.default_rng(59))
-    first = multistage_decode(ys, spec)  # builds the tables
     rrefs, splits = [], []
     real_rref, real_leader = linalg.rref, PartitionChain.coset_leader
 
@@ -336,8 +342,83 @@ def test_multistage_reads_each_shot_once(code, request, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
-    assert multistage_decode(ys, spec) == first
+    first = multistage_decode(ys, spec)
     assert len(rrefs) == spec.n and splits == []
+    rrefs.clear()
+    assert multistage_decode(ys, spec) == first
+    assert rrefs == [] and splits == []
+    run_trial(spec, 2, 1, "uniform", 59, 0, 0, ("oracle", "multistage"))
+    assert len(rrefs) == spec.n and splits == []
+
+
+def _fresh_decodes(ys, spec):
+    """Both exhaustive decodes of ys with the spec's memo emptied first."""
+    spec.received_memo = None
+    return oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)
+
+
+def test_memo_alternating_shots_keep_their_own_answers(tiny2shot):
+    """Two received tuples decoded in turn on one spec each get the answer
+    a decode with an empty memo gives them."""
+    spec = tiny2shot
+    rng = np.random.default_rng(61)
+    inputs = [seeded_trial(spec, 1, 1, seed, rng)[2] for seed in (3, 8)]
+    want = [_fresh_decodes(ys, spec) for ys in inputs]
+    assert want[0] != want[1]
+    for k in (0, 1, 0, 1, 1, 0):
+        ys = inputs[k]
+        assert (oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)) == want[k]
+        assert multistage_decode(ys, spec) == want[k][1]
+
+
+def test_memo_misses_an_array_changed_in_place(tiny2shot):
+    """The memo keys on each shot's bytes, so writing new entries into the
+    same arrays between two decodes makes the second decode read them."""
+    spec = tiny2shot
+    rng = np.random.default_rng(67)
+    ys = [y.copy() for y in seeded_trial(spec, 1, 0, 2, rng)[2]]
+    other = seeded_trial(spec, 0, 1, 9, rng)[2]
+    want = _fresh_decodes(other, spec)
+    assert _fresh_decodes(ys, spec) != want
+    for y, z in zip(ys, other):
+        y[...] = z
+    assert (oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)) == want
+
+
+def test_memo_keeps_each_thread_on_its_own_shots(tiny2shot):
+    """Threads decoding different shots on one spec replace its memo entry
+    under one another; each decode reads the entry it was given, so every
+    answer is its own shots' answer."""
+    spec = tiny2shot
+    rng = np.random.default_rng(73)
+    inputs = [seeded_trial(spec, 1, 1, seed, rng)[2] for seed in range(6)]
+    want = [_fresh_decodes(ys, spec) for ys in inputs]
+
+    def work(k):
+        return [k for _ in range(20)
+                if (oracle_decode_multishot(inputs[k], spec),
+                    multistage_decode(inputs[k], spec)) != want[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+            futures = [pool.submit(work, k) for k in range(len(inputs))]
+            wrong = [k for f in futures for k in f.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_memo_bases_and_scores_are_read_only(tiny2shot):
+    spec = tiny2shot
+    _, _, ys = seeded_trial(spec, 1, 1, 4, np.random.default_rng(71))
+    (h, p), _ = decoder.received_bases(ys, spec)
+    scores = decoder.shot_scores(ys, spec)
+    assert len(scores) == spec.n and decoder.shot_scores(ys, spec) is scores
+    for arr in (h, p, scores[0], scores[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def reference_algebraic_multistage(ys, spec, outer_method):

@@ -23,6 +23,7 @@ from rankshot.experiment import (
     run_trial,
     trial_seeds,
 )
+from rankshot.linalg import subspace_distance_to_lifted
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -245,6 +246,41 @@ def test_simulate_tiny_pinned():
     )
 
 
+# a q = 3 code: 27^3 words in R_0 and 19,683 codewords
+Q3_SPEC = {"field": {"q": 3, "M": 3}, "N": 3, "K": 3, "Ks": [3, 1, 0], "n": 3,
+           "outers": [{"n": 3, "k": 1}, {"n": 3, "k": 1}]}
+
+
+def test_simulate_q3_pinned():
+    """The default-role simulate records of the q = 3 code are byte-identical
+    to the pinned stream, so the rank rules of the channel sampler and of
+    the decoders over an odd prime stay fixed: one sha256 over the CSV and
+    the JSON of a serial run (64 records)."""
+    cfg = parse_experiment_config({"spec": Q3_SPEC, "trials": 4, "master_seed": 3,
+                                   "channel": {"rho": [0, 1, 2, 3], "tau": [0, 1]}})
+    assert cfg.decoders == ("oracle", "multistage")
+    recs = run_experiment(cfg)
+    assert len(recs) == 64
+    h = hashlib.sha256()
+    h.update(records_to_csv(recs).encode())
+    h.update(records_to_json(recs).encode())
+    assert h.hexdigest() == (
+        "14e69c45816a38d0271e787cfb71c4ac2f6240e6ed1f83ee4c23af48b8ca751a"
+    )
+
+
+def _trial_shots(cfg, spec, r):
+    """(messages, word, ys) of record r's trial, drawn as run_trial draws them."""
+    msg_rng, chan_seed = trial_seeds(cfg.master_seed, cfg.grid.index((r.rho, r.tau)), r.trial)
+    messages = spec.random_messages(msg_rng)
+    word = spec.encode(messages)
+    q = spec.field.base.size
+    draw = sample_channel(ChannelConfig(
+        rho=r.rho, tau=r.tau, n=spec.n, seed=chan_seed, N=spec.shot_length,
+        T=spec.lifted_length, q=q, split=cfg.split))
+    return messages, word, apply_channel(draw, lift_multishot(spec.field, word), q)
+
+
 def test_algebraic_records_match_a_direct_decode():
     """Each algebraic record of configs/simulate_tiny.json is what
     multistage_decode(..., "algebraic", "algebraic") makes of its trial."""
@@ -254,13 +290,7 @@ def test_algebraic_records_match_a_direct_decode():
     recs = run_experiment(cfg)
     assert len(recs) == len(cfg.grid) * cfg.trials
     for r in recs:
-        msg_rng, chan_seed = trial_seeds(cfg.master_seed, cfg.grid.index((r.rho, r.tau)),
-                                         r.trial)
-        messages = spec.random_messages(msg_rng)
-        draw = sample_channel(ChannelConfig(
-            rho=r.rho, tau=r.tau, n=spec.n, seed=chan_seed, N=spec.shot_length,
-            T=spec.lifted_length, q=2, split=cfg.split))
-        ys = apply_channel(draw, lift_multishot(spec.field, spec.encode(messages)), 2)
+        messages, _, ys = _trial_shots(cfg, spec, r)
         res = multistage_decode(ys, spec, "algebraic", "algebraic")
         assert r.decoder == "algebraic"
         assert r.success == (res.ok and res.messages == [tuple(m) for m in messages])
@@ -269,6 +299,28 @@ def test_algebraic_records_match_a_direct_decode():
     # the grid reaches past the budget: trials succeed, and fail at each stage
     assert 0 < sum(r.success for r in recs) < len(recs)
     assert {r.stage_failed for r in recs} == {None, 0, 1}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(json.loads((CONFIGS / "simulate_tiny.json").read_text()), trials=12),
+    {"spec": Q3_SPEC, "trials": 3, "channel": {"rho": [0, 2], "tau": [0, 1, 2]}},
+    # the 2^56 code: no decoder here enumerates, and ds_observed does not either
+    {"spec": {"special": {"q": 2, "M": 7, "N": 7, "K": 3, "n": 3, "d": 6}}, "trials": 3,
+     "channel": {"rho": 3, "tau": 2}, "decoders": ["algebraic"]},
+], ids=["tiny", "q3", "2^56"])
+def test_ds_observed_is_the_summed_lifted_distance(doc):
+    """Every record's ds_observed, read off the decoders' shared bases, is
+    sum_j d_S(<Y_j>, lift(x_j)) computed from scratch."""
+    cfg = parse_experiment_config(doc)
+    spec = cfg.spec()
+    q = spec.field.base.size
+    recs = run_experiment(cfg)
+    assert len(recs) == len(cfg.grid) * cfg.trials * len(cfg.decoders)
+    for r in recs:
+        _, word, ys = _trial_shots(cfg, spec, r)
+        assert r.ds_observed == sum(subspace_distance_to_lifted(spec.field.underline(w), y, q)
+                                    for w, y in zip(word, ys))
+    assert len({r.ds_observed for r in recs}) > 1
 
 
 def test_json_records_include_fer():

@@ -105,6 +105,20 @@ def test_rabin_test_matches_trial_division():
             assert default_modulus(field, deg) == lex_first
 
 
+def test_quadratic_root_test_matches_root_search():
+    """A monic quadratic is irreducible iff no element is a root: the trace
+    rule in characteristic 2 and Euler's criterion in odd characteristic
+    agree with a search over every element."""
+    f2, f3 = PrimeField(2), PrimeField(3)
+    fields = (f2, f3, ExtensionField(f2, degree=2), PrimeField(5),
+              ExtensionField(f2, degree=3), ExtensionField(f3, degree=2))
+    for field in fields:
+        for c, b in itertools.product(range(field.size), repeat=2):
+            has_root = any(field.add(field.mul(x, field.add(x, b)), c) == 0
+                           for x in field.elements())
+            assert is_irreducible(field, [c, b, 1]) == (not has_root), (field, c, b)
+
+
 def test_irreducibility_never_enumerates_the_base_field():
     big = PrimeField(Q_GUARD - 1)
     tracemalloc.start()

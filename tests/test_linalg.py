@@ -1,5 +1,8 @@
 """RREF, ranks, subspaces, and the four distances over F_q."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from rankshot.linalg import (
     subspace_distance_to_lifted,
 )
 from rankshot.channel import lift
+from rankshot.fields import PrimeField
 from rankshot.multilevel import special_situation
 
 
@@ -108,6 +112,12 @@ def test_rref_bits_is_rref_packed():
         assert linalg.rref_bits(pack(m)) == pack(R[: len(piv)])
 
 
+def pivot_count(m, q):
+    """The reference rank: the pivot count of rref_field over PrimeField(q),
+    whatever the shape."""
+    return len(rref_field(PrimeField(q), (np.asarray(m) % q).tolist())[1])
+
+
 def test_rank_and_rankdef():
     assert rank(np.eye(4, dtype=np.int64), 2) == 4
     assert rankdef(np.eye(4, dtype=np.int64), 2) == 0
@@ -122,7 +132,7 @@ def test_rank_batch_matches_scalar_rank():
         mats = rng.integers(0, q, (40, 3, 4))
         got = rank_batch(mats, q)
         want = [rank(m, q) for m in mats]
-        assert got.tolist() == want
+        assert got.tolist() == want == [pivot_count(m, q) for m in mats]
     # shapes beyond the F_2 table limit fall back to elimination
     big = rng.integers(0, 2, (10, 4, 5))
     assert rank_batch(big, 2).tolist() == [rank(m, 2) for m in big]
@@ -137,7 +147,7 @@ def patterns(q, rows, cols):
 
 def test_rank_batch_all_binary_4x4():
     mats = patterns(2, 4, 4)
-    assert rank_batch(mats, 2).tolist() == [rank(m, 2) for m in mats]
+    assert rank_batch(mats, 2).tolist() == [pivot_count(m, 2) for m in mats]
 
 
 @st.composite
@@ -156,7 +166,8 @@ def _stacks(draw):
 @given(stack=_stacks())
 def test_rank_batch_matches_rank_property(stack):
     q, mats = stack
-    assert rank_batch(mats, q).tolist() == [rank(m, q) for m in mats]
+    assert rank_batch(mats, q).tolist() == [pivot_count(m, q) for m in mats]
+    assert [rank(m, q) for m in mats[:20]] == [pivot_count(m, q) for m in mats[:20]]
 
 
 def test_rank_batch_edge_shapes():
@@ -189,7 +200,7 @@ def test_f2_rank_tables_match_rank():
               3: ((3, 3), (2, 5), (1, 10)), 5: ((2, 3),), 7: ((1, 5),)}
     for q, qshapes in shapes.items():
         for r, c in qshapes:
-            want = [rank(m, q) for m in patterns(q, r, c)]
+            want = [pivot_count(m, q) for m in patterns(q, r, c)]
             assert linalg._rank_table(q, r, c).tolist() == want
 
 
@@ -203,6 +214,21 @@ def test_f2_table_fill_never_runs_modular_ranks(monkeypatch):
     monkeypatch.setattr(linalg, "_modular_ranks", refuse)
     for r, c in ((4, 4), (2, 8), (1, 16), (16, 1), (3, 5)):
         assert linalg._rank_table(2, r, c).size == 1 << (r * c)
+
+
+def test_table_fill_holds_little_at_once():
+    """A table fill ranks FILL_CHUNK patterns at a time, so its transient
+    arrays stay small next to the table, whatever its size: the channel
+    sampler fills tables in processes whose peak RSS is gated."""
+    for q, r, c in ((2, 4, 4), (2, 1, 16), (3, 2, 5)):
+        tracemalloc.start()
+        try:
+            table = linalg._rank_table.__wrapped__(q, r, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < 768 << 10, (q, r, c, peak)
+        assert np.array_equal(table, linalg._rank_table(q, r, c))
 
 
 def test_as_matrix_over_f2_is_mod_2():
@@ -239,6 +265,56 @@ def test_rank_batch_refuses_what_rank_refuses(monkeypatch):
             rank(mats[0], q)
         with pytest.raises(ValueError, match="prime"):
             rank_batch(mats, q)
+
+
+def test_rank_reads_the_table_exactly(monkeypatch):
+    """rank equals rref's pivot count on every 3x3 over F_2 and F_3 and on
+    every matrix of three wide or tall table shapes, read off the rank
+    table with no elimination, and on shapes just past the table limit,
+    which eliminate; unreduced entries rank as their residues."""
+    calls = []
+    real = linalg.rref_field
+
+    def counting(field, rows):
+        calls.append(len(rows))
+        return real(field, rows)
+
+    for q, (r, c) in ((2, (3, 3)), (3, (3, 3)), (2, (2, 5)), (2, (4, 3)), (3, (2, 3))):
+        mats = patterns(q, r, c)
+        want = [pivot_count(m, q) for m in mats]
+        monkeypatch.setattr(linalg, "rref_field", counting)
+        assert [rank(m, q) for m in mats] == want
+        assert [rank(m - 2 * q, q) for m in mats[::97]] == want[::97]
+        assert calls == []
+        monkeypatch.setattr(linalg, "rref_field", real)
+    rng = np.random.default_rng(53)
+    # 5^9, 3^12, 7^6 and 2^17 patterns, each past TABLE_PATTERNS = 2^16
+    for q, shape in ((5, (3, 3)), (3, (3, 4)), (7, (2, 3)), (2, (1, 17)), (2, (17, 1))):
+        mats = np.concatenate([rng.integers(0, q, (30, *shape)),
+                               rng.integers(0, q, (30, shape[0], 1))
+                               @ rng.integers(0, q, (30, 1, shape[1]))])
+        monkeypatch.setattr(linalg, "rref_field", counting)
+        got = [rank(m, q) for m in mats]
+        monkeypatch.setattr(linalg, "rref_field", real)
+        assert got == [pivot_count(m, q) for m in mats] and len(calls) == len(mats)
+        assert set(got) != {got[0]}
+        calls.clear()
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert rank(np.zeros(shape, dtype=np.int64), 3) == 0
+
+
+def test_rank_refuses_q_before_reducing(monkeypatch):
+    """q in {0, 1, 4} raises rank's ValueError before as_matrix reduces
+    anything, so no numpy warning (a remainder by zero) comes first."""
+    def refuse(m, q):
+        raise AssertionError("as_matrix ran before q was checked")
+
+    monkeypatch.setattr(linalg, "as_matrix", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0, 1, 4):
+            with pytest.raises(ValueError, match="prime"):
+                rank(np.eye(3, dtype=np.int64), q)
 
 
 def test_rank_batch_returns_int64_on_every_path():
