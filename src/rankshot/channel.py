@@ -12,7 +12,10 @@ Z_j = F H likewise with inner dimension tau_j.  Budget splits across
 shots are uniform over weak compositions by default, may be forced onto
 the first shot, or given explicitly as one (rho_j, tau_j) pair per shot;
 ChannelConfig.validate checks all three without drawing.  Draws are a
-pure function of the config, including its seed.
+pure function of the config, including its seed.  Every entry of B, C,
+F and H, rejected attempts included, comes in order off one buffered
+stream of the generator, the values one rng.integers call per attempt
+reads; a full-rank test is one rank-table lookup on small shapes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, json_int
-from .linalg import as_matrix, rank
+from .linalg import as_matrix, entries_rank
 
 
 def lift(field, word) -> np.ndarray:
@@ -108,24 +111,39 @@ def _random_composition(rng: np.random.Generator, total: int, parts: int, cap: i
     if parts == 1:
         return (total,)
     while True:
-        bars = np.sort(rng.choice(total + parts - 1, size=parts - 1, replace=False))
+        bars = np.sort(rng.choice(total + parts - 1, size=parts - 1, replace=False)).tolist()
         out = []
         prev = -1
-        for b in list(bars) + [total + parts - 1]:
-            out.append(int(b) - prev - 1)
-            prev = int(b)
+        for b in bars + [total + parts - 1]:
+            out.append(b - prev - 1)
+            prev = b
         if max(out) <= cap:
             return tuple(out)
 
 
-def _random_full_rank(rng: np.random.Generator, rows: int, cols: int, q: int) -> np.ndarray:
-    target = min(rows, cols)
-    if target == 0:
-        return np.zeros((rows, cols), dtype=np.int64)
+def _random_full_rank(rng, buf: list, q: int, rows: int, cols: int) -> np.ndarray:
+    """Uniform full-rank rows x cols matrix: the first attempt, of the next
+    n = rows*cols entries of the stream (*buf* holds those drawn, unread), of
+    rank min(rows, cols).  A short *buf* draws max(n - len(buf), 128) more, so
+    it never holds n + 128.  numpy draws an int64 in [0, q), q - 1 < 2^32,
+    from 32-bit outputs with no per-call buffer, so chunks equal one draw."""
+    target, n = min(rows, cols), rows * cols
     while True:
-        m = rng.integers(0, q, size=(rows, cols), dtype=np.int64)
-        if rank(m, q) == target:
-            return m
+        if len(buf) < n:
+            buf += rng.integers(0, q, size=max(n - len(buf), 128), dtype=np.int64).tolist()
+        flat = buf[:n]
+        del buf[:n]
+        if entries_rank(flat, q, rows, cols) == target:
+            return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+def _random_product(rng, buf: list, q: int, rows: int, inner: int, cols: int) -> np.ndarray:
+    """B C for uniform full-rank B (rows x inner) and C (inner x cols), so of
+    rank inner; the zero matrix, with no draw, when inner is 0."""
+    if inner == 0:
+        return np.zeros((rows, cols), dtype=np.int64)
+    b = _random_full_rank(rng, buf, q, rows, inner)
+    return as_matrix(b @ _random_full_rank(rng, buf, q, inner, cols), q)
 
 
 def _split_budgets(cfg: ChannelConfig, rng: np.random.Generator):
@@ -143,15 +161,11 @@ def sample_channel(cfg: ChannelConfig) -> ChannelDraw:
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     rho_split, tau_split = _split_budgets(cfg, rng)
+    buf = []  # one stream of entries for every matrix of the draw
     As, Zs = [], []
     for rho_j, tau_j in zip(rho_split, tau_split):
-        inner = cfg.N - rho_j
-        b = _random_full_rank(rng, cfg.N, inner, cfg.q)
-        c = _random_full_rank(rng, inner, cfg.N, cfg.q)
-        As.append(as_matrix(b @ c, cfg.q))
-        f = _random_full_rank(rng, cfg.N, tau_j, cfg.q)
-        h = _random_full_rank(rng, tau_j, cfg.T, cfg.q)
-        Zs.append(as_matrix(f @ h, cfg.q))
+        As.append(_random_product(rng, buf, cfg.q, cfg.N, cfg.N - rho_j, cfg.N))
+        Zs.append(_random_product(rng, buf, cfg.q, cfg.N, tau_j, cfg.T))
     return ChannelDraw(As=tuple(As), Zs=tuple(Zs), rho_split=rho_split, tau_split=tau_split)
 
 

@@ -20,9 +20,8 @@ with q^(r*c) <= 2^16, whatever the prime q, indexes a uint8 table of
 every pattern's rank, and every other shape runs one batched
 elimination over the whole stack, with rows packed into 64-bit words
 for q = 2 and c <= 64 and modular row updates otherwise.  rank, of one
-matrix, reads the same table at an element int built in Python, which
-answers the channel sampler's full-rank tests; larger shapes count
-rref_field's pivots.
+matrix, and the channel sampler's full-rank tests read the same table
+through entries_rank; larger shapes count rref_field's pivots.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
@@ -78,21 +77,25 @@ def _prime_field(q: int) -> PrimeField:
 
 
 def rank(m, q: int) -> int:
-    """Rank mod prime q.  A shape with q^(r*c) <= TABLE_PATTERNS reads
-    rank_batch's table (_rank_table) at the matrix's element int, built
-    in Python from its entries; any other shape counts the pivots of
-    rref_field, with no int64 result array built.  q is checked first,
-    as by rref."""
-    field = _prime_field(q)
-    q = field.q  # a Python int, so q ** (r * c) cannot wrap
+    """Rank mod prime q (entries_rank); q is checked first, as by rref."""
+    q = _prime_field(q).q
     m = as_matrix(m, q)
     r, c = m.shape
+    return entries_rank(m.ravel().tolist(), q, r, c)
+
+
+def entries_rank(entries: list, q: int, r: int, c: int) -> int:
+    """Rank mod prime q of the r x c matrix of row-major *entries*, Python
+    ints in [0, q): rank_batch's table (_rank_table) at their element int
+    when q^(r*c) <= TABLE_PATTERNS, else rref_field's pivot count."""
+    field = _prime_field(q)
+    q = field.q  # a Python int, so q ** (r * c) cannot wrap
     if 0 < r * c <= 16 and q ** (r * c) <= TABLE_PATTERNS:  # q >= 2: 16 digits at most
         idx = 0
-        for x in reversed(m.ravel().tolist()):  # entry t is base-q digit t
+        for x in reversed(entries):  # entry t is base-q digit t
             idx = idx * q + x
         return _rank_table(q, r, c).item(idx)
-    return len(rref_field(field, m.tolist())[1])
+    return len(rref_field(field, [entries[i * c:(i + 1) * c] for i in range(r)])[1])
 
 
 def rankdef(m, q: int) -> int:

@@ -1,12 +1,15 @@
 """Lifting and the budgeted multiplicative-additive matrix channel."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import rankshot.linalg
 from rankshot.channel import (
     ChannelConfig,
+    _split_budgets,
     apply_channel,
     config_from_json,
     lift,
@@ -14,7 +17,7 @@ from rankshot.channel import (
     sample_channel,
 )
 from rankshot.errors import ConfigError
-from rankshot.linalg import Subspace, rank, rankdef, subspace_distance
+from rankshot.linalg import TABLE_PATTERNS, Subspace, as_matrix, rank, rankdef, subspace_distance
 
 
 def test_lift_hand_example(f8):
@@ -119,8 +122,8 @@ def test_channel_stream_pinned():
     One sha256 over the shapes and int64 bytes of every A_j and Z_j and
     the realized splits, for q in {2, 3, 5}, three (N, T) shapes, a
     rho/tau grid reaching the per-shot cap, both split modes and seeds
-    0-5.  A sampler speed-up must keep every RNG call, so it keeps this
-    digest.
+    0-5.  A sampler speed-up must read the same values of the generator's
+    stream, in the same order, so it keeps this digest.
     """
     h = hashlib.sha256()
     for q in (2, 3, 5):
@@ -139,6 +142,96 @@ def test_channel_stream_pinned():
     assert h.hexdigest() == (
         "e8dc178c5bc2dc77be745d09e29148ecc5255cf234824f539b51d6c4ccc20062"
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 2**31 - 1])
+def test_int64_draws_concatenate(q):
+    """The numpy property the sampler's buffered stream rests on: bounded
+    int64 draws with q - 1 < 2^32 take 32-bit outputs of the bit generator
+    with no per-call buffer, so chunked Generator.integers(0, q, size=...,
+    dtype=np.int64) draws equal one draw of their total size."""
+    sizes = (9, 3, 1, 18, 5, 64, 128, 1)
+    for seed in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng.choice(5, size=2, replace=False)  # the split draws come first
+        chunks = np.concatenate([rng.integers(0, q, size=k, dtype=np.int64) for k in sizes])
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng.choice(5, size=2, replace=False)
+        whole = rng.integers(0, q, size=sum(sizes), dtype=np.int64)
+        assert np.array_equal(chunks, whole), (
+            f"numpy no longer draws chunked int64 integers below q={q} as one draw "
+            "of their total size; the channel sampler's buffered stream relies on it")
+
+
+def _reference_sample_channel(cfg):
+    """The sampler with one rng.integers call and one rank per attempt."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rho_split, tau_split = _split_budgets(cfg, rng)
+
+    def full_rank(rows, cols):
+        if min(rows, cols) == 0:
+            return np.zeros((rows, cols), dtype=np.int64)
+        while True:
+            m = rng.integers(0, cfg.q, size=(rows, cols), dtype=np.int64)
+            if rank(m, cfg.q) == min(rows, cols):
+                return m
+
+    As, Zs = [], []
+    for rho_j, tau_j in zip(rho_split, tau_split):
+        b = full_rank(cfg.N, cfg.N - rho_j)
+        c = full_rank(cfg.N - rho_j, cfg.N)
+        As.append(as_matrix(b @ c, cfg.q))
+        f = full_rank(cfg.N, tau_j)
+        h = full_rank(tau_j, cfg.T)
+        Zs.append(as_matrix(f @ h, cfg.q))
+    return As, Zs, rho_split, tau_split
+
+
+@pytest.mark.parametrize("kw", [
+    dict(rho=3, tau=2, n=3, N=3, T=6, q=2),
+    dict(rho=2, tau=3, n=3, N=3, T=7, q=3, split=((1, 2), (0, 0), (1, 1))),
+    dict(rho=3, tau=3, n=2, N=3, T=6, q=2, split="first"),
+    dict(rho=2, tau=2, n=2, N=3, T=5, q=3),
+    dict(rho=1, tau=3, n=2, N=4, T=8, q=2, split=((1, 3), (0, 0))),
+])
+def test_sampler_matches_reference_loop(kw, monkeypatch):
+    """Byte-equal draws on cases the pinned digest skips: n = 3, a custom
+    split, "first" at the per-shot cap, q = 3, and H of 3 x 8 over F_2,
+    2^24 patterns, past the rank table, where rank counts pivots."""
+    fallbacks = []  # rref_field calls: full-rank tests past the rank table
+    rref_field = rankshot.linalg.rref_field
+    monkeypatch.setattr(rankshot.linalg, "rref_field",
+                        lambda *a: fallbacks.append(a) or rref_field(*a))
+    sampler_fallbacks = 0
+    for seed in range(25):
+        cfg = ChannelConfig(seed=seed, **kw)
+        fallbacks.clear()
+        draw = sample_channel(cfg)
+        sampler_fallbacks += len(fallbacks)
+        As, Zs, rho_split, tau_split = _reference_sample_channel(cfg)
+        assert (draw.rho_split, draw.tau_split) == (rho_split, tau_split)
+        for got, want in zip(draw.As + draw.Zs, As + Zs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    if kw["T"] == 8:
+        assert 2 ** 24 > TABLE_PATTERNS and sampler_fallbacks > 0
+
+
+def test_sampler_buffer_bounded():
+    """A draw's transient memory stays within a few of its matrices' bytes:
+    the entry buffer holds under n + 128 entries for an n-entry matrix,
+    whatever the attempts, and goes with the call."""
+    cfg = ChannelConfig(rho=1, tau=3, n=2, seed=11, N=3, T=4096, q=2)
+    sample_channel(cfg)  # rank tables and caches filled outside the trace
+    tracemalloc.start()
+    try:
+        draw = sample_channel(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = sum(m.nbytes for m in draw.As + draw.Zs)
+    assert max(draw.tau_split) == 3  # one H of 3 x 4096
+    assert peak <= 3 * matrix_bytes, (peak, matrix_bytes)
 
 
 def test_apply_channel_identity(f8):
