@@ -7,7 +7,7 @@ Two decoders of the multilevel code:
   subspace distance to the received row spaces.  It is exact but
   exponential, and guarantees success whenever rho + 2*tau stays below
   half the design subspace distance.  Every shot is a word of R_0, so
-  it sums each shot's scores over R_0 (shot_scores) gathered at the
+  it sums each shot's scores over R_0 (Received.scores) gathered at the
   codebook's table of R_0 rows (MultilevelCodeSpec.codebook_arrays),
   in codeword order: the first minimum is the smallest codeword.
 
@@ -16,12 +16,11 @@ Two decoders of the multilevel code:
   Diagnostics record, per stage, how many shots' inner decisions the
   outer decoder overruled.
 
-Both exhaustive decoders read each shot's scores over R_0 from
-shot_scores, which keeps them, with each shot's basis (received_bases),
-in a one-entry memo on the spec for the last received shots.  So a
-simulate trial row-reduces each received shot once and scores it over
-R_0 once, for ds_observed, the oracle and the multistage decoder
-together.  The memo's arrays are read-only.
+Both take the shots as a Received value, or build one from a tuple of
+arrays.  It belongs to one decode: it checks the shots once and keeps
+each shot's basis and scores over R_0 after their first use, so a
+simulate trial, which builds one and hands it to ds_observed and every
+role, row-reduces each received shot once and scores it over R_0 once.
 
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
@@ -31,6 +30,7 @@ per shot, Gao's errors-and-erasures decoder across shots).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,72 +42,63 @@ from .reduction import received_word
 
 __all__ = [
     "ROLES",
-    "received_bases",
-    "shot_scores",
+    "Received",
     "oracle_decode_multishot",
     "MultistageResult",
     "multistage_decode",
 ]
 
 
-def _check_received(Ys, spec: MultilevelCodeSpec):
-    """Refuse a wrong shot count or shape before any shot is row-reduced."""
-    if len(Ys) != spec.n:
-        raise ValueError(f"need {spec.n} received matrices")
-    width = spec.lifted_length
-    if any(np.shape(y)[1:] != (width,) for y in Ys):  # 2-D, N + M columns
-        raise ValueError(f"received matrices need N + M = {width} columns")
+class Received(tuple):
+    """The received shots Y_1 .. Y_n of one decode, as arrays, and its spec.
 
-
-def _received(Ys, spec: MultilevelCodeSpec) -> list:
-    """spec's memo entry [key, bases, scores] for the received shots Ys.
-
-    The key is each shot's dtype, shape and bytes, so an array changed in
-    place misses.  A miss replaces the entry, row-reducing each shot once;
-    shot_scores fills the scores.  Callers keep the entry they were given,
-    so a miss in another thread changes nothing they read.
+    Received(Ys, spec) refuses a wrong shot count, a shot that is not a
+    matrix with N + M columns and a shot without integer entries before
+    any shot is row-reduced; given a Received of the same spec, it returns
+    that value.  bases and scores are computed on first use and kept on
+    the value, so every decoder handed it shares them.  It holds the
+    caller's arrays, not copies: a shot changed in place after that use
+    needs a new value.
     """
-    arrays = [np.asarray(y) for y in Ys]
-    key = [(y.dtype, y.shape, y.tobytes()) for y in arrays]
-    entry = spec.received_memo
-    if entry is None or entry[0] != key:
-        q, n = spec.field.base.size, spec.shot_length
-        bases = tuple(received_basis(y, n, q) for y in arrays)
-        for h, p in bases:
-            h.setflags(write=False)
-            p.setflags(write=False)
-        entry = spec.received_memo = [key, bases, None]
-    return entry
 
+    def __new__(cls, Ys, spec: MultilevelCodeSpec):
+        if isinstance(Ys, Received) and Ys.spec is spec:
+            return Ys
+        shots = [np.asarray(y) for y in Ys]
+        if len(shots) != spec.n:
+            raise ValueError(f"need {spec.n} received matrices")
+        width = spec.lifted_length
+        if any(y.shape[1:] != (width,) for y in shots):  # 2-D, N + M columns
+            raise ValueError(f"received matrices need N + M = {width} columns")
+        for y in shots:  # as_matrix would truncate a float entry to an int
+            if y.dtype.kind not in "biu":
+                raise ValueError(f"received matrices need integer entries, got {y.dtype}")
+        self = super().__new__(cls, shots)
+        self.spec = spec
+        return self
 
-def received_bases(Ys, spec: MultilevelCodeSpec) -> tuple:
-    """Per shot, the RREF basis (H, P) of <Y_j> (linalg.received_basis),
-    split after the shot length: one reduction per shot, shared through
-    the spec's memo with shot_scores and both exhaustive decoders."""
-    return _received(Ys, spec)[1]
+    @functools.cached_property
+    def bases(self) -> tuple:
+        """Per shot, the RREF basis (H, P) of <Y_j> (linalg.received_basis),
+        split after the shot length: one rref per shot."""
+        spec = self.spec
+        return tuple(received_basis(y, spec.shot_length, spec.field.base.size) for y in self)
 
-
-def shot_scores(Ys, spec: MultilevelCodeSpec) -> tuple:
-    """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
-    codeword order: one basis_distances on the shot's memo basis, computed
-    once per received tuple and then read from the spec's memo."""
-    entry = _received(Ys, spec)
-    if entry[2] is None:
-        code = spec.code
+    @functools.cached_property
+    def scores(self) -> tuple:
+        """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
+        codeword order: one basis_distances on the shot's basis."""
+        code = self.spec.code
         q, und = code.field.base.size, code.codebook_arrays()[0]
-        scores = tuple(basis_distances(h, p, und, q) for h, p in entry[1])
-        for row in scores:
-            row.setflags(write=False)
-        entry[2] = scores
-    return entry[2]
+        return tuple(basis_distances(h, p, und, q) for h, p in self.bases)
 
 
 def oracle_decode_multishot(Ys, spec: MultilevelCodeSpec):
     """Codeword minimizing the extended subspace distance to the shots."""
-    _check_received(Ys, spec)
+    Ys = Received(Ys, spec)
     rows = spec.codebook_arrays()[0]  # guards the table before enumerating
     total = np.zeros(len(rows), dtype=np.int64)
-    for j, scores in enumerate(shot_scores(Ys, spec)):
+    for j, scores in enumerate(Ys.scores):
         total += scores[rows[:, j]]
     return spec.codeword(int(np.argmin(total)))
 
@@ -139,18 +130,19 @@ def _exhaustive_inner(Ys, spec: MultilevelCodeSpec):
     order of d_S(<Y_j>, lift(V_j + x)) over x in R_i.  It always commits
     to a decision, so it erases nothing.
 
-    Set-up scatters each shot's scores over R_0 (shot_scores) into R_0's
-    product-index order.  With Q = q^M, V_j + x lies in R_0 with product
-    index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64 under the
-    enumeration guard, so a stage's scores are a gather from that vector,
-    with the scores and tie order of scoring lift(V_j + x) directly.  The
+    Set-up scatters each shot's scores over R_0 (Received.scores) into
+    R_0's product-index order.  With Q = q^M, V_j + x lies in R_0 with
+    product index index_i(x) Q^(K_0 - K_i) + index(V_j), an int64 under
+    the enumeration guard, so a stage's scores are a gather from that
+    vector, with the scores and tie order of scoring lift(V_j + x)
+    directly.  The
     low delta_k digits of index_i(x), x's coset message, pick its entry
     from the level's coset table (PartitionChain.coset_table).
     """
     chain, n, Q = spec.chain, spec.n, spec.field.size
     index = spec.code.codebook_arrays()[1]
     scores = np.empty((n, len(index)), dtype=np.int64)
-    for j, row in enumerate(shot_scores(Ys, spec)):
+    for j, row in enumerate(Ys.scores):
         scores[j, index] = row
     shots = np.arange(n)[:, None]
 
@@ -218,7 +210,7 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     overruled shots are the next stage's redo.  A stage whose outer
     decoder fails ends the run with ok=False and that stage index.
     """
-    _check_received(Ys, spec)
+    Ys = Received(Ys, spec)
     if inner_method not in _INNER_STEPS:
         raise ValueError(f"unknown inner method {inner_method!r}")
     OuterCode.decoder_for(outer_method)  # refuse an unknown name before any set-up

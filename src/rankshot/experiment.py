@@ -8,9 +8,10 @@ pure function of (master_seed, grid index, trial index): the message
 stream uses the seed sequence spawn key (gi, ti, 0) and the channel seed
 comes from (gi, ti, 1), so results are reproducible regardless of worker
 scheduling.  Records are emitted in (grid, trial, decoder) order.
-A trial's ds_observed, sum_j d_S(<Y_j>, lift(x_j)), is scored on the
-received bases the decoders then share (decoder.received_bases), so it
-enumerates nothing and each shot is row-reduced once a trial.
+A trial's received shots are one decoder.Received value, handed to
+every role.  Its ds_observed, sum_j d_S(<Y_j>, lift(x_j)), is scored on
+that value's bases, which the decoders then share, so it enumerates
+nothing and each shot is row-reduced once a trial.
 
 The wall_us column is written as 0 unless timing is enabled, keeping
 output files byte-identical across repeated runs of the same config.
@@ -30,7 +31,7 @@ import numpy as np
 from .channel import (
     ChannelConfig, apply_channel, lift_multishot, sample_channel, split_from_json,
 )
-from .decoder import ROLES, received_bases
+from .decoder import ROLES, Received
 from .errors import ConfigError, json_int
 from .linalg import basis_distances
 from .multilevel import MultilevelCodeSpec, spec_from_json
@@ -146,12 +147,12 @@ def run_trial(spec: MultilevelCodeSpec, rho: int, tau: int, split, master_seed: 
     word = spec.encode(messages)
     xs = lift_multishot(field, word)
     draw = sample_channel(_channel_config(spec, rho, tau, split, chan_seed))
-    ys = apply_channel(draw, xs, q)
-    # each shot's basis is the decoders' own (decoder.received_bases), and
-    # xs[j][:, N:] is underline(word[j])
-    N = spec.shot_length
+    # one value for ds_observed and every role, so each shot's basis, and
+    # its scores over R_0, are computed once a trial
+    ys = Received(apply_channel(draw, xs, q), spec)
+    N = spec.shot_length  # xs[j][:, N:] is underline(word[j])
     ds_obs = sum(int(basis_distances(h, p, x[None, :, N:], q)[0])
-                 for (h, p), x in zip(received_bases(ys, spec), xs))
+                 for (h, p), x in zip(ys.bases, xs))
     # each role's document is scored on the decisions it holds
     sent = {"codeword": [list(w) for w in word], "messages": [list(m) for m in messages]}
     records = []

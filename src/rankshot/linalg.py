@@ -26,11 +26,11 @@ through entries_rank; larger shapes count rref_field's pivots.
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
 [H | P] (received_basis, one rref).  A simulate trial reduces each
-received shot once (decoder.received_bases, a memo on the code spec)
-and scores that basis against the sent shot for ds_observed and, once,
-against R_0's codeword stack for the oracle and the exhaustive
-multistage decoder, which reads every later stage's scores off that
-vector.
+received shot once (decoder.Received.bases, kept on the trial's one
+received value) and scores that basis against the sent shot for
+ds_observed and, once, against R_0's codeword stack for the oracle and
+the exhaustive multistage decoder, which reads every later stage's
+scores off that vector.
 
 span_codebook is the one codebook enumerator: a Gabidulin or outer code
 is the F_q-span of the encodings of its single-digit messages, so one
@@ -266,12 +266,12 @@ def basis_distances(h, p, und, q: int) -> np.ndarray:
     from [H | P] leaves [0 | P - H U], so dim([I|U] + <Y>) =
     N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y); any basis
     of <Y> will do, not only the RREF one.  One call scores a whole
-    codebook: decoder.shot_scores scores each shot once against R_0, and
-    every word V + x the exhaustive multistage decoder considers later,
-    x in a level subcode, is a row of R_0.  A one-word stack, the sent
-    shot's underline, gives a simulate trial's ds_observed.  H U is taken
-    in int64, so N (q-1)^2 + q must stay inside it; a ValueError says
-    when not.
+    codebook: decoder.Received.scores scores each shot once against R_0,
+    and every word V + x the exhaustive multistage decoder considers
+    later, x in a level subcode, is a row of R_0.  A one-word stack, the
+    sent shot's underline, gives a simulate trial's ds_observed.  H U is
+    taken in int64, so N (q-1)^2 + q must stay inside it; a ValueError
+    says when not.
     """
     _, n, m = und.shape
     if h.shape[1] != n or p.shape[1] != m:

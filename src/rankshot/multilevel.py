@@ -56,8 +56,6 @@ class MultilevelCodeSpec:
         self._codebook = None
         self._rows = None
         self._index = None
-        # decoder._received's one-entry memo of the last received shots
-        self.received_memo = None
 
     @property
     def field(self):

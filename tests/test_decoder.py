@@ -304,17 +304,23 @@ def test_received_word_matches_reduction_on_channel_shots(code, request):
 
 @pytest.mark.parametrize("role", sorted(decoder.ROLES))
 def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, monkeypatch):
-    """A received array that is not a matrix with N + M columns raises the
-    decoders' ValueError before any shot is row-reduced, on every role."""
+    """A received array that is not a matrix with N + M columns, or whose
+    entries are not integers, raises the decoders' ValueError before any
+    shot is row-reduced, on every role.  A float shot would otherwise be
+    truncated to an integer matrix and decoded."""
     def no_elimination(*args):
         raise AssertionError("a shot was row-reduced")
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
     monkeypatch.setattr(reduction, "rref_bits", no_elimination)
     good = np.zeros((4, 8), dtype=np.int64)
-    for ys in ([np.zeros(8, dtype=int)] * 2, [good, np.zeros(8, dtype=int)],
-               [good, np.zeros((1, 4, 8), dtype=int)], [good, np.zeros((4, 7), dtype=int)]):
-        with pytest.raises(ValueError, match=r"N \+ M = 8 columns"):
+    columns = r"N \+ M = 8 columns"
+    for ys, match in (([np.zeros(8, dtype=int)] * 2, columns),
+                      ([good, np.zeros(8, dtype=int)], columns),
+                      ([good, np.zeros((1, 4, 8), dtype=int)], columns),
+                      ([good, np.zeros((4, 7), dtype=int)], columns),
+                      ([good, np.full((4, 8), 0.5)], "integer entries, got float64")):
+        with pytest.raises(ValueError, match=match):
             decoder.ROLES[role](ys, decode12)
 
 
@@ -322,10 +328,11 @@ def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, mo
 def test_multistage_reads_each_shot_once(code, request, monkeypatch):
     """Once the per-level coset tables exist, a default decode of fresh shots
     row-reduces each received matrix once and reads every inner decision's
-    split from the tables, with no coset_leader call.  A repeat decode of
-    the same shots row-reduces none (the spec's memo), and one whole
-    simulate trial with the oracle and the multistage decoder row-reduces
-    each shot once for ds_observed and both decoders together."""
+    split from the tables, with no coset_leader call.  A second decode of
+    the same Received value row-reduces none; a plain tuple of shots is
+    row-reduced again by every decode.  One whole simulate trial with the
+    oracle and the multistage decoder row-reduces each shot once for
+    ds_observed and both decoders together."""
     spec = request.getfixturevalue(code)
     multistage_decode(seeded_trial(spec, 1, 1, 4, np.random.default_rng(58))[2], spec)
     _, _, ys = seeded_trial(spec, 2, 1, 5, np.random.default_rng(59))
@@ -342,62 +349,75 @@ def test_multistage_reads_each_shot_once(code, request, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
-    first = multistage_decode(ys, spec)
+    received = decoder.Received(ys, spec)
+    first = multistage_decode(received, spec)
     assert len(rrefs) == spec.n and splits == []
     rrefs.clear()
-    assert multistage_decode(ys, spec) == first
+    assert multistage_decode(received, spec) == first
     assert rrefs == [] and splits == []
+    for _ in range(2):
+        assert multistage_decode(ys, spec) == first
+        assert len(rrefs) == spec.n and splits == []
+        rrefs.clear()
     run_trial(spec, 2, 1, "uniform", 59, 0, 0, ("oracle", "multistage"))
     assert len(rrefs) == spec.n and splits == []
 
 
-def _fresh_decodes(ys, spec):
-    """Both exhaustive decodes of ys with the spec's memo emptied first."""
-    spec.received_memo = None
+def test_received_value_is_kept_only_for_its_own_spec(tiny2shot, decode12):
+    """Received(r, spec) returns r itself and keeps its scores; handed to a
+    decoder of another spec, it is rebuilt and checked against that spec."""
+    _, _, ys = seeded_trial(tiny2shot, 1, 1, 4, np.random.default_rng(71))
+    r = decoder.Received(ys, tiny2shot)
+    assert decoder.Received(r, tiny2shot) is r
+    assert len(r.scores) == tiny2shot.n and r.scores is r.scores
+    for role in sorted(decoder.ROLES):
+        with pytest.raises(ValueError, match=r"N \+ M = 8 columns"):
+            decoder.ROLES[role](r, decode12)
+
+
+def _both_decodes(ys, spec):
+    """Both exhaustive decodes of ys."""
     return oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)
 
 
-def test_memo_alternating_shots_keep_their_own_answers(tiny2shot):
+def test_alternating_shots_keep_their_own_answers(tiny2shot):
     """Two received tuples decoded in turn on one spec each get the answer
-    a decode with an empty memo gives them."""
+    a first decode gave them."""
     spec = tiny2shot
     rng = np.random.default_rng(61)
     inputs = [seeded_trial(spec, 1, 1, seed, rng)[2] for seed in (3, 8)]
-    want = [_fresh_decodes(ys, spec) for ys in inputs]
+    want = [_both_decodes(ys, spec) for ys in inputs]
     assert want[0] != want[1]
     for k in (0, 1, 0, 1, 1, 0):
         ys = inputs[k]
-        assert (oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)) == want[k]
+        assert _both_decodes(ys, spec) == want[k]
         assert multistage_decode(ys, spec) == want[k][1]
 
 
-def test_memo_misses_an_array_changed_in_place(tiny2shot):
-    """The memo keys on each shot's bytes, so writing new entries into the
-    same arrays between two decodes makes the second decode read them."""
+def test_decode_reads_an_array_changed_in_place(tiny2shot):
+    """Writing new entries into the same arrays between two decodes makes
+    the second decode read them."""
     spec = tiny2shot
     rng = np.random.default_rng(67)
     ys = [y.copy() for y in seeded_trial(spec, 1, 0, 2, rng)[2]]
     other = seeded_trial(spec, 0, 1, 9, rng)[2]
-    want = _fresh_decodes(other, spec)
-    assert _fresh_decodes(ys, spec) != want
+    want = _both_decodes(other, spec)
+    assert _both_decodes(ys, spec) != want
     for y, z in zip(ys, other):
         y[...] = z
-    assert (oracle_decode_multishot(ys, spec), multistage_decode(ys, spec)) == want
+    assert _both_decodes(ys, spec) == want
 
 
-def test_memo_keeps_each_thread_on_its_own_shots(tiny2shot):
-    """Threads decoding different shots on one spec replace its memo entry
-    under one another; each decode reads the entry it was given, so every
-    answer is its own shots' answer."""
+def test_threads_keep_their_own_shots(tiny2shot):
+    """Threads decoding different shots on one spec at once each get their
+    own shots' answer."""
     spec = tiny2shot
     rng = np.random.default_rng(73)
     inputs = [seeded_trial(spec, 1, 1, seed, rng)[2] for seed in range(6)]
-    want = [_fresh_decodes(ys, spec) for ys in inputs]
+    want = [_both_decodes(ys, spec) for ys in inputs]
 
     def work(k):
-        return [k for _ in range(20)
-                if (oracle_decode_multishot(inputs[k], spec),
-                    multistage_decode(inputs[k], spec)) != want[k]]
+        return [k for _ in range(20) if _both_decodes(inputs[k], spec) != want[k]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -408,17 +428,6 @@ def test_memo_keeps_each_thread_on_its_own_shots(tiny2shot):
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-
-
-def test_memo_bases_and_scores_are_read_only(tiny2shot):
-    spec = tiny2shot
-    _, _, ys = seeded_trial(spec, 1, 1, 4, np.random.default_rng(71))
-    (h, p), _ = decoder.received_bases(ys, spec)
-    scores = decoder.shot_scores(ys, spec)
-    assert len(scores) == spec.n and decoder.shot_scores(ys, spec) is scores
-    for arr in (h, p, scores[0], scores[1]):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
 
 
 def reference_algebraic_multistage(ys, spec, outer_method):
