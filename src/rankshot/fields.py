@@ -10,10 +10,12 @@ ExtensionField may itself be an ExtensionField.
 Moduli are monic irreducible polynomials kept as low-degree-first
 coefficient tuples.  When no modulus is given, the lexicographically
 smallest irreducible monic polynomial of the requested degree is used
-(coefficients compared low-degree-first).  Irreducibility is a root
-test for quadratics and Rabin's test otherwise, both polynomial in the
-degree and in log q: no field element is enumerated, so a large q costs
-no more than its bit length.
+(coefficients compared low-degree-first).  Irreducibility is Rabin's
+test on bit-packed ints over F_2, where a product mod f is shifts and
+XORs on one int; over larger fields it is a root test for quadratics
+and Rabin's test on coefficient lists otherwise.  Each is polynomial in
+the degree and in log q: no field element is enumerated, so a large q
+costs no more than its bit length.
 
 Fields of size at most _TABLE_LIMIT build exp/log tables at construction;
 larger fields keep polynomial arithmetic, and that size test is the only
@@ -25,18 +27,20 @@ the precomputed exponents p^j mod (size - 1), whose period is
 log_p(size), the degree over the prime field, not the degree over the
 immediate base, so tower fields keep the right period.
 
-Both field classes offer two row primitives, scale_row(f, row) = f * row
-and sub_scaled_row(row, f, top) = row - f * top, entry by entry; in
-characteristic 2 a table field computes the second as one fused XOR
-comprehension.  linalg.rref_field (and so rref over PrimeField(q),
-kernel_field and solve_field), matvec and poly_divmod do their row work
-through them.  Field objects are immutable after construction and safe
-to share between threads.
+Both field classes offer three row primitives, scale_row(f, row) =
+f * row and sub_scaled_row(row, f, top) = row - f * top, entry by
+entry, and dot(u, v), the sum of the products u[c] * v[c]; in
+characteristic 2 a table field computes the last two as fused XORs of
+table products.  linalg.rref_field (and so rref over PrimeField(q),
+kernel_field and solve_field) and poly_divmod do their row work through
+the first two, and matvec takes one dot a row.  Field objects are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -103,6 +107,10 @@ class PrimeField:
         """row - f * top, entry by entry."""
         q = self.q
         return [(x - f * y) % q for x, y in zip(row, top)]
+
+    def dot(self, u, v) -> int:
+        """sum of u[c] * v[c]."""
+        return sum(a * b for a, b in zip(u, v)) % self.q
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -219,12 +227,48 @@ def _quadratic_irreducible(field, f) -> bool:
     return disc != 0 and field.pow(disc, (field.size - 1) // 2) != 1
 
 
+def _binary_irreducible(f: int, n: int) -> bool:
+    """Rabin's test over F_2 for f of degree n >= 1 held as an int, bit j
+    the coefficient of x^j: a product mod f is shifts and XORs on one
+    int, and x^(2^k) mod f is k squarings of x."""
+    top = 1 << n
+
+    def square_mod(a):
+        out, b = 0, a
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= f
+        return out
+
+    x = 2 ^ f if n == 1 else 2           # x mod f
+    frobenius = [x]                      # frobenius[k] = x^(2^k) mod f
+    for _ in range(n):
+        frobenius.append(square_mod(frobenius[-1]))
+    if frobenius[n] != x:
+        return False
+    for p in _prime_factors(n):
+        a, b = f, frobenius[n // p] ^ x  # gcd(f, x^(2^(n/p)) - x)
+        while b:
+            while a.bit_length() >= b.bit_length():
+                a ^= b << (a.bit_length() - b.bit_length())
+            a, b = b, a
+        if a != 1:
+            return False
+    return True
+
+
 def is_irreducible(field, coeffs) -> bool:
     """Whether a polynomial f of degree n >= 1 over F_Q, Q = field.size, is
     irreducible.
 
-    A quadratic is irreducible iff it has no root (_quadratic_irreducible).
-    Any other degree runs Rabin's test: f is irreducible iff it divides
+    Over F_2 every degree runs Rabin's test on bit-packed ints
+    (_binary_irreducible).  Otherwise a quadratic is irreducible iff it
+    has no root (_quadratic_irreducible), and any other degree runs
+    Rabin's test on coefficient lists: f is irreducible iff it divides
     x^(Q^n) - x and shares no factor with x^(Q^(n/p)) - x for any prime
     p dividing n.  The powers come from n Q-th powerings mod f, each
     log2(Q) squarings.  Both are polynomial in n and log Q, and no field
@@ -234,8 +278,15 @@ def is_irreducible(field, coeffs) -> bool:
     n = len(f) - 1
     if n < 1:
         return False
+    if field.size == 2:
+        return _binary_irreducible(sum(c << j for j, c in enumerate(f)), n)
     if n == 2:
         return _quadratic_irreducible(field, f)
+    return _rabin_irreducible(field, f, n)
+
+
+def _rabin_irreducible(field, f, n: int) -> bool:
+    """Rabin's test on coefficient lists over any field; see is_irreducible."""
     x = poly_divmod(field, [0, 1], f)[1]
     frobenius = [x]                   # frobenius[k] = x^(Q^k) mod f
     for _ in range(n):
@@ -446,6 +497,20 @@ class ExtensionField:
         lf = log[f]
         return [x ^ exp[lf + log[y]] for x, y in zip(row, top)]
 
+    def dot(self, u, v) -> int:
+        """sum of u[c] * v[c]: one XOR loop over table products for a
+        characteristic-2 table field."""
+        exp = self._exp
+        acc = 0
+        if exp is None or self.characteristic != 2:
+            for a, b in zip(u, v):
+                acc = self.add(acc, self.mul(a, b))
+            return acc
+        log = self._log
+        for a, b in zip(u, v):
+            acc ^= exp[log[a] + log[b]]
+        return acc
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -529,20 +594,32 @@ class ExtensionField:
         return f"ExtensionField({self.base!r}, modulus={self.modulus})"
 
 
-def matvec(field, rows, vec) -> tuple:
-    """Multiply a matrix (sequence of row sequences over *field*) by a vector.
+def check_word(field, word) -> None:
+    """Refuse a word with an element that is not an int in [0, field.size).
 
-    The product is the sum of vec[c] times column c: one sub_scaled_row
-    call per nonzero entry of vec whose column is not zero.
+    Decoders call it before any arithmetic: a table read takes -1 for the
+    last entry and fails with IndexError past the end, and numpy
+    truncates 1.5 to 1.  A bool is refused, as json_int refuses it.
     """
+    size = field.size
+    for a in word:
+        if type(a) is not int:
+            if isinstance(a, bool) or not hasattr(type(a), "__index__"):
+                raise ValueError(f"word element {a!r} is not an integer")
+            a = operator.index(a)
+        if not 0 <= a < size:
+            raise ValueError(f"word element {a} out of range for field of size {size}")
+
+
+def matvec(field, rows, vec) -> tuple:
+    """Multiply a matrix (sequence of row sequences over *field*) by a
+    vector: one field.dot a row."""
     width = len(vec)
+    out = []
     for row in rows:
         if len(row) != width:
             raise ValueError("matrix/vector size mismatch")
-    out = [0] * len(rows)
-    for x, col in zip(vec, zip(*rows)):
-        if x and any(col):
-            out = field.sub_scaled_row(out, field.neg(x), col)
+        out.append(field.dot(row, vec))
     return tuple(out)
 
 

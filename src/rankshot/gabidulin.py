@@ -14,18 +14,27 @@ break toward the smaller entry-tuple serialization.  Every exhaustive
 decoder and the multilevel codebook read this one stack.
 The algebraic path is an interpolation decoder for rank errors only
 (Loidreau's Welch-Berlekamp analogue): it corrects up to
-floor((N-K)/2) rank errors and reports failure (None) beyond that.
+t = floor((N-K)/2) rank errors and reports failure (None) beyond that.
 decode_message ends at the message polynomial f, the K coefficients a
 multistage decoder splits into coset messages; decode_rank_errors
-encodes f back into the codeword.  The right half of every
-interpolation row, -g_i^(q^l), depends only on the code and is stored
-once per code; the received word contributes only its t + 1 Frobenius
-powers.  It is one path for every t, with no final check: once
-W = V o f holds exactly, every error e_i = r_i - c_i is a root of V
-(V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of q-degree
-<= t span at most t dimensions over F_q, so the codeword returned lies
-within rank t of the received word.  At t = 0, V is a nonzero constant
-and the kernel is empty unless the word is a codeword.
+encodes f back into the codeword.  Interpolation asks for V of q-degree
+<= t and W of q-degree < K + t with V(r_i) = W(g_i): the linear system
+R v = G w, R the received word's t + 1 Frobenius powers r_i^(q^l) and G
+the N x (K + t) Moore matrix g_i^(q^l), which depends only on the code.
+G has full column rank (the points are independent and K + t <= N), so
+the constructor row-reduces [G | I] once to an invertible T with
+T G = [I; 0].  T's upper K + t rows are the solve rows B (B G = I), its
+lower N - K - t rows the check rows C (C G = 0: a check matrix of the
+Gabidulin code of dimension K + t on the same points).  The system then
+splits: v spans the kernel of C R and w = B R v, so a word costs a
+(N - K - t) x (t + 1) kernel and a few products.  It is one path for
+every t, with no final check: once W = V o f holds exactly, every error
+e_i = r_i - c_i is a root of V (V(r_i) = W(g_i) = V(c_i)), and the
+roots of a nonzero V of q-degree <= t span at most t dimensions over
+F_q, so the codeword returned lies within rank t of the received word.
+At t = 0, V is a nonzero constant and the division is exact only when
+the word is a codeword.  Every decode entry refuses a word with an
+element outside the field (fields.check_word) before any arithmetic.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import INT64_MAX, json_int
-from .fields import PrimeField, matvec
+from .fields import PrimeField, check_word, matvec
 from .linalg import (
-    element_ints, kernel_field, rank, rank_batch, single_digit_messages, span_codebook,
+    element_ints, kernel_field, rank, rank_batch, rref_field, single_digit_messages,
+    span_codebook,
 )
 
 
@@ -69,10 +79,14 @@ class GabidulinCode:
         self.generator = tuple(
             tuple(field.frobenius(g, j) for j in range(dim)) for g in points
         )
-        # -g_i^(q^l) for l < N: the constant half of every interpolation row
-        self._neg_powers = tuple(
-            tuple(field.neg(field.frobenius(g, l)) for l in range(length)) for g in points
-        )
+        # [G | I] row-reduces to [[I; 0] | T]: G, the Moore matrix
+        # g_i^(q^l) for l < K + t, has full column rank
+        kt = dim + (length - dim) // 2
+        reduced, _ = rref_field(field, [
+            [field.frobenius(g, l) for l in range(kt)] + [int(i == j) for j in range(length)]
+            for i, g in enumerate(points)])
+        self._solve_rows = tuple(tuple(row[kt:]) for row in reduced[:kt])
+        self._check_rows = tuple(tuple(row[kt:]) for row in reduced[kt:])
         self._codebook = None
         self._underlines = None
         self._index = None
@@ -130,6 +144,7 @@ class GabidulinCode:
         if len(received) != self.length:
             raise ValueError("received word has the wrong length")
         if method == "exhaustive":
+            check_word(self.field, received)
             q = self.field.base.size
             ru = self.field.underline(received)
             dists = rank_batch(self.codeword_underlines() - ru[None], q)
@@ -147,19 +162,42 @@ class GabidulinCode:
         Returns f's K coefficients, zero-padded (the message m with
         encode(m) the decoded codeword), or None when no codeword lies
         within t = floor((N - K) / 2) rank errors.
+
+        With R the N x (t + 1) matrix of Frobenius powers r_i^(q^l) and
+        G the Moore matrix g_i^(q^l), l < K + t, the interpolation
+        system is R v = G w.  T = [B; C] from the constructor is
+        invertible with T G = [I; 0], so R v = G w iff C R v = 0 and
+        w = B R v.  v is the first kernel vector of the
+        (N - K - t) x (t + 1) matrix C R (the unit vector e_0 when C has
+        no rows, K = N).  v = 0 would force w = 0, so every kernel
+        vector gives a nonzero V, and any of them gives the same answer:
+
+        * If a codeword c = f(g) lies within rank t of r, then
+          D = W - V o f has q-degree <= K + t - 1 and D(g_i) =
+          V(r_i) - V(c_i) = V(e_i).  So D maps span(g), of dimension N,
+          into V(span(e)), of dimension <= t, and D's roots there span
+          >= N - t >= K + t dimensions, more than its q-degree allows a
+          nonzero D.  So D = 0: W = V o f, and the division finds f.
+        * If no codeword lies within rank t, no kernel vector divides
+          exactly to a degree below K: W = V o f would put every e_i in
+          the roots of V, which span at most t dimensions.
         """
         f = self.field
         n, k = self.length, self.dim
         if len(received) != n:
             raise ValueError("received word has the wrong length")
+        check_word(f, received)
         t = (n - k) // 2
-        rows = [[f.frobenius(r, l) for l in range(t + 1)] + list(neg[: k + t])
-                for r, neg in zip(received, self._neg_powers)]
-        kern = kernel_field(f, rows)
-        if not kern:
-            return None
-        vec = kern[0]
-        msg = _lin_left_divide(f, list(vec[: t + 1]), list(vec[t + 1:]))
+        powers = [received] + [[f.frobenius(r, l) for r in received] for l in range(1, t + 1)]
+        if self._check_rows:
+            kern = kernel_field(f, [matvec(f, powers, c) for c in self._check_rows])
+            if not kern:
+                return None
+            v = kern[0]
+        else:
+            v = (1,)
+        u = matvec(f, list(zip(*powers)), v)
+        msg = _lin_left_divide(f, list(v), list(matvec(f, self._solve_rows, u)))
         if msg is None or len(msg) > k:
             return None
         return tuple(msg) + (0,) * (k - len(msg))

@@ -39,7 +39,9 @@ import itertools
 
 import numpy as np
 
-from .fields import ExtensionField, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim
+from .fields import (
+    ExtensionField, check_word, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim,
+)
 from .linalg import element_ints, single_digit_messages, span_codebook
 
 
@@ -186,10 +188,12 @@ class OuterCode:
         the unique minimum); any other word, and any word with erasures,
         where several codewords can agree on the live positions, is
         scanned.  The algebraic method is bounded-distance and fails
-        (None) outside 2e + f <= d - 1.
+        (None) outside 2e + f <= d - 1.  Every symbol, erased or not,
+        must be an element of the alphabet (fields.check_word).
         """
         if len(word) != self.n:
             raise ValueError("word has the wrong length")
+        check_word(self.field, word)
         erasures = tuple(sorted(set(int(e) for e in erasures)))
         if erasures and (erasures[0] < 0 or erasures[-1] >= self.n):
             raise ValueError("erasure index out of range")

@@ -14,6 +14,8 @@ from rankshot.fields import (
     PrimeField,
     _is_prime,
     _prime_factors,
+    _quadratic_irreducible,
+    _rabin_irreducible,
     default_modulus,
     field_from_json,
     field_to_json,
@@ -103,6 +105,31 @@ def test_rabin_test_matches_trial_division():
                 if irreducible and lex_first is None:
                     lex_first = tuple(cand)
             assert default_modulus(field, deg) == lex_first
+
+
+# default_modulus(F_2, d) for d = 1 .. 32 as ints, bit j the coefficient
+# of x^j: the moduli every F_(2^M) field has been built on
+_BINARY_MODULI = (
+    0x2, 0x7, 0xd, 0x19, 0x29, 0x61, 0xc1, 0x1b1, 0x301, 0x481, 0xa01, 0x1201, 0x3601,
+    0x4201, 0xc001, 0x1a801, 0x24001, 0x48001, 0xe4001, 0x120001, 0x280001, 0x600001,
+    0x840001, 0x1b00001, 0x2400001, 0x6c00001, 0xe400001, 0x18000001, 0x28000001,
+    0x60000001, 0x90000001, 0x162000001,
+)
+
+
+def test_binary_rabin_test_matches_the_general_path():
+    """Over F_2 is_irreducible runs Rabin's test on bit-packed ints; it
+    agrees with the coefficient-list paths on every binary polynomial of
+    degree 1 to 10, and default_modulus keeps its moduli up to degree 32."""
+    f2 = PrimeField(2)
+    for deg in range(1, 11):
+        for low in itertools.product(range(2), repeat=deg):
+            cand = list(low) + [1]
+            general = (_quadratic_irreducible(f2, cand) if deg == 2
+                       else _rabin_irreducible(f2, cand, deg))
+            assert is_irreducible(f2, cand) == general, cand
+    assert tuple(sum(c << j for j, c in enumerate(default_modulus(f2, deg)))
+                 for deg in range(1, 33)) == _BINARY_MODULI
 
 
 def test_quadratic_root_test_matches_root_search():

@@ -7,9 +7,9 @@ import pytest
 
 from rankshot.errors import GuardError
 from rankshot.fields import ExtensionField, PrimeField
-from rankshot.gabidulin import GabidulinCode
-from rankshot.linalg import rank, rank_distance
-from rankshot.multilevel import special_situation
+from rankshot.gabidulin import GabidulinCode, _lin_left_divide
+from rankshot.linalg import kernel_field, rank, rank_distance, rref_field
+from rankshot.multilevel import spec_from_json, special_situation
 
 
 def test_generator_hand_example(f8):
@@ -294,3 +294,80 @@ def test_decode_rank_errors_matches_exhaustive(which):
             beyond += 1
             assert code.decode_rank_errors(w) is None, w
     assert beyond > 20
+
+
+def _full_system_message(code, received):
+    """decode_message's reference: row-reduce the whole N x (2t + K + 1)
+    interpolation system [r_i^(q^l) | -g_i^(q^l)] afresh for the word."""
+    f, n, k = code.field, code.length, code.dim
+    t = (n - k) // 2
+    rows = [[f.frobenius(r, l) for l in range(t + 1)]
+            + [f.neg(f.frobenius(g, l)) for l in range(k + t)]
+            for r, g in zip(received, code.points)]
+    kern = kernel_field(f, rows)
+    if not kern:
+        return None
+    msg = _lin_left_divide(f, list(kern[0][:t + 1]), list(kern[0][t + 1:]))
+    if msg is None or len(msg) > k:
+        return None
+    return tuple(msg) + (0,) * (k - len(msg))
+
+
+def _reference_cases(f8, f9):
+    """(code, words): every word of the F_8 N = 3 and F_9 N = 2 codes;
+    sampled words of the special preset's subcodes, the F_27 N = 3 codes
+    with K = 1 and 3 and the N = 7 subcodes of the 2^56 code."""
+    for k in range(4):
+        yield GabidulinCode(f8, 3, k), itertools.product(range(8), repeat=3)
+    for k in range(3):
+        yield GabidulinCode(f9, 2, k), itertools.product(range(9), repeat=2)
+    f27 = ExtensionField(PrimeField(3), degree=3)
+    chain56 = spec_from_json({"special": {"q": 2, "M": 7, "N": 7, "K": 3, "n": 3,
+                                          "d": 6}}).chain
+    sampled = (_preset_subcodes() + [GabidulinCode(f27, 3, 1), GabidulinCode(f27, 3, 3)]
+               + [chain56.subcode(i) for i in range(chain56.m)])
+    rng = np.random.default_rng(67)
+    for code in sampled:
+        yield code, _within_t_words(code, rng, 300)
+
+
+def test_decode_message_matches_full_system_solve(f8, f9):
+    """The split system answers as the full one, on every word where both
+    the kernel vector and the division could differ."""
+    for code, words in _reference_cases(f8, f9):
+        answered = 0
+        for w in words:
+            got = code.decode_message(w)
+            assert got == _full_system_message(code, w), (code, w)
+            answered += got is not None
+        assert answered, code
+
+
+def test_check_and_solve_rows_split_the_constant_block(f8, f9):
+    """C G = 0 with N - K - t independent rows, and B G = I, for G the
+    Moore matrix g_i^(q^l), l < K + t, on every code of the reference
+    test."""
+    for code, _ in _reference_cases(f8, f9):
+        f, n, k = code.field, code.length, code.dim
+        kt = k + (n - k) // 2
+        g_cols = [[f.frobenius(g, l) for g in code.points] for l in range(kt)]
+        checks, solves = code._check_rows, code._solve_rows
+        assert len(checks) == n - kt and len(solves) == kt
+        assert all(f.dot(c, col) == 0 for c in checks for col in g_cols), code
+        assert [[f.dot(b, col) for col in g_cols] for b in solves] == [
+            [int(i == j) for j in range(kt)] for i in range(kt)], code
+        assert len(rref_field(f, checks)[1]) == n - kt, code
+
+
+@pytest.mark.parametrize("word", [(-1, 0, 0, 0), (16, 0, 0, 0), (1.5, 0, 0, 0),
+                                  (0, 0, True, 0)])
+def test_decoders_refuse_elements_outside_the_field(word):
+    """Every decode entry refuses a word with an element that is not an
+    int in [0, 16) before any arithmetic: -1 used to decode as a table
+    read of the last entry, 16 to raise IndexError, and 1.5 to be
+    truncated by the exhaustive path."""
+    code = GabidulinCode(ExtensionField(PrimeField(2), degree=4), 4, 2)
+    for decode in (code.decode_message, code.decode_rank_errors, code.decode_bounded,
+                   lambda w: code.decode_bounded(w, method="algebraic")):
+        with pytest.raises(ValueError, match="word element"):
+            decode(word)

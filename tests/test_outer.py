@@ -65,6 +65,19 @@ def test_encode_refuses_symbols_outside_the_alphabet():
     assert outer.encode((15, 3)) == (12, 9)
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "algebraic"])
+@pytest.mark.parametrize("word", [(16, 0, 0), (-1, 0, 0), (0.5, 0, 0), (0, 0, False)])
+def test_decode_refuses_symbols_outside_the_alphabet(word, method):
+    """On the special preset's first outer code, over F_16, a symbol that
+    is not an int in [0, 16) is refused before any arithmetic, erased or
+    not: 16 used to decode to (0, 0) exhaustively and raise IndexError in
+    Gao's decoder, and -1 to decode to (0, 0) and None."""
+    code = special_situation(2, 4, 4, 2, 3, 4)[0].outers[0]
+    for erasures in ((), (0,)):
+        with pytest.raises(ValueError, match="word element"):
+            code.decode(word, erasures=erasures, method=method)
+
+
 def test_encode_linear(f8):
     code = OuterCode(f8, 3, 2)
     rng = np.random.default_rng(2)
@@ -81,11 +94,11 @@ def test_decode_identity(f8):
     code = OuterCode(f8, 3, 2)
     for msg in itertools.product(range(8), repeat=2):
         assert code.decode(code.encode(msg)) == msg
-    # a symbol outside the alphabet is in no codeword, whatever row its
-    # first k symbols index: the word is scanned
+    # a symbol outside the alphabet is refused, whatever row its first k
+    # symbols would index
     for word in ((7, 9, 0), (0, 9, 3), (-1, 0, 0)):
-        want = min((hamming(cw, word), cw, msg) for msg, cw in code.codewords())[2]
-        assert code.decode(word) == want
+        with pytest.raises(ValueError, match="out of range"):
+            code.decode(word)
 
 
 def test_decode_single_error(f8):
