@@ -21,6 +21,10 @@ arrays.  It belongs to one decode: it checks the shots once and keeps
 each shot's basis and scores over R_0 after their first use, so a
 simulate trial, which builds one and hands it to ds_observed and every
 role, row-reduces each received shot once and scores it over R_0 once.
+A shot's scores are linalg.basis_distances over R_0.  Over F_2 they are
+ranked on packed rows from R_0's element ints, which the Gabidulin code
+builds once (GabidulinCode._codeword_ints): a few XORs a header column
+into a rank-table index, with no int64 product and no rank_batch call.
 
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_distances, received_basis
+from .linalg import _packed_distances, basis_distances, received_basis
 from .multilevel import MultilevelCodeSpec
 from .outer import OuterCode
 from .reduction import received_word
@@ -87,9 +91,16 @@ class Received(tuple):
     @functools.cached_property
     def scores(self) -> tuple:
         """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
-        codeword order: one basis_distances on the shot's basis."""
+        codeword order: basis_distances on the shot's basis.  Over F_2 it
+        takes basis_distances' packed route (linalg._packed_distances)
+        straight on R_0's element ints as the code keeps them
+        (GabidulinCode._codeword_ints), so no call packs R_0 again."""
         code = self.spec.code
-        q, und = code.field.base.size, code.codebook_arrays()[0]
+        q = code.field.base.size
+        if q == 2:  # M <= 63: the code keeps q^M - 1 inside int64
+            words = code._codeword_ints()
+            return tuple(_packed_distances(h, p, words) for h, p in self.bases)
+        und = code.codebook_arrays()[0]
         return tuple(basis_distances(h, p, und, q) for h, p in self.bases)
 
 

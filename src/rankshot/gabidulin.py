@@ -90,6 +90,7 @@ class GabidulinCode:
         self._codebook = None
         self._underlines = None
         self._index = None
+        self._ints = None
 
     @property
     def designed_distance(self) -> int:
@@ -122,16 +123,26 @@ class GabidulinCode:
         """Stack of codeword coordinate matrices, shape (|C|, N, M) (guarded)."""
         return self.codebook_arrays()[0]
 
+    def _codeword_ints(self) -> np.ndarray:
+        """The codebook's element ints, shape (N, |C|) (guarded): column w
+        holds codeword w, in codeword order, and bit j of an entry over
+        F_2 is its coordinate j.  Built once from the stack; codeword,
+        codewords, the multilevel codebook and decoder.Received's F_2
+        scores read it."""
+        if self._ints is None:
+            und = self.codeword_underlines()
+            self._ints = np.ascontiguousarray(element_ints(und, self.field.base.size).T)
+        return self._ints
+
     def codeword(self, k: int) -> tuple:
-        """The k-th codeword in codeword order, read from the stack."""
-        return tuple(element_ints(self.codeword_underlines()[k], self.field.base.size).tolist())
+        """The k-th codeword in codeword order (_codeword_ints)."""
+        return tuple(self._codeword_ints()[:, k].tolist())
 
     def codewords(self) -> list:
-        """All codewords, in codeword order (guarded); built from the stack
-        on first call."""
+        """All codewords, in codeword order (guarded); built from
+        _codeword_ints on first call."""
         if self._codebook is None:
-            und = self.codeword_underlines()
-            self._codebook = [tuple(w) for w in element_ints(und, self.field.base.size).tolist()]
+            self._codebook = list(zip(*self._codeword_ints().tolist()))
         return self._codebook
 
     def decode_bounded(self, received, method: str = "exhaustive"):

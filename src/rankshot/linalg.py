@@ -25,12 +25,17 @@ through entries_rank; larger shapes count rref_field's pivots.
 
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
-[H | P] (received_basis, one rref).  A simulate trial reduces each
-received shot once (decoder.Received.bases, kept on the trial's one
-received value) and scores that basis against the sent shot for
-ds_observed and, once, against R_0's codeword stack for the oracle and
-the exhaustive multistage decoder, which reads every later stage's
-scores off that vector.
+[H | P] (received_basis, one rref).  Over F_2 it never forms P - H U
+entry by entry: a word's rows are M-bit element ints, so row i of
+P - H U is p_i XOR (XOR_k H[i, k] u_k), and for r M <= 16 the r rows
+shift into one rank-table index a word (_packed_distances).  Other
+fields take H U in int64 and rank it with rank_batch.  A simulate trial
+reduces each received shot once (decoder.Received.bases, kept on the
+trial's one received value) and scores that basis against the sent
+shot for ds_observed and, once, against R_0 for the oracle and the
+exhaustive multistage decoder, which reads every later stage's scores
+off that vector.  Over F_2 that scoring reads R_0's element ints, which
+the Gabidulin code keeps, so R_0 is packed once a code.
 
 span_codebook is the one codebook enumerator: a Gabidulin or outer code
 is the F_q-span of the encodings of its single-digit messages, so one
@@ -261,24 +266,76 @@ def received_basis(Y, n: int, q: int):
 def basis_distances(h, p, und, q: int) -> np.ndarray:
     """Subspace distances from <[H | P]> to the lifted [I | U] of every U in und.
 
-    [H | P] is a basis of the received space, rank(Y) independent rows,
-    and und a stack (count, N, M) of residues mod q.  Subtracting H [I | U]
-    from [H | P] leaves [0 | P - H U], so dim([I|U] + <Y>) =
-    N + rank(P - H U) and d_S = N + 2 rank(P - H U) - rank(Y); any basis
-    of <Y> will do, not only the RREF one.  One call scores a whole
-    codebook: decoder.Received.scores scores each shot once against R_0,
-    and every word V + x the exhaustive multistage decoder considers
-    later, x in a level subcode, is a row of R_0.  A one-word stack, the
-    sent shot's underline, gives a simulate trial's ds_observed.  H U is
-    taken in int64, so N (q-1)^2 + q must stay inside it; a ValueError
-    says when not.
+    [H | P] is a basis of the received space, rank(Y) independent rows;
+    h, p and und, a stack (count, N, M), hold residues mod q.
+    Subtracting H [I | U] from [H | P] leaves [0 | P - H U], so
+    dim([I|U] + <Y>) = N + rank(P - H U) and
+    d_S = N + 2 rank(P - H U) - rank(Y); any basis of <Y> will do, not
+    only the RREF one.  One call scores a whole codebook:
+    decoder.Received.scores scores each shot once against R_0, and every
+    word V + x the exhaustive multistage decoder considers later, x in a
+    level subcode, is a row of R_0.  A one-word stack, the sent shot's
+    underline, gives a simulate trial's ds_observed.
+
+    Over F_2, with M < 64, each word goes in as the element ints of
+    its N rows and P - H U as packed rows, one XOR a nonzero entry of H
+    (_packed_distances, which decoder.Received.scores calls on R_0's
+    element ints as the code keeps them).  Its ranks are rank_batch's on
+    P - H U, route for route: the rank table when r M <= 16, _xor_ranks
+    above.  Other fields take H U in int64 and rank it with rank_batch,
+    so N (q-1)^2 + q must stay inside int64; a ValueError says when not.
     """
     _, n, m = und.shape
     if h.shape[1] != n or p.shape[1] != m:
         raise ValueError("column count mismatch between Y and lifted word")
     if not int64_products_fit(n, q):
         raise ValueError(f"q={q} is too large for {n}-term int64 products")
+    if q == 2 and m < 64:
+        return _packed_distances(h, p, element_ints(und, 2).T)
     return n + 2 * rank_batch(p - h @ und, q) - len(h)
+
+
+def _packed_distances(h, p, words) -> np.ndarray:
+    """basis_distances over F_2, each word U given by the element ints of
+    its rows: words has shape (N, count), and bit j of words[k, w] is
+    entry (k, j) of word w.  h, p and words hold residues mod 2, and
+    M < 64.
+
+    Row i of P - H U packs to p_i XOR (XOR_k H[i, k] words[k]), p_i the
+    element int of P's row i: a row operation over F_2 is one XOR.  When
+    r M <= 16 the matrix's index in _rank_table(2, r, M) is its r packed
+    rows, row i shifted up by i M bits.  The shifted copies sit in
+    disjoint bit ranges, so the index is c XOR (XOR_k words[k] m_k) with
+    c = sum_i p_i 2^(iM) and m_k = sum_i H[i, k] 2^(iM): one product and
+    one XOR a header column.  Larger shapes rank the (count, r) packed
+    rows with _xor_ranks, rank_batch's route for them.  Either way the
+    ranks are rank_batch's, so the distances are too.
+    """
+    n, count = words.shape
+    r, m = p.shape
+    if not r:
+        return np.full(count, n, dtype=np.int64)
+    heads = h.tolist()
+    pays = element_ints(p, 2).tolist()
+    if r * m <= 16:
+        c, mks = 0, [0] * n
+        for head, x in zip(reversed(heads), reversed(pays)):
+            c = c << m | x
+            mks = [mk << m | bit for mk, bit in zip(mks, head)]
+        index = np.full(count, c, dtype=np.int64) if not any(mks) else c
+        for w, mk in zip(words, mks):
+            if mk:
+                index = w * mk ^ index
+        # the int64 scalar makes the uint8 ranks' product int64
+        return _rank_table(2, r, m)[index] * np.int64(2) + (n - r)
+    rows = np.empty((count, r), dtype=np.int64, order="F")  # contiguous columns
+    for i, (head, x) in enumerate(zip(heads, pays)):
+        row = rows[:, i]
+        row[:] = x
+        for w, bit in zip(words, head):
+            if bit:
+                row ^= w
+    return 2 * _xor_ranks(rows) + (n - r)
 
 
 def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:

@@ -36,7 +36,6 @@ from .cosets import PartitionChain
 from .errors import INT64_MAX, guard_enumeration, json_int
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json
 from .gabidulin import GabidulinCode
-from .linalg import element_ints
 from .outer import OuterCode
 
 
@@ -161,8 +160,8 @@ class MultilevelCodeSpec:
 
     def codeword(self, k: int) -> tuple:
         """The k-th codeword in codeword order: R_0's words at row k of the table."""
-        und = self.code.codeword_underlines()[self.codebook_arrays()[0][k]]
-        return tuple(map(tuple, element_ints(und, self.field.base.size).tolist()))
+        words = self.code._codeword_ints()[:, self.codebook_arrays()[0][k]]
+        return tuple(zip(*words.tolist()))
 
     def codewords(self) -> list:
         """All (messages, codeword) pairs, in codeword order (guarded);

@@ -12,15 +12,16 @@ read from the codebook without a scan) or by a Gao-style algebraic
 decoder that handles errors and erasures up to 2e + f <= d - 1 and
 reports failure beyond that.  Gao's decoder interpolates the live
 positions in Lagrange form from per-code data, computed once: each
-point's linear factor
-x - x_i and the inverse differences 1 / (x_i - x_j).  A decode multiplies
-the live factors into g0, divides out each point's factor by synthetic
-division and scales by the product of its inverse differences; it
-inverts no element and keeps nothing between calls.  It ends at one
-exact division, with no re-encoding and no error count: partial extended
-Euclid on (g0, g1) stops at the first remainder r of degree below
-(n_live + k) / 2, so its g1 cofactor v, which is never zero, has degree
-at most (n_live - k) / 2.  With r = u g0 + v g1, an exact quotient
+point's linear factor x - x_i, their product over every point and the
+inverse differences 1 / (x_i - x_j).  g0 is the product of the live
+factors: that kept product when nothing is erased, else multiplied out
+for the call.  A decode divides out each live point's factor from g0 by
+synthetic division and scales by the product of its inverse
+differences; it inverts no element and keeps nothing between calls.
+It ends at one exact division, with no re-encoding and no error count:
+partial extended Euclid on (g0, g1) stops at the first remainder r of
+degree below (n_live + k) / 2, so its g1 cofactor v, which is never
+zero, has degree at most (n_live - k) / 2.  With r = u g0 + v g1, an exact quotient
 r = v p with deg p < k gives v (g1 - p) = -u g0; g0 is square-free, so
 every live position where the word disagrees with p is a root of v.  The
 e errors then satisfy 2e <= n_live - k, that is 2e + f <= d - 1 with
@@ -51,6 +52,14 @@ def _product_index(symbols, size: int) -> int:
     for s in symbols:
         index = index * size + s
     return index
+
+
+def _poly_product(field, polys) -> list:
+    """The product of *polys* over *field*, [1] for none."""
+    out = [1]
+    for poly in polys:
+        out = poly_mul(field, out, poly)
+    return out
 
 
 def _base_digits(size: int, q: int) -> int:
@@ -111,9 +120,11 @@ class OuterCode:
         self.n = n
         self.k = k
         self.points = points
-        # Gao's per-code data: the linear factor x - x_i of every point and
-        # the inverse differences 1 / (x_i - x_j), i != j
+        # Gao's per-code data: the linear factor x - x_i of every point,
+        # their product (g0 with no erasures) and the inverse differences
+        # 1 / (x_i - x_j), i != j
         self._factors = tuple([field.neg(x), 1] for x in points)
+        self._g0 = tuple(_poly_product(field, self._factors))
         self._inv_diffs = tuple(
             tuple(field.inv(field.sub(x, y)) if x != y else 0 for y in points)
             for x in points
@@ -237,9 +248,7 @@ class OuterCode:
         n_live = len(live)
         if n_live < self.k:
             return None
-        g0 = [1]
-        for i in live:
-            g0 = poly_mul(f, g0, self._factors[i])
+        g0 = _poly_product(f, [self._factors[i] for i in live]) if erasures else self._g0
         # Lagrange interpolation through the live points: the numerator of
         # point i is g0 / (x - x_i), its denominator the product of the
         # differences x_i - x_j over the other live points

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankshot import linalg
+from rankshot import experiment, linalg
+from rankshot.decoder import Received
 from rankshot.errors import Q_GUARD
 from rankshot.linalg import (
     Subspace,
@@ -392,6 +393,111 @@ def test_rank_batch_makes_no_per_matrix_rref(monkeypatch):
     dists = basis_distances(*received_basis(y, 4, 2), und, 2)
     assert calls == [(4, 8)]  # the one rref of Y
     assert dists.shape == (4096,) and dists[5] == 2
+
+
+def _coordinate_distances(h, p, und, q):
+    """The coordinate form of basis_distances' formula, kept as a reference:
+    P - H U in int64, ranked by rank_batch."""
+    return und.shape[1] + 2 * rank_batch(p - h @ und, q) - len(h)
+
+
+def _shot_of_rank(rng, rows, rank, top):
+    """A rows x width matrix over F_2 of the given rank whose row space
+    lies in the span of top's first rank rows."""
+    while True:
+        y = rng.integers(0, 2, (rows, rank)) @ top[:rank] % 2
+        if linalg.rank(y, 2) == rank:
+            return y
+
+
+def _shots(rng, und):
+    """Received shots over F_2 against the lifted words of und at every
+    rank 0..N+M: for each rank, with that many rows, two more, and more
+    rows than N+M (one zero-row shot at rank 0).  One of each pair spans
+    random rows, the other a lifted word's first rows, then random ones."""
+    _, n, m = und.shape
+    width = n + m
+    for rank in range(width + 1):
+        for rows in sorted({rank, rank + 2, width + 1}):
+            lifted = np.hstack([np.eye(n, dtype=np.int64), und[rng.integers(len(und))]])
+            for top in (rng.integers(0, 2, (width, width)),
+                        np.vstack([lifted, rng.integers(0, 2, (m, width))])):
+                if linalg.rank(top[:rank], 2) == rank:
+                    yield _shot_of_rank(rng, rows, rank, top)
+    yield np.zeros((0, width), dtype=np.int64)
+
+
+SPECS_F2 = ("tiny2shot", "decode12", "towerspec", "preset")
+
+
+@pytest.mark.parametrize("name", SPECS_F2)
+def test_packed_distances_match_coordinate_formula(request, name):
+    """Over F_2, basis_distances ranks packed rows (the rank-table index
+    when r M <= 16, _xor_ranks above): at every basis rank, on both
+    routes, every distance equals the coordinate formula's."""
+    spec = request.getfixturevalue(name)
+    und = spec.code.codebook_arrays()[0]
+    _, n, m = und.shape
+    rng = np.random.default_rng(71)
+    ranks = set()
+    for y in _shots(rng, und):
+        h, p = received_basis(y, n, 2)
+        got = basis_distances(h, p, und, 2)
+        assert got.dtype == np.int64
+        assert got.tolist() == _coordinate_distances(h, p, und, 2).tolist()
+        one = basis_distances(h, p, und[5:6], 2)  # a one-word stack, as for ds_observed
+        assert one.tolist() == got[5:6].tolist()
+        ranks.add(len(h))
+    assert ranks == set(range(n + m + 1))
+    # only towerspec's (N + M) M = 8 keeps every rank on the table route
+    assert {r * m <= 16 for r in ranks if r} == {True, (n + m) * m <= 16}
+
+
+@pytest.mark.parametrize("name", SPECS_F2)
+def test_received_scores_match_coordinate_formula(request, name, monkeypatch):
+    """Received.scores ranks R_0's kept element ints with no rank_batch
+    call, and each shot's scores equal the coordinate formula."""
+    spec = request.getfixturevalue(name)
+    und = spec.code.codebook_arrays()[0]
+    rng = np.random.default_rng(73)
+    shots = list(_shots(rng, und))
+    rng.shuffle(shots)
+    calls = []
+    real_rank_batch = linalg.rank_batch
+
+    def counting_rank_batch(mats, q):
+        calls.append(len(mats))
+        return real_rank_batch(mats, q)
+
+    monkeypatch.setattr(linalg, "rank_batch", counting_rank_batch)
+    for start in range(0, len(shots) - spec.n + 1, spec.n):
+        ys = Received(shots[start:start + spec.n], spec)
+        scores = ys.scores
+        assert calls == []
+        for (h, p), row in zip(ys.bases, scores):
+            assert row.tolist() == _coordinate_distances(h, p, und, 2).tolist()
+
+
+@pytest.mark.parametrize("name", SPECS_F2)
+def test_ds_observed_matches_coordinate_formula(request, name, monkeypatch):
+    """Every basis_distances call of run_trial's ds_observed agrees with the
+    coordinate formula, on the benchmark's rho 0..3 x tau 0..1 grid."""
+    spec = request.getfixturevalue(name)
+    calls = []
+
+    def checked(h, p, und, q):
+        got = basis_distances(h, p, und, q)
+        assert got.tolist() == _coordinate_distances(h, p, und, q).tolist()
+        calls.append(len(h))
+        return got
+
+    monkeypatch.setattr(experiment, "basis_distances", checked)
+    for rho in range(4):
+        for tau in range(2):
+            for trial in range(3):
+                experiment.run_trial(spec, rho, tau, "uniform", 79, rho * 2 + tau, trial,
+                                     ("algebraic",))
+    assert len(calls) == 24 * spec.n and len(set(calls)) > 1
 
 
 def test_subspace_equality_and_hash():

@@ -45,14 +45,37 @@ def test_seed_7_digest(run, name):
     assert run.digest(w.run_pass()[0] + w.run_once()[0]) == SEED_7[name]
 
 
+@pytest.fixture(scope="module")
+def traced(run):
+    """name -> (texts, per-layer stats) of a traced seed-7 set-up, pass and
+    one-off decodes, each workload run once for the tests that read it."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            w = run.WORKLOADS[name](7)
+            with run.spans.Tracer() as tracer, tracer.root():
+                w.setup()
+                w.make_inputs()
+                texts = w.run_pass()[0] + w.run_once()[0]
+            runs[name] = texts, tracer.stats
+        return runs[name]
+
+    return get
+
+
 @pytest.mark.parametrize("name", sorted(SEED_7))
-def test_seed_7_digest_traced(run, name):
+def test_seed_7_digest_traced(run, traced, name):
     """A traced set-up and pass decode to the same digest, and no decode
     path splits a word with PartitionChain.coset_leader."""
-    w = run.WORKLOADS[name](7)
-    with run.spans.Tracer() as tracer, tracer.root():
-        w.setup()
-        w.make_inputs()
-        texts = w.run_pass()[0] + w.run_once()[0]
+    texts, stats = traced(name)
     assert run.digest(texts) == SEED_7[name]
-    assert tracer.stats and "cosets.coset_leader" not in tracer.stats
+    assert stats and "cosets.coset_leader" not in stats
+
+
+def test_decode_12_scores_without_rank_batch(traced):
+    """decode-12 scores each received shot over R_0 on packed F_2 rows, so
+    its traced set-up and pass make no rank_batch call, while each shot
+    is still row-reduced once."""
+    _, stats = traced("decode-12")
+    assert "linalg.rank_batch" not in stats and stats["linalg.rref"].calls > 0
