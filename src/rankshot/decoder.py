@@ -29,7 +29,8 @@ into a rank-table index, with no int64 product and no rank_batch call.
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
 "multistage" (exhaustive steps) and "algebraic" (Gabidulin interpolation
-per shot, Gao's errors-and-erasures decoder across shots).
+per shot, Welch-Berlekamp errors-and-erasures decoding across shots, both
+through linalg.solve_split).
 """
 
 from __future__ import annotations

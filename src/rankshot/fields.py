@@ -185,13 +185,6 @@ def poly_divmod(field, a, b):
     return poly_trim(quot), rem
 
 
-def poly_eval(field, a, x):
-    acc = 0
-    for c in reversed(poly_trim(a)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def _poly_mulmod(field, a, b, mod):
     return poly_divmod(field, poly_mul(field, a, b), mod)[1]
 
@@ -516,7 +509,16 @@ class ExtensionField:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[self._order - self._log[a]]
-        return self._pow_poly(a, self.size - 2)
+        # extended Euclid on the coordinate polynomials: s_i a = r_i mod
+        # the modulus, which is irreducible, so r ends at a nonzero constant
+        base = self.base
+        r0, r1 = list(self.modulus), poly_trim(self.coords(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = poly_divmod(base, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, poly_sub(base, s0, poly_mul(base, quot, s1))
+        return self.from_coords(base.scale_row(base.inv(r1[0]), s1))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -22,19 +22,19 @@ encodes f back into the codeword.  Interpolation asks for V of q-degree
 R v = G w, R the received word's t + 1 Frobenius powers r_i^(q^l) and G
 the N x (K + t) Moore matrix g_i^(q^l), which depends only on the code.
 G has full column rank (the points are independent and K + t <= N), so
-the constructor row-reduces [G | I] once to an invertible T with
-T G = [I; 0].  T's upper K + t rows are the solve rows B (B G = I), its
-lower N - K - t rows the check rows C (C G = 0: a check matrix of the
-Gabidulin code of dimension K + t on the same points).  The system then
-splits: v spans the kernel of C R and w = B R v, so a word costs a
-(N - K - t) x (t + 1) kernel and a few products.  It is one path for
-every t, with no final check: once W = V o f holds exactly, every error
-e_i = r_i - c_i is a root of V (V(r_i) = W(g_i) = V(c_i)), and the
-roots of a nonzero V of q-degree <= t span at most t dimensions over
-F_q, so the codeword returned lies within rank t of the received word.
-At t = 0, V is a nonzero constant and the division is exact only when
-the word is a codeword.  Every decode entry refuses a word with an
-element outside the field (fields.check_word) before any arithmetic.
+the constructor splits [G | I] once (linalg.split_constant_block) into
+the solve rows B (B G = I) and the check rows C (C G = 0: a check matrix
+of the Gabidulin code of dimension K + t on the same points).  A word
+then costs linalg.solve_split, the step the Reed-Solomon outer decoder
+shares: v spans the kernel of the (N - K - t) x (t + 1) matrix C R and
+w = B R v.  It is one path for every t, with no final check: once
+W = V o f holds exactly, every error e_i = r_i - c_i is a root of V
+(V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of q-degree
+<= t span at most t dimensions over F_q, so the codeword returned lies
+within rank t of the received word.  At t = 0, V is a nonzero constant
+and the division is exact only when the word is a codeword.  encode and
+every decode entry refuse a symbol outside the field (fields.check_word)
+before any arithmetic.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ import numpy as np
 from .errors import INT64_MAX, json_int
 from .fields import PrimeField, check_word, matvec
 from .linalg import (
-    element_ints, kernel_field, rank, rank_batch, rref_field, single_digit_messages,
-    span_codebook,
+    element_ints, rank, rank_batch, single_digit_messages, solve_split, span_codebook,
+    split_constant_block,
 )
 
 
@@ -79,14 +79,10 @@ class GabidulinCode:
         self.generator = tuple(
             tuple(field.frobenius(g, j) for j in range(dim)) for g in points
         )
-        # [G | I] row-reduces to [[I; 0] | T]: G, the Moore matrix
-        # g_i^(q^l) for l < K + t, has full column rank
+        # G, the Moore matrix g_i^(q^l) for l < K + t, has full column rank
         kt = dim + (length - dim) // 2
-        reduced, _ = rref_field(field, [
-            [field.frobenius(g, l) for l in range(kt)] + [int(i == j) for j in range(length)]
-            for i, g in enumerate(points)])
-        self._solve_rows = tuple(tuple(row[kt:]) for row in reduced[:kt])
-        self._check_rows = tuple(tuple(row[kt:]) for row in reduced[kt:])
+        self._solve_rows, self._check_rows = split_constant_block(
+            field, [[field.frobenius(g, l) for l in range(kt)] for g in points])
         self._codebook = None
         self._underlines = None
         self._index = None
@@ -97,8 +93,10 @@ class GabidulinCode:
         return self.length - self.dim + 1
 
     def encode(self, message) -> tuple:
+        """G m; a symbol that is not an element is refused (fields.check_word)."""
         if len(message) != self.dim:
             raise ValueError(f"message must have length {self.dim}")
+        check_word(self.field, message)
         return matvec(self.field, self.generator, message)
 
     def codebook_arrays(self) -> tuple:
@@ -176,12 +174,11 @@ class GabidulinCode:
 
         With R the N x (t + 1) matrix of Frobenius powers r_i^(q^l) and
         G the Moore matrix g_i^(q^l), l < K + t, the interpolation
-        system is R v = G w.  T = [B; C] from the constructor is
-        invertible with T G = [I; 0], so R v = G w iff C R v = 0 and
-        w = B R v.  v is the first kernel vector of the
+        system is R v = G w, which linalg.solve_split solves on the
+        constructor's split: v is the first kernel vector of the
         (N - K - t) x (t + 1) matrix C R (the unit vector e_0 when C has
-        no rows, K = N).  v = 0 would force w = 0, so every kernel
-        vector gives a nonzero V, and any of them gives the same answer:
+        no rows, K = N) and w = B R v.  Every kernel vector gives a
+        nonzero V, and any of them gives the same answer:
 
         * If a codeword c = f(g) lies within rank t of r, then
           D = W - V o f has q-degree <= K + t - 1 and D(g_i) =
@@ -200,15 +197,10 @@ class GabidulinCode:
         check_word(f, received)
         t = (n - k) // 2
         powers = [received] + [[f.frobenius(r, l) for r in received] for l in range(1, t + 1)]
-        if self._check_rows:
-            kern = kernel_field(f, [matvec(f, powers, c) for c in self._check_rows])
-            if not kern:
-                return None
-            v = kern[0]
-        else:
-            v = (1,)
-        u = matvec(f, list(zip(*powers)), v)
-        msg = _lin_left_divide(f, list(v), list(matvec(f, self._solve_rows, u)))
+        solved = solve_split(f, self._solve_rows, self._check_rows, powers)
+        if solved is None:
+            return None
+        msg = _lin_left_divide(f, list(solved[0]), list(solved[1]))
         if msg is None or len(msg) > k:
             return None
         return tuple(msg) + (0,) * (k - len(msg))

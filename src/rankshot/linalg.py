@@ -23,6 +23,9 @@ for q = 2 and c <= 64 and modular row updates otherwise.  rank, of one
 matrix, and the channel sampler's full-rank tests read the same table
 through entries_rank; larger shapes count rref_field's pivots.
 
+Both algebraic decoders solve R v = G w with a constant G in the same
+two steps: split_constant_block once a code, solve_split once a word.
+
 The subspace distance from a received space to lifted words has one
 formula, basis_distances, which takes the received space's basis
 [H | P] (received_basis, one rref).  Over F_2 it never forms P - H U
@@ -52,7 +55,7 @@ import math
 import numpy as np
 
 from .errors import INT64_MAX, guard_enumeration, int64_products_fit, json_int
-from .fields import PrimeField
+from .fields import PrimeField, matvec
 
 
 def as_matrix(m, q: int) -> np.ndarray:
@@ -538,3 +541,39 @@ def kernel_field(field, rows):
             vec[p] = field.neg(R[i][fc])
         basis.append(tuple(vec))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# interpolation systems R v = G w with a constant G: a Moore matrix for
+# the Gabidulin decoder, a Vandermonde matrix for the Reed-Solomon one
+
+def split_constant_block(field, g_rows):
+    """(B, C) for an n x c matrix G of full column rank over *field*.
+
+    [G | I] row-reduces to [[I; 0] | T], T invertible with T G = [I; 0]:
+    T's upper c rows are the solve rows B (B G = I), its lower n - c rows
+    the check rows C (C G = 0).  Both come back as tuples of row tuples.
+    """
+    n, c = len(g_rows), len(g_rows[0]) if g_rows else 0
+    reduced, _ = rref_field(field, [
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g_rows)])
+    return (tuple(tuple(row[c:]) for row in reduced[:c]),
+            tuple(tuple(row[c:]) for row in reduced[c:]))
+
+
+def solve_split(field, solve_rows, check_rows, r_cols):
+    """(v, w) with R v = G w and v != 0, or None when only v = 0 solves it.
+
+    G's split is (solve_rows, check_rows) from split_constant_block, and
+    R is given by its columns.  R v = G w iff C R v = 0 and w = B R v,
+    since T = [B; C] is invertible: v is the first kernel vector of C R
+    (the unit vector e_0 when C has no rows) and w = B R v.
+    """
+    if check_rows:
+        kern = kernel_field(field, [matvec(field, r_cols, c) for c in check_rows])
+        if not kern:
+            return None
+        v = kern[0]
+    else:
+        v = (1,) + (0,) * (len(r_cols) - 1)
+    return v, matvec(field, solve_rows, matvec(field, list(zip(*r_cols)), v))

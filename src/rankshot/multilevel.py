@@ -124,7 +124,8 @@ class MultilevelCodeSpec:
         messages (level 0 most significant).  Coset message k of level i
         adds k Q^(K_0 - K_i) to a shot's R_0 product index (Q = q^M), so
         one in-place broadcast per level over the outer codewords in
-        message order, R_0's index and one lexsort of the shot-major
+        message order (sorted(outer.codewords()): message tuples sort in
+        product order), R_0's index and one lexsort of the shot-major
         table build it.  The guard counts the table, the sort order, one
         shot's rows and R_0's map to rows before anything is built.
         """
@@ -138,7 +139,7 @@ class MultilevelCodeSpec:
             for i, outer in enumerate(self.outers):
                 place = np.argsort([s for _, s in self.chain.coset_table(i)])  # symbol -> k
                 place *= Q ** (ks[0] - ks[i])
-                for j, symbols in enumerate(zip(*outer.codewords_by_message())):
+                for j, symbols in enumerate(zip(*(cw for _, cw in sorted(outer.codewords())))):
                     grid[j] += place[list(symbols)].reshape([-1] + [1] * (self.m - 1 - i))
             for shot in table:
                 shot[:] = row_of[shot]

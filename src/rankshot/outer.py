@@ -1,33 +1,39 @@
 """Reed-Solomon outer codes and the per-level symbol maps.
 
 Outer codes are evaluation codes: a message (f_0 .. f_{k-1}) encodes to
-the values of the polynomial at the points 1, g, g^2, ..., g^(n-1),
-where g is the alphabet field's canonical generator element.  They are
-MDS with minimum Hamming distance n - k + 1 and decoded either by an
+the values of the polynomial at the points x_i = g^i, i < n, where g is
+the alphabet field's canonical generator element, so encode is one
+matvec by the Vandermonde generator x_i^l, l < k.  The codes are MDS
+with minimum Hamming distance n - k + 1 and decoded either by an
 exhaustive nearest-codeword decoder (reference semantics; the codebook,
 the F_q-span of the encodings of the single-digit messages built by
 linalg.span_codebook, is held in codeword order, so the first minimum
 of its scan is the smallest codeword tuple, and a received codeword is
-read from the codebook without a scan) or by a Gao-style algebraic
-decoder that handles errors and erasures up to 2e + f <= d - 1 and
-reports failure beyond that.  Gao's decoder interpolates the live
-positions in Lagrange form from per-code data, computed once: each
-point's linear factor x - x_i, their product over every point and the
-inverse differences 1 / (x_i - x_j).  g0 is the product of the live
-factors: that kept product when nothing is erased, else multiplied out
-for the call.  A decode divides out each live point's factor from g0 by
-synthetic division and scales by the product of its inverse
-differences; it inverts no element and keeps nothing between calls.
-It ends at one exact division, with no re-encoding and no error count:
-partial extended Euclid on (g0, g1) stops at the first remainder r of
-degree below (n_live + k) / 2, so its g1 cofactor v, which is never
-zero, has degree at most (n_live - k) / 2.  With r = u g0 + v g1, an exact quotient
-r = v p with deg p < k gives v (g1 - p) = -u g0; g0 is square-free, so
-every live position where the word disagrees with p is a root of v.  The
-e errors then satisfy 2e <= n_live - k, that is 2e + f <= d - 1 with
-f = n - n_live erasures.  For k = 0 the same loop ends at r = 0 exactly
-when the gcd of g0 and g1, the product of x - x_i over the live zero
-positions, has degree at least n_live / 2: that bound for the zero word.
+read from the codebook without a scan) or by the Welch-Berlekamp
+decoder, which handles errors and erasures up to 2e + f <= d - 1 and
+reports failure beyond that.
+
+Welch-Berlekamp asks, on the n_live positions left after f erasures,
+for E of degree <= e = floor((n_live - k) / 2) and Q of degree
+< e + k with y_i E(x_i) = Q(x_i).  That is the Gabidulin decoder's
+system R v = G w with a Vandermonde matrix for the Moore matrix: R's
+columns are y_i x_i^l, l <= e, and G's x_i^l, l < e + k, on the live
+points.  G has full column rank (distinct points, e + k <= n_live), so
+linalg.split_constant_block splits it into solve rows B and check rows
+C, and linalg.solve_split takes v = E, the first kernel vector of C R,
+and w = Q = B R v.  The all-points split is kept with the code; a
+decode with erasures splits its live rows for that call and keeps
+nothing, since there are up to 2^n erasure patterns.  One exact
+division Q = E p with deg p < k ends the decode, and any kernel vector
+gives the same answer.  If a codeword p lies within the radius, its
+error locator and p times it solve the system, so the kernel is not
+empty; and for any solution, Q - pE has degree < e + k and vanishes at
+the >= n_live - e >= e + k live points where the word agrees with p,
+so it is zero and the division finds p.  Conversely an exact quotient p
+of degree < k makes every live disagreement y_i != p(x_i) a root of E
+(y_i E(x_i) = p(x_i) E(x_i)), of which there are at most e, so
+2e + f <= d - 1 holds for p.  So the outputs are exactly the
+bounded-distance decoder's.
 
 A SymbolMap carries level messages between width-w coefficient tuples
 over F_{q^M} and symbols of the level alphabet, which for w > 1 is a
@@ -40,10 +46,10 @@ import itertools
 
 import numpy as np
 
-from .fields import (
-    ExtensionField, check_word, poly_divmod, poly_eval, poly_mul, poly_sub, poly_trim,
+from .fields import ExtensionField, check_word, matvec, poly_divmod
+from .linalg import (
+    element_ints, single_digit_messages, solve_split, span_codebook, split_constant_block,
 )
-from .linalg import element_ints, single_digit_messages, span_codebook
 
 
 def _product_index(symbols, size: int) -> int:
@@ -52,14 +58,6 @@ def _product_index(symbols, size: int) -> int:
     for s in symbols:
         index = index * size + s
     return index
-
-
-def _poly_product(field, polys) -> list:
-    """The product of *polys* over *field*, [1] for none."""
-    out = [1]
-    for poly in polys:
-        out = poly_mul(field, out, poly)
-    return out
 
 
 def _base_digits(size: int, q: int) -> int:
@@ -120,34 +118,31 @@ class OuterCode:
         self.n = n
         self.k = k
         self.points = points
-        # Gao's per-code data: the linear factor x - x_i of every point,
-        # their product (g0 with no erasures) and the inverse differences
-        # 1 / (x_i - x_j), i != j
-        self._factors = tuple([field.neg(x), 1] for x in points)
-        self._g0 = tuple(_poly_product(field, self._factors))
-        self._inv_diffs = tuple(
-            tuple(field.inv(field.sub(x, y)) if x != y else 0 for y in points)
-            for x in points
-        )
+        # x_i^l for l < k (the generator), l <= e and l < e + k (every
+        # Welch-Berlekamp system's columns), e = (n - k) // 2 the radius
+        # with no erasures, whose split is kept
+        e = (n - k) // 2
+        self._powers = tuple(tuple(field.pow(x, l) for l in range(e + max(k, 1)))
+                             for x in points)
+        self._split = split_constant_block(field, [row[:e + k] for row in self._powers])
         self._codebook = None
-        self._by_message = None  # the codewords in message order, once enumerated
 
     @property
     def d_min(self) -> int:
         return self.n - self.k + 1
 
     def encode(self, message) -> tuple:
-        """The codeword of *message*: read from the message-order table
-        once codewords() has enumerated the code, else evaluated by
-        Horner's rule.  It never enumerates the code itself."""
+        """The codeword of *message*: the Vandermonde generator x_i^l,
+        l < k, times the message.  A symbol that is not an element of
+        the alphabet is refused (fields.check_word)."""
         if len(message) != self.k:
             raise ValueError(f"message must have length {self.k}")
-        coeffs = [int(c) for c in message]
-        if coeffs and not 0 <= min(coeffs) <= max(coeffs) < self.field.size:
-            raise ValueError(f"message symbols must lie in [0, {self.field.size})")
-        if self._by_message is not None:
-            return self._by_message[_product_index(coeffs, self.field.size)]
-        return tuple(poly_eval(self.field, coeffs, p) for p in self.points)
+        try:
+            check_word(self.field, message)
+        except ValueError:
+            raise ValueError(f"message symbols must lie in [0, {self.field.size})") from None
+        k = self.k
+        return matvec(self.field, [row[:k] for row in self._powers], message)
 
     def codewords(self) -> list:
         """All (message, codeword) pairs, in codeword order (guarded).
@@ -157,11 +152,9 @@ class OuterCode:
         stacks, and their product-order message indices; each message is
         read from itertools.product at its index.
 
-        The one enumeration also indexes the code both ways, exactly,
-        since encoding is a bijection.  Message to word: a list of the
-        same codeword tuples in message (product) order, which encode
-        reads.  Word to message: the codebook itself.  Any k positions of
-        an MDS codeword determine it, so the first k symbols of the
+        The one enumeration also indexes the code from word to message,
+        exactly, since encoding is a bijection.  Any k positions of an
+        MDS codeword determine it, so the first k symbols of the
         codewords run through every k-tuple once, and codeword order puts
         the codeword whose first k symbols have product index j at row j.
         """
@@ -175,19 +168,8 @@ class OuterCode:
             stack, index = span_codebook(rows, k * width, q, (self.n, width))
             words = element_ints(stack, q).tolist()
             messages = list(itertools.product(range(f.size), repeat=k))
-            index = index.tolist()
-            book = [(messages[m], tuple(w)) for m, w in zip(index, words)]
-            by_message = [None] * len(book)
-            for m, (_, cw) in zip(index, book):
-                by_message[m] = cw
-            self._codebook, self._by_message = book, by_message
+            self._codebook = [(messages[m], tuple(w)) for m, w in zip(index.tolist(), words)]
         return self._codebook
-
-    def codewords_by_message(self) -> list:
-        """The codewords in message (product) order (guarded): the list
-        encode reads, built by the one enumeration of codewords()."""
-        self.codewords()
-        return self._by_message
 
     def decode(self, word, erasures=(), method: str = "exhaustive"):
         """Decode to a message tuple, or None on failure.
@@ -242,46 +224,24 @@ class OuterCode:
                     break
         return best_msg
 
-    def _decode_gao(self, word, erasures):
-        f = self.field
+    def _decode_welch_berlekamp(self, word, erasures):
+        f, k, powers = self.field, self.k, self._powers
         live = [i for i in range(self.n) if i not in erasures]
-        n_live = len(live)
-        if n_live < self.k:
+        if len(live) < k:
             return None
-        g0 = _poly_product(f, [self._factors[i] for i in live]) if erasures else self._g0
-        # Lagrange interpolation through the live points: the numerator of
-        # point i is g0 / (x - x_i), its denominator the product of the
-        # differences x_i - x_j over the other live points
-        g1 = [0] * n_live
-        for i in live:
-            if word[i] == 0:
-                continue
-            x, inv_diffs = self.points[i], self._inv_diffs[i]
-            num, acc = [0] * n_live, 0
-            for t in range(n_live, 0, -1):
-                acc = f.add(g0[t], f.mul(x, acc))
-                num[t - 1] = acc
-            scale = word[i]
-            for j in live:
-                if j != i:
-                    scale = f.mul(scale, inv_diffs[j])
-            g1 = f.sub_scaled_row(g1, f.neg(scale), num)
-        g1 = poly_trim(g1)
-        # partial extended Euclid until the remainder degree drops below
-        # (n_live + k) / 2; v tracks the g1 cofactor.
-        stop = (n_live + self.k) / 2
-        r0, r1 = g0, g1
-        v0, v1 = [], [1]
-        while r1 and len(r1) - 1 >= stop:
-            quot, rem = poly_divmod(f, r0, r1)
-            r0, r1 = r1, rem
-            v0, v1 = v1, poly_sub(f, v0, poly_mul(f, quot, v1))
-        quot, rem = poly_divmod(f, r1, v1)
-        if rem or len(quot) > self.k:
+        e = (len(live) - k) // 2
+        split = (split_constant_block(f, [powers[i][:e + k] for i in live]) if erasures
+                 else self._split)
+        r_cols = [[f.mul(word[i], powers[i][l]) for i in live] for l in range(e + 1)]
+        solved = solve_split(f, *split, r_cols)
+        if solved is None:
             return None
-        return tuple(quot) + (0,) * (self.k - len(quot))
+        quot, rem = poly_divmod(f, solved[1], solved[0])
+        if rem or len(quot) > k:
+            return None
+        return tuple(quot) + (0,) * (k - len(quot))
 
-    _DECODERS = {"exhaustive": _decode_exhaustive, "algebraic": _decode_gao}
+    _DECODERS = {"exhaustive": _decode_exhaustive, "algebraic": _decode_welch_berlekamp}
 
     def __repr__(self):
         return f"OuterCode(n={self.n}, k={self.k}, alphabet={self.field.size})"

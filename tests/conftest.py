@@ -4,6 +4,7 @@ from rankshot.cosets import PartitionChain
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode
 from rankshot.multilevel import MultilevelCodeSpec, special_situation, spec_from_json
+from rankshot.outer import OuterCode
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,12 @@ def widespec():
     F_(2^64) leaves int64."""
     return spec_from_json({"field": {"q": 2, "M": 32}, "N": 4, "K": 3, "Ks": [3, 1, 0],
                            "n": 2, "outers": [{"n": 2, "k": 1}, {"n": 2, "k": 1}]})
+
+
+@pytest.fixture(scope="session")
+def outer_refs(preset):
+    """The special preset's outer codes ([3,2] and [3,3] over F_16) and a
+    [6,2,5] code over F_9, whose primitive modulus x^2 + x + 2 gives the
+    generator order 8."""
+    f9 = ExtensionField(PrimeField(3), modulus=[2, 1, 1])
+    return list(preset.outers) + [OuterCode(f9, 6, 2)]

@@ -394,3 +394,21 @@ def test_frobenius_matches_power_of_the_characteristic():
     # the degree-2 period would read a^(2^2) as a^(2^0) = a, wrong outside F_4
     a = next(x for x in tower.elements() if tower.pow(x, 4) != x)
     assert tower.frobenius(a, 2) == tower.pow(a, 4) != a
+
+
+def test_polynomial_path_inverse_matches_the_power():
+    """inv on the polynomial path (extended Euclid on the coordinate
+    polynomials) equals a^(size - 2) on sampled elements of F_(2^16),
+    F_(2^32), F_(2^48) as a cubic tower over F_(2^16) and F_(3^9)."""
+    f2_16 = ExtensionField(PrimeField(2), degree=16)
+    fields = (f2_16, ExtensionField(PrimeField(2), degree=32),
+              ExtensionField(f2_16, degree=3), ExtensionField(PrimeField(3), degree=9))
+    rng = np.random.default_rng(53)
+    for field in fields:
+        assert field._exp is None and field.size > _TABLE_LIMIT
+        for a in [1, field.size - 1, field.gen] + [int(x) for x in rng.integers(2, field.size, 3)]:
+            inv = field.inv(a)
+            assert inv == field._pow_poly(a, field.size - 2), (field, a)
+            assert field.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        fields[0].inv(0)

@@ -8,7 +8,9 @@ import pytest
 from rankshot.errors import GuardError
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode, _lin_left_divide
-from rankshot.linalg import kernel_field, rank, rank_distance, rref_field
+from rankshot.linalg import (
+    kernel_field, rank, rank_distance, rref_field, split_constant_block,
+)
 from rankshot.multilevel import spec_from_json, special_situation
 
 
@@ -343,31 +345,53 @@ def test_decode_message_matches_full_system_solve(f8, f9):
         assert answered, code
 
 
-def test_check_and_solve_rows_split_the_constant_block(f8, f9):
-    """C G = 0 with N - K - t independent rows, and B G = I, for G the
-    Moore matrix g_i^(q^l), l < K + t, on every code of the reference
-    test."""
+def _assert_split(field, g_rows, solves, checks):
+    """C G = 0 with n - c independent rows, and B G = I, G n x c."""
+    n, c = len(g_rows), len(g_rows[0]) if g_rows else 0
+    g_cols = [[row[l] for row in g_rows] for l in range(c)]
+    assert len(checks) == n - c and len(solves) == c
+    assert all(field.dot(r, col) == 0 for r in checks for col in g_cols)
+    assert [[field.dot(b, col) for col in g_cols] for b in solves] == [
+        [int(i == j) for j in range(c)] for i in range(c)]
+    assert len(rref_field(field, checks)[1]) == n - c
+
+
+def test_check_and_solve_rows_split_the_constant_block(f8, f9, outer_refs):
+    """C G = 0 with n - c independent rows, and B G = I, for the n x c
+    matrices G of both interpolation decoders: the Moore matrix
+    g_i^(q^l), l < K + t, on every code of the reference test, and the
+    Vandermonde matrix x_i^l, l < e + k, e = (n_live - k) // 2, on every
+    live set of the outer reference codes.  With every point live, that
+    split is the one the outer code keeps."""
     for code, _ in _reference_cases(f8, f9):
         f, n, k = code.field, code.length, code.dim
         kt = k + (n - k) // 2
-        g_cols = [[f.frobenius(g, l) for g in code.points] for l in range(kt)]
-        checks, solves = code._check_rows, code._solve_rows
-        assert len(checks) == n - kt and len(solves) == kt
-        assert all(f.dot(c, col) == 0 for c in checks for col in g_cols), code
-        assert [[f.dot(b, col) for col in g_cols] for b in solves] == [
-            [int(i == j) for j in range(kt)] for i in range(kt)], code
-        assert len(rref_field(f, checks)[1]) == n - kt, code
+        g_rows = [[f.frobenius(g, l) for l in range(kt)] for g in code.points]
+        _assert_split(f, g_rows, code._solve_rows, code._check_rows)
+    for code in outer_refs:
+        f, n, k = code.field, code.n, code.k
+        for size in range(k, n + 1):
+            for live in itertools.combinations(range(n), size):
+                e = (size - k) // 2
+                g_rows = [[f.pow(code.points[i], l) for l in range(e + k)] for i in live]
+                split = split_constant_block(f, g_rows)
+                _assert_split(f, g_rows, *split)
+                if size == n:
+                    assert split == code._split
 
 
 @pytest.mark.parametrize("word", [(-1, 0, 0, 0), (16, 0, 0, 0), (1.5, 0, 0, 0),
                                   (0, 0, True, 0)])
 def test_decoders_refuse_elements_outside_the_field(word):
-    """Every decode entry refuses a word with an element that is not an
-    int in [0, 16) before any arithmetic: -1 used to decode as a table
-    read of the last entry, 16 to raise IndexError, and 1.5 to be
+    """Every decode entry, and encode on a message of the [4, 4] code,
+    refuses a word with an element that is not an int in [0, 16) before
+    any arithmetic: -1 used to decode as a table read of the last entry
+    and encode to a wrong codeword, 16 to raise IndexError, and 1.5 to be
     truncated by the exhaustive path."""
-    code = GabidulinCode(ExtensionField(PrimeField(2), degree=4), 4, 2)
+    f16 = ExtensionField(PrimeField(2), degree=4)
+    code = GabidulinCode(f16, 4, 2)
     for decode in (code.decode_message, code.decode_rank_errors, code.decode_bounded,
-                   lambda w: code.decode_bounded(w, method="algebraic")):
+                   lambda w: code.decode_bounded(w, method="algebraic"),
+                   GabidulinCode(f16, 4, 4).encode):
         with pytest.raises(ValueError, match="word element"):
             decode(word)

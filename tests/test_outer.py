@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rankshot.fields import ExtensionField, PrimeField
-from rankshot.multilevel import special_situation
+from rankshot.linalg import solve_field
+from rankshot.multilevel import spec_from_json, special_situation
 from rankshot.outer import OuterCode, SymbolMap
 
 
@@ -59,7 +60,8 @@ def test_mds_distance_exhaustive(f8):
 
 def test_encode_refuses_symbols_outside_the_alphabet():
     outer = special_situation(2, 4, 4, 2, 2, 4)[0].outers[1]  # [2, 2] over F_16
-    for message in ((16, 0), (0, 255), (-1, 0)):
+    # 1.5 used to be truncated to 1, and "3" and True parsed as 3 and 1
+    for message in ((16, 0), (0, 255), (-1, 0), (1.5, 0), (True, 0), ("3", 0)):
         with pytest.raises(ValueError, match=r"message symbols must lie in \[0, 16\)"):
             outer.encode(message)
     assert outer.encode((15, 3)) == (12, 9)
@@ -71,7 +73,7 @@ def test_decode_refuses_symbols_outside_the_alphabet(word, method):
     """On the special preset's first outer code, over F_16, a symbol that
     is not an int in [0, 16) is refused before any arithmetic, erased or
     not: 16 used to decode to (0, 0) exhaustively and raise IndexError in
-    Gao's decoder, and -1 to decode to (0, 0) and None."""
+    the algebraic decoder, and -1 to decode to (0, 0) and None."""
     code = special_situation(2, 4, 4, 2, 3, 4)[0].outers[0]
     for erasures in ((), (0,)):
         with pytest.raises(ValueError, match="word element"):
@@ -171,8 +173,7 @@ def test_decode_algebraic_with_erasures(f8):
 def test_codewords_in_codeword_order(f8, f9):
     """The codebook is in codeword order, its row j the codeword whose
     first k symbols are the j-th k-tuple in product order, and encode
-    gives the same word before the codebook exists (Horner's rule) and
-    after (the message-order table)."""
+    gives the same word before the codebook exists and after."""
     f4 = ExtensionField(PrimeField(2), degree=2)
     for field, n, k in ((f8, 2, 1), (f9, 3, 1), (f4, 3, 2), (f8, 3, 2), (f8, 3, 0), (f4, 3, 3)):
         code = OuterCode(field, n, k)
@@ -232,21 +233,12 @@ def test_symbol_map_wide():
     assert len(seen) == 16
 
 
-def _outer_codes():
-    """The special preset's outer codes ([3,2] and [3,3] over F_16) and a
-    [6,2,5] code over F_9, whose primitive modulus x^2 + x + 2 gives the
-    generator order 8."""
-    spec = special_situation(2, 4, 4, 2, 3, 4)[0]
-    f9 = ExtensionField(PrimeField(3), modulus=[2, 1, 1])
-    return list(spec.outers) + [OuterCode(f9, 6, 2)]
-
-
 @pytest.mark.parametrize("which", range(3))
-def test_gao_matches_exhaustive_inside_the_radius(which):
+def test_algebraic_matches_exhaustive_inside_the_radius(which, outer_refs):
     """Every erasure set and every error pattern (positions and nonzero
     values) with 2e + f <= d - 1 on two codewords: the algebraic decoder
     returns the exhaustive decode, the sent message."""
-    code = _outer_codes()[which]
+    code = outer_refs[which]
     f, n = code.field, code.n
     rng = np.random.default_rng(61 + which)
     checked = 0
@@ -271,7 +263,7 @@ def test_gao_matches_exhaustive_inside_the_radius(which):
     assert checked >= 2
 
 
-def test_gao_is_exactly_the_bounded_distance_decoder(f8, f9):
+def test_algebraic_is_exactly_the_bounded_distance_decoder(f8, f9):
     """Every word and every erasure set of [3,0], [3,1] and [3,2] over F_8,
     [3,2] and [3,3] over F_4 and [3,1] over F_9: the algebraic decoder
     returns the nearest codeword's message when that codeword has
@@ -292,3 +284,53 @@ def test_gao_is_exactly_the_bounded_distance_decoder(f8, f9):
                 assert code.decode(word, erasures=erasures, method="algebraic") == want
                 checked += 1
     assert checked == 8 * (3 * 8 ** 3 + 2 * 4 ** 3 + 9 ** 3)
+
+
+def _nearest_interpolant(code, word, live):
+    """(distance, message) of the codeword nearest *word* on *live* among
+    those interpolated through each k-subset of the live positions, the
+    first of the least distance; None when fewer than k are live.  A
+    codeword within the radius agrees with the word on at least k live
+    positions, so it is among them, at any alphabet size."""
+    f, k = code.field, code.k
+    best = None
+    for subset in itertools.combinations(live, k):
+        rows = [[f.pow(code.points[i], l) for l in range(k)] for i in subset]
+        msg = solve_field(f, rows, [word[i] for i in subset])
+        cw = code.encode(msg)
+        dist = sum(cw[i] != word[i] for i in live)
+        if best is None or dist < best[0]:
+            best = (dist, msg)
+    return best
+
+
+def test_algebraic_is_the_bounded_distance_decoder_past_int64():
+    """The two outer codes of the spec whose R_0 indices leave int64, [3,1]
+    over F_(2^32) and [3,2] over F_(2^48), on codewords with up to n
+    symbols redrawn and every erasure set: the algebraic decoder returns
+    the nearest interpolant's message when 2e + f <= d - 1, else None."""
+    spec = spec_from_json({"field": {"q": 2, "M": 16}, "N": 5, "K": 5, "Ks": [5, 3, 0],
+                           "n": 3, "outers": [{"n": 3, "k": 1}, {"n": 3, "k": 2}]})
+    rng = np.random.default_rng(43)
+    answered = failed = 0
+    for code in spec.outers:
+        f, n = code.field, code.n
+        assert f.size in (2 ** 32, 2 ** 48)
+        for _ in range(6):
+            word = list(code.encode(tuple(int(x) for x in rng.integers(0, f.size, code.k))))
+            for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                word[i] = int(rng.integers(0, f.size))
+            word = tuple(word)
+            for erasures in itertools.chain.from_iterable(
+                itertools.combinations(range(n), size) for size in range(n + 1)
+            ):
+                live = [i for i in range(n) if i not in erasures]
+                best = _nearest_interpolant(code, word, live)
+                want = None
+                if best is not None and 2 * best[0] + len(erasures) <= code.d_min - 1:
+                    want = best[1]
+                got = code.decode(word, erasures=erasures, method="algebraic")
+                assert got == want, (code, word, erasures)
+                answered += got is not None
+                failed += got is None
+    assert answered and failed
