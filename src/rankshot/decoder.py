@@ -21,10 +21,13 @@ arrays.  It belongs to one decode: it checks the shots once and keeps
 each shot's basis and scores over R_0 after their first use, so a
 simulate trial, which builds one and hands it to ds_observed and every
 role, row-reduces each received shot once and scores it over R_0 once.
-A shot's scores are linalg.basis_distances over R_0.  Over F_2 they are
-ranked on packed rows from R_0's element ints, which the Gabidulin code
-builds once (GabidulinCode._codeword_ints): a few XORs a header column
-into a rank-table index, with no int64 product and no rank_batch call.
+Over F_2 that basis is one packed elimination (linalg.packed_basis),
+and every reader takes its rows as they are: the scores over R_0
+(linalg._packed_distances, on R_0's element ints, which the Gabidulin
+code builds once, GabidulinCode._codeword_ints), ds_observed
+(linalg.packed_distance) and the algebraic step's rank words
+(reduction.received_word).  Over an odd prime field it is
+linalg.received_basis's (H, P), and the scores are basis_distances.
 
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _packed_distances, basis_distances, received_basis
+from .linalg import _packed_distances, basis_distances, packed_basis, received_basis
 from .multilevel import MultilevelCodeSpec
 from .outer import OuterCode
 from .reduction import received_word
@@ -84,23 +87,27 @@ class Received(tuple):
 
     @functools.cached_property
     def bases(self) -> tuple:
-        """Per shot, the RREF basis (H, P) of <Y_j> (linalg.received_basis),
-        split after the shot length: one rref per shot."""
+        """Per shot, the RREF basis of <Y_j>, one elimination each, in the
+        one form its readers take: over F_2 the packed rows of
+        linalg.packed_basis, header in the low N bits; otherwise
+        linalg.received_basis's (H, P), split after the shot length."""
         spec = self.spec
+        if spec.field.base.size == 2:
+            return tuple(map(packed_basis, self))
         return tuple(received_basis(y, spec.shot_length, spec.field.base.size) for y in self)
 
     @functools.cached_property
     def scores(self) -> tuple:
         """Per shot j, d_S(<Y_j>, lift(c)) for every word c of R_0, in R_0's
-        codeword order: basis_distances on the shot's basis.  Over F_2 it
-        takes basis_distances' packed route (linalg._packed_distances)
-        straight on R_0's element ints as the code keeps them
-        (GabidulinCode._codeword_ints), so no call packs R_0 again."""
+        codeword order, from the shot's basis.  Over F_2 that is
+        linalg._packed_distances on the packed rows, straight against R_0's
+        element ints as the code keeps them (GabidulinCode._codeword_ints),
+        so no call packs R_0 or the basis again; otherwise basis_distances."""
         code = self.spec.code
         q = code.field.base.size
         if q == 2:  # M <= 63: the code keeps q^M - 1 inside int64
-            words = code._codeword_ints()
-            return tuple(_packed_distances(h, p, words) for h, p in self.bases)
+            words, m = code._codeword_ints(), code.field.degree
+            return tuple(_packed_distances(rows, words, m) for rows in self.bases)
         und = code.codebook_arrays()[0]
         return tuple(basis_distances(h, p, und, q) for h, p in self.bases)
 
@@ -177,21 +184,21 @@ def _algebraic_inner(Ys, spec: MultilevelCodeSpec):
     """The paper's inner step, which enumerates nothing: the rank-error
     decoder on r_j - V_j, its failures returned as erasures.
 
-    Set-up reads each shot's rank word r_j off one packed-bit F_2
-    elimination (reduction.received_word).  At stage i only the shots in
-    redo are decoded (GabidulinCode.decode_message); each shot's last
-    message polynomial f splits as coset message f[K_{i+1}:K_i], whose
-    leader and symbol PartitionChain.coset_entry gives, exactly
-    coset_leader's split of the encoded word.  Keeping f while the outer
-    code confirms the shot's leaders is exact: if f was found at stage l,
-    r_j - V_j lies within rank t_l of a word of R_i, and
-    t_l <= t_i < d_R(R_i) / 2 makes that word the decoder's unique answer
-    at stage i.  It forms no product index, which leaves int64 once
-    Q^(K_0 - 1) does.
+    Set-up reads each shot's rank word r_j off its one basis on Ys
+    (reduction.received_word), with no elimination of its own.  At stage
+    i only the shots in redo are decoded (GabidulinCode.decode_message);
+    each shot's last message polynomial f splits as coset message
+    f[K_{i+1}:K_i], whose leader and symbol PartitionChain.coset_entry
+    gives, exactly coset_leader's split of the encoded word.  Keeping f
+    while the outer code confirms the shot's leaders is exact: if f was
+    found at stage l, r_j - V_j lies within rank t_l of a word of R_i,
+    and t_l <= t_i < d_R(R_i) / 2 makes that word the decoder's unique
+    answer at stage i.  It forms no product index, which leaves int64
+    once Q^(K_0 - 1) does.
     """
     field, chain, code = spec.field, spec.chain, spec.code
     ks = chain.ks
-    words = [received_word(y, spec.shot_length, field.base.size)[1] for y in Ys]
+    words = [received_word(b, spec.shot_length, field.base.size)[1] for b in Ys.bases]
     polys = [None] * spec.n  # message polynomial of each shot's last decode
 
     def stage(i, accepted, redo):

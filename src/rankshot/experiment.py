@@ -11,7 +11,11 @@ scheduling.  Records are emitted in (grid, trial, decoder) order.
 A trial's received shots are one decoder.Received value, handed to
 every role.  Its ds_observed, sum_j d_S(<Y_j>, lift(x_j)), is scored on
 that value's bases, which the decoders then share, so it enumerates
-nothing and each shot is row-reduced once a trial.
+nothing and each shot is row-reduced once a trial.  Over F_2 a basis is
+one packed elimination's rows, and ds_observed XORs the sent shot's
+element ints under each row's header bits and takes one packed rank
+(linalg.packed_distance); otherwise it is basis_distances on the sent
+shot's coordinate matrix.
 
 The wall_us column is written as 0 unless timing is enabled, keeping
 output files byte-identical across repeated runs of the same config.
@@ -33,7 +37,7 @@ from .channel import (
 )
 from .decoder import ROLES, Received
 from .errors import ConfigError, json_int
-from .linalg import basis_distances
+from .linalg import basis_distances, packed_distance
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
 DEFAULT_DECODERS = ("oracle", "multistage")  # roles of decoder.ROLES
@@ -150,9 +154,9 @@ def run_trial(spec: MultilevelCodeSpec, rho: int, tau: int, split, master_seed: 
     # one value for ds_observed and every role, so each shot's basis, and
     # its scores over R_0, are computed once a trial
     ys = Received(apply_channel(draw, xs, q), spec)
-    N = spec.shot_length  # xs[j][:, N:] is underline(word[j])
-    ds_obs = sum(int(basis_distances(h, p, x[None, :, N:], q)[0])
-                 for (h, p), x in zip(ys.bases, xs))
+    ds_obs = sum(packed_distance(basis, w) if q == 2
+                 else int(basis_distances(*basis, field.underline(w)[None], q)[0])
+                 for basis, w in zip(ys.bases, word))
     # each role's document is scored on the decisions it holds
     sent = {"codeword": [list(w) for w in word], "messages": [list(m) for m in messages]}
     records = []

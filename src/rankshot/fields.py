@@ -18,8 +18,12 @@ the degree and in log q: no field element is enumerated, so a large q
 costs no more than its bit length.
 
 Fields of size at most _TABLE_LIMIT build exp/log tables at construction;
-larger fields keep polynomial arithmetic, and that size test is the only
-place the two paths are chosen.  The table format is private: the exp
+larger fields keep polynomial arithmetic.  Over F_2 that arithmetic
+runs on the element ints themselves, shifts and XORs modulo the modulus
+held as one int (_mulmod_bits, the product F_2's Rabin test uses), and
+over other base fields on coordinate lists.  That size test and that
+base-field test are the only places the paths are chosen, both in
+ExtensionField's constructor.  The table format is private: the exp
 table is doubled, so a product reads exp[log a + log b] with no modulo,
 and zero's log points past it into a run of zeros, so a product with a
 zero factor needs no branch either.  frobenius reads the log table with
@@ -220,27 +224,29 @@ def _quadratic_irreducible(field, f) -> bool:
     return disc != 0 and field.pow(disc, (field.size - 1) // 2) != 1
 
 
+def _mulmod_bits(a: int, b: int, f: int, n: int) -> int:
+    """a * b mod f over F_2, each polynomial an int with bit j the
+    coefficient of x^j, f of degree n and a of degree below n: b's bits
+    pick shifted copies of a, each kept below degree n by one XOR of f."""
+    top, out = 1 << n, 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= f
+    return out
+
+
 def _binary_irreducible(f: int, n: int) -> bool:
     """Rabin's test over F_2 for f of degree n >= 1 held as an int, bit j
     the coefficient of x^j: a product mod f is shifts and XORs on one
-    int, and x^(2^k) mod f is k squarings of x."""
-    top = 1 << n
-
-    def square_mod(a):
-        out, b = 0, a
-        while b:
-            if b & 1:
-                out ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= f
-        return out
-
+    int (_mulmod_bits), and x^(2^k) mod f is k squarings of x."""
     x = 2 ^ f if n == 1 else 2           # x mod f
     frobenius = [x]                      # frobenius[k] = x^(2^k) mod f
     for _ in range(n):
-        frobenius.append(square_mod(frobenius[-1]))
+        frobenius.append(_mulmod_bits(frobenius[-1], frobenius[-1], f, n))
     if frobenius[n] != x:
         return False
     for p in _prime_factors(n):
@@ -345,18 +351,10 @@ class ExtensionField:
         self.size = base.size ** self.degree
         self.characteristic = base.characteristic
         self._place = base.size ** np.arange(self.degree, dtype=np.int64)
-        # reduction rows: coordinates of x^(degree+t) mod modulus
-        head = [base.neg(c) for c in modulus[:-1]]
-        self._xpow = [tuple(head)]
-        cur = list(head)
-        for _ in range(self.degree - 2):
-            cur = [0] + cur
-            hi = cur.pop()
-            if hi:
-                cur = [base.add(cv, base.mul(hi, hv)) for cv, hv in zip(cur, head)]
-            self._xpow.append(tuple(cur))
         # the class of x, used as the canonical generator for evaluation points
         self.gen = base.size if self.degree >= 2 else base.neg(modulus[0])
+        # over F_2 an element int is its coefficient bits: the modulus as one int
+        self._bits = sum(c << j for j, c in enumerate(modulus)) if base.size == 2 else None
         self._exp = None
         self._log = None
         self._frobenius_e = None
@@ -411,27 +409,26 @@ class ExtensionField:
         return self.from_coords([self.base.neg(x) for x in self.coords(a)])
 
     def _mul_poly(self, a: int, b: int) -> int:
+        if self._bits is not None:
+            return _mulmod_bits(a, b, self._bits, self.degree)
         if a == 0 or b == 0:
             return 0
-        base = self.base
-        ca, cb = self.coords(a), self.coords(b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                if y == 0:
-                    continue
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        for t in range(len(prod) - 1, self.degree - 1, -1):
+        base, m = self.base, self.degree
+        cb = self.coords(b)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.coords(a)):
+            if x:
+                for j, y in enumerate(cb):
+                    if y:
+                        prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+        # c x^t = -c x^(t-m) (f - x^m) for the monic modulus f, top term first
+        for t in range(2 * m - 2, m - 1, -1):
             c = prod[t]
-            if c == 0:
-                continue
-            prod[t] = 0
-            for k, rv in enumerate(self._xpow[t - self.degree]):
-                if rv:
-                    prod[k] = base.add(prod[k], base.mul(c, rv))
-        return self.from_coords(prod[: self.degree])
+            if c:
+                for k, f in enumerate(self.modulus[:-1]):
+                    if f:
+                        prod[t - m + k] = base.sub(prod[t - m + k], base.mul(c, f))
+        return self.from_coords(prod[:m])
 
     def _pow_poly(self, a: int, e: int) -> int:
         out = 1

@@ -13,7 +13,7 @@ cached PrimeField(q), so q must be a prime below Q_GUARD; reduction,
 Subspace and received_basis read it.  kernel_field and solve_field (the
 reference coset split, cosets.coset_leader) run rref_field over
 extension fields.  The one other, rref_bits, row-reduces F_2 rows
-packed as ints for the algebraic decoder (reduction.received_word).
+packed as ints: packed_basis, each received F_2 shot's one elimination.
 rank_batch ranks a stack (count, r, c) without it, and without
 division over F_2, where as_matrix reduces by a bit mask: every shape
 with q^(r*c) <= 2^16, whatever the prime q, indexes a uint8 table of
@@ -27,18 +27,20 @@ Both algebraic decoders solve R v = G w with a constant G in the same
 two steps: split_constant_block once a code, solve_split once a word.
 
 The subspace distance from a received space to lifted words has one
-formula, basis_distances, which takes the received space's basis
-[H | P] (received_basis, one rref).  Over F_2 it never forms P - H U
-entry by entry: a word's rows are M-bit element ints, so row i of
-P - H U is p_i XOR (XOR_k H[i, k] u_k), and for r M <= 16 the r rows
-shift into one rank-table index a word (_packed_distances).  Other
-fields take H U in int64 and rank it with rank_batch.  A simulate trial
-reduces each received shot once (decoder.Received.bases, kept on the
-trial's one received value) and scores that basis against the sent
-shot for ds_observed and, once, against R_0 for the oracle and the
-exhaustive multistage decoder, which reads every later stage's scores
-off that vector.  Over F_2 that scoring reads R_0's element ints, which
-the Gabidulin code keeps, so R_0 is packed once a code.
+formula, d_S = N + 2 rank(P - H U) - rank(Y) on the received space's
+basis [H | P].  basis_distances takes it on received_basis's arrays,
+with H U in int64, ranked by rank_batch.  A simulate trial reduces each
+received shot once (decoder.Received.bases, kept on the trial's one
+received value) and scores that basis against the sent shot for
+ds_observed and, once, against R_0 for the oracle and the exhaustive
+multistage decoder, which reads every later stage's scores off that
+vector.  Over F_2 that one basis is packed_basis's rows, and every
+reader takes it as it is: a word's rows are M-bit element ints, so row
+i of P - H U is p_i XOR (XOR_k H[i, k] u_k), with no entry-by-entry
+product.  _packed_distances scores R_0, whose element ints the Gabidulin
+code keeps, and for r M <= 16 shifts the r rows into one rank-table
+index a word; packed_distance scores the one sent word for ds_observed;
+reduction.received_word reads the algebraic decoder's rank word off it.
 
 span_codebook is the one codebook enumerator: a Gabidulin or outer code
 is the F_q-span of the encodings of its single-digit messages, so one
@@ -259,11 +261,20 @@ def received_basis(Y, n: int, q: int):
     """RREF basis [H | P] of <Y>, split after column n: returns (H, P).
 
     A decoder row-reduces each received matrix once and scores every
-    candidate against this basis (basis_distances).
+    candidate against its basis: over an odd prime field this one, as
+    arrays (basis_distances); over F_2 packed_basis, its rows packed.
     """
     R, piv = rref(Y, q)
     basis = R[: len(piv)]
     return basis[:, :n], basis[:, n:]
+
+
+def packed_basis(Y) -> list:
+    """received_basis(Y, n, 2)'s rows, packed: one rref_bits elimination of
+    Y's rows as element ints, so bit c of a row is its entry in column c.
+    For every header width n the header H sits in a row's low n bits and
+    the row shifted right by n is its payload's element int."""
+    return rref_bits(element_ints(as_matrix(Y, 2), 2).tolist())
 
 
 def basis_distances(h, p, und, q: int) -> np.ndarray:
@@ -274,71 +285,82 @@ def basis_distances(h, p, und, q: int) -> np.ndarray:
     Subtracting H [I | U] from [H | P] leaves [0 | P - H U], so
     dim([I|U] + <Y>) = N + rank(P - H U) and
     d_S = N + 2 rank(P - H U) - rank(Y); any basis of <Y> will do, not
-    only the RREF one.  One call scores a whole codebook:
-    decoder.Received.scores scores each shot once against R_0, and every
-    word V + x the exhaustive multistage decoder considers later, x in a
-    level subcode, is a row of R_0.  A one-word stack, the sent shot's
-    underline, gives a simulate trial's ds_observed.
-
-    Over F_2, with M < 64, each word goes in as the element ints of
-    its N rows and P - H U as packed rows, one XOR a nonzero entry of H
-    (_packed_distances, which decoder.Received.scores calls on R_0's
-    element ints as the code keeps them).  Its ranks are rank_batch's on
-    P - H U, route for route: the rank table when r M <= 16, _xor_ranks
-    above.  Other fields take H U in int64 and rank it with rank_batch,
+    only the RREF one.  H U is taken in int64 and ranked with rank_batch,
     so N (q-1)^2 + q must stay inside int64; a ValueError says when not.
+
+    One call scores a whole codebook: decoder.Received.scores scores each
+    shot once against R_0, and every word V + x the exhaustive multistage
+    decoder considers later, x in a level subcode, is a row of R_0.  Over
+    F_2 the decoders read the same formula off the packed basis instead
+    (_packed_distances against R_0, packed_distance against one word).
     """
     _, n, m = und.shape
     if h.shape[1] != n or p.shape[1] != m:
         raise ValueError("column count mismatch between Y and lifted word")
     if not int64_products_fit(n, q):
         raise ValueError(f"q={q} is too large for {n}-term int64 products")
-    if q == 2 and m < 64:
-        return _packed_distances(h, p, element_ints(und, 2).T)
     return n + 2 * rank_batch(p - h @ und, q) - len(h)
 
 
-def _packed_distances(h, p, words) -> np.ndarray:
-    """basis_distances over F_2, each word U given by the element ints of
-    its rows: words has shape (N, count), and bit j of words[k, w] is
-    entry (k, j) of word w.  h, p and words hold residues mod 2, and
-    M < 64.
+def _packed_distances(rows, words, m: int) -> np.ndarray:
+    """basis_distances over F_2 from a packed basis (packed_basis) to
+    every word U given by the element ints of its rows: words has shape
+    (N, count), and bit j of words[k, w] is entry (k, j) of word w, which
+    has M = m < 64 columns.
 
     Row i of P - H U packs to p_i XOR (XOR_k H[i, k] words[k]), p_i the
-    element int of P's row i: a row operation over F_2 is one XOR.  When
-    r M <= 16 the matrix's index in _rank_table(2, r, M) is its r packed
-    rows, row i shifted up by i M bits.  The shifted copies sit in
-    disjoint bit ranges, so the index is c XOR (XOR_k words[k] m_k) with
-    c = sum_i p_i 2^(iM) and m_k = sum_i H[i, k] 2^(iM): one product and
-    one XOR a header column.  Larger shapes rank the (count, r) packed
-    rows with _xor_ranks, rank_batch's route for them.  Either way the
-    ranks are rank_batch's, so the distances are too.
+    row's high bits, H[i, k] its bit k: a row operation over F_2 is one
+    XOR.  When r M <= 16 the matrix's index in _rank_table(2, r, M) is
+    its r packed rows, row i shifted up by i M bits.  The shifted copies
+    sit in disjoint bit ranges, so the index is c XOR (XOR_k words[k] m_k)
+    with c = sum_i p_i 2^(iM) and m_k = sum_i H[i, k] 2^(iM): one product
+    and one XOR a header column.  Larger shapes rank the (count, r)
+    packed rows with _xor_ranks, rank_batch's route for them.  Either way
+    the ranks are rank_batch's, so the distances are basis_distances'.
     """
     n, count = words.shape
-    r, m = p.shape
-    if not r:
-        return np.full(count, n, dtype=np.int64)
-    heads = h.tolist()
-    pays = element_ints(p, 2).tolist()
-    if r * m <= 16:
+    r = len(rows)
+    if r * m <= 16:  # r = 0 too: the one-entry table of the empty matrix
         c, mks = 0, [0] * n
-        for head, x in zip(reversed(heads), reversed(pays)):
-            c = c << m | x
-            mks = [mk << m | bit for mk, bit in zip(mks, head)]
+        for x in reversed(rows):
+            c = c << m | x >> n
+            mks = [mk << m | x >> k & 1 for k, mk in enumerate(mks)]
         index = np.full(count, c, dtype=np.int64) if not any(mks) else c
         for w, mk in zip(words, mks):
             if mk:
                 index = w * mk ^ index
         # the int64 scalar makes the uint8 ranks' product int64
         return _rank_table(2, r, m)[index] * np.int64(2) + (n - r)
-    rows = np.empty((count, r), dtype=np.int64, order="F")  # contiguous columns
-    for i, (head, x) in enumerate(zip(heads, pays)):
-        row = rows[:, i]
-        row[:] = x
-        for w, bit in zip(words, head):
-            if bit:
+    out = np.empty((count, r), dtype=np.int64, order="F")  # contiguous columns
+    for i, x in enumerate(rows):
+        row = out[:, i]
+        row[:] = x >> n
+        for k, w in enumerate(words):
+            if x >> k & 1:
                 row ^= w
-    return 2 * _xor_ranks(rows) + (n - r)
+    return 2 * _xor_ranks(out) + (n - r)
+
+
+def packed_distance(rows, word) -> int:
+    """d_S(<Y>, lift(word)) over F_2 from Y's packed basis (packed_basis)
+    and the word's N element ints: basis_distances' formula on one word.
+    Row i of P - H U is p_i XOR the word's entries under the row's header
+    bits, and its rank is the count of rows left nonzero once each is
+    cleared of the lowest set bits of the rows kept before it.
+    """
+    n = len(word)
+    kept = []
+    for x in rows:
+        d = x >> n
+        for k, u in enumerate(word):
+            if x >> k & 1:
+                d ^= u
+        for b in kept:
+            if d & b & -b:
+                d ^= b
+        if d:
+            kept.append(d)
+    return n + 2 * len(kept) - len(rows)
 
 
 def subspace_distance_to_lifted(u_mat: np.ndarray, Y, q: int) -> int:

@@ -12,8 +12,9 @@ payload block.  reconstruct() inverts the split: the row space of
 equals the row space of the original Y.  The split starts from the RREF
 basis [H | P] of linalg.received_basis, and rank_word reads r off it.
 The algebraic inner path of decoder.multistage_decode reads r through
-received_word, which over F_2 takes it off one packed-bit elimination
-(linalg.rref_bits) and otherwise calls rank_word.
+received_word off each shot's one basis on decoder.Received.bases: over
+F_2 the packed rows of linalg.packed_basis, the elimination every
+reader of the shot shares, and otherwise (H, P), read by rank_word.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, element_ints, received_basis, rref_bits
+from .linalg import as_matrix, element_ints, received_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,21 +64,21 @@ def rank_word(h, p, q: int):
     return pivots, tuple(word)
 
 
-def received_word(Y, n: int, q: int):
-    """rank_word(*received_basis(Y, n, q), q); over F_2 off one packed
-    elimination (linalg.rref_bits) of Y's rows as element ints.  A row's
-    header pivot is the lowest set bit of its low n bits, and the row
-    shifted right by n is its payload's element int.
+def received_word(basis, n: int, q: int):
+    """rank_word on one basis as decoder.Received.bases holds it.  Over
+    F_2 that is linalg.packed_basis's rows in pivot order, and a row's
+    pivot is its lowest set bit: a header pivot while it lies in the low
+    n bits, and the row shifted right by n is its payload's element int.
+    Otherwise it is (H, P), read by rank_word.
     """
     if q != 2:
-        return rank_word(*received_basis(Y, n, q), q)
+        return rank_word(*basis, q)
     word = [0] * n
     pivots = []
-    for x in rref_bits(element_ints(as_matrix(Y, 2), 2).tolist()):
-        head = x & ((1 << n) - 1)
-        if not head:
+    for x in basis:
+        k = (x & -x).bit_length() - 1
+        if k >= n:
             break
-        k = (head & -head).bit_length() - 1
         pivots.append(k)
         word[k] = x >> n
     return pivots, tuple(word)

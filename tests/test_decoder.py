@@ -230,22 +230,24 @@ def test_multistage_corrects_one_erasure_on_shot_0(tiny2shot):
 
 
 @pytest.mark.parametrize("inner", ["exhaustive", "algebraic"])
-def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
-    """Each inner path row-reduces each received shot once per decode and
-    never calls reduce_received.  The exhaustive path takes the RREF
-    basis [H | P] of linalg.received_basis, one linalg.rref per shot; the
-    algebraic path reads its rank word through reduction.received_word,
-    one packed F_2 elimination (linalg.rref_bits) per shot and no rref
-    of a received matrix.  That word equals reduce_received(field, y).r,
-    also on shots with erasures (mu > 0) and deviations (delta > 0)."""
+def test_multistage_reduces_each_shot_once(inner, tiny2shot, preset, monkeypatch):
+    """One elimination per shot: each inner path row-reduces each received
+    F_2 shot once per decode, one packed elimination (linalg.rref_bits)
+    and no rref of a received matrix, and never calls reduce_received;
+    so does one whole run_trial across ds_observed and every role, on
+    tiny (oracle, multistage and algebraic) and on the preset
+    (algebraic).  The algebraic path reads its rank word off that basis
+    through reduction.received_word, and it equals
+    reduce_received(field, y).r, also on shots with erasures (mu > 0)
+    and deviations (delta > 0)."""
     spec = tiny2shot
     assert not hasattr(decoder, "reduce_received")
     received_rrefs, packed, words = [], [], []
-    real_rref, real_bits, real_word = linalg.rref, reduction.rref_bits, decoder.received_word
+    real_rref, real_bits, real_word = linalg.rref, linalg.rref_bits, decoder.received_word
 
     def counting_rref(m, q):
         # only the N + M column matrices are received shots
-        if np.shape(m)[1] == spec.lifted_length:
+        if np.shape(m)[1] in (spec.lifted_length, preset.lifted_length):
             received_rrefs.append(1)
         return real_rref(m, q)
 
@@ -253,13 +255,13 @@ def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
         packed.append(1)
         return real_bits(rows)
 
-    def recording_word(y, n, q):
-        out = real_word(y, n, q)
+    def recording_word(basis, n, q):
+        out = real_word(basis, n, q)
         words.append(out[1])
         return out
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(reduction, "rref_bits", counting_bits)
+    monkeypatch.setattr(linalg, "rref_bits", counting_bits)
     monkeypatch.setattr(decoder, "received_word", recording_word)
     rng = np.random.default_rng(3)
     saw_mu = saw_delta = False
@@ -271,30 +273,44 @@ def test_multistage_reduces_each_shot_once(inner, tiny2shot, monkeypatch):
             packed.clear()
             words.clear()
             multistage_decode(ys, spec, inner_method=inner)
+            assert (len(received_rrefs), len(packed)) == (0, spec.n), (rho, tau, seed)
             if inner == "exhaustive":
-                assert (len(received_rrefs), len(packed), words) == (spec.n, 0, []), (rho, tau, seed)
+                assert words == [], (rho, tau, seed)
             else:
-                assert (len(received_rrefs), len(packed)) == (0, spec.n), (rho, tau, seed)
                 assert words == [t.r for t in triples], (rho, tau, seed)
                 saw_mu |= any(t.mu for t in triples)
                 saw_delta |= any(t.delta for t in triples)
     assert inner == "exhaustive" or (saw_mu and saw_delta)
+    for code, roles in ((spec, ("oracle", "multistage", "algebraic")), (preset, ("algebraic",))):
+        for gi, (rho, tau) in enumerate([(0, 0), (2, 0), (1, 1), (3, 1)]):
+            received_rrefs.clear()
+            packed.clear()
+            run_trial(code, rho, tau, "uniform", 83, gi, 0, roles)
+            assert (len(received_rrefs), len(packed)) == (0, code.n), (roles, rho, tau)
 
 
-@pytest.mark.parametrize("code", ["tiny2shot", "decode12"])
+def packed_rows(h, p):
+    """The rows of [H | P] as Python ints, bit c the entry in column c."""
+    return [sum(int(b) << c for c, b in enumerate(row)) for row in np.hstack([h, p])]
+
+
+@pytest.mark.parametrize("code", ["tiny2shot", "decode12", "preset"])
 def test_received_word_matches_reduction_on_channel_shots(code, request):
-    """On channel-drawn shots the packed F_2 reader equals rank_word on
-    the RREF basis and the r of reduce_received, erasures and deviations
-    included."""
+    """On channel-drawn shots each packed basis on Received.bases is
+    received_basis's RREF rows, packed, and the rank word read off it
+    equals rank_word on the RREF basis and the r of reduce_received,
+    erasures and deviations included."""
     spec = request.getfixturevalue(code)
     n, q = spec.shot_length, spec.field.base.size
     rng = np.random.default_rng(17)
     saw_mu = saw_delta = False
     for rho, tau in [(0, 0), (2, 0), (0, 1), (1, 1), (3, 1)]:
         for seed in range(25):
-            for y in seeded_trial(spec, rho, tau, seed, rng)[2]:
+            ys = decoder.Received(seeded_trial(spec, rho, tau, seed, rng)[2], spec)
+            for y, basis in zip(ys, ys.bases):
                 t = reduce_received(spec.field, y)
-                word = received_word(y, n, q)
+                assert basis == packed_rows(*received_basis(y, n, q))
+                word = received_word(basis, n, q)
                 assert word == rank_word(*received_basis(y, n, q), q)
                 assert word[1] == t.r
                 saw_mu |= t.mu > 0
@@ -312,7 +328,7 @@ def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, mo
         raise AssertionError("a shot was row-reduced")
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
-    monkeypatch.setattr(reduction, "rref_bits", no_elimination)
+    monkeypatch.setattr(linalg, "rref_bits", no_elimination)
     good = np.zeros((4, 8), dtype=np.int64)
     columns = r"N \+ M = 8 columns"
     for ys, match in (([np.zeros(8, dtype=int)] * 2, columns),
@@ -336,18 +352,18 @@ def test_multistage_reads_each_shot_once(code, request, monkeypatch):
     spec = request.getfixturevalue(code)
     multistage_decode(seeded_trial(spec, 1, 1, 4, np.random.default_rng(58))[2], spec)
     _, _, ys = seeded_trial(spec, 2, 1, 5, np.random.default_rng(59))
-    rrefs, splits = [], []
-    real_rref, real_leader = linalg.rref, PartitionChain.coset_leader
+    rrefs, splits = [], []  # the shots are over F_2: one packed elimination each
+    real_bits, real_leader = linalg.rref_bits, PartitionChain.coset_leader
 
-    def counting_rref(m, q):
+    def counting_bits(rows):
         rrefs.append(1)
-        return real_rref(m, q)
+        return real_bits(rows)
 
     def counting_leader(chain, i, word):
         splits.append(i)
         return real_leader(chain, i, word)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rref_bits", counting_bits)
     monkeypatch.setattr(PartitionChain, "coset_leader", counting_leader)
     received = decoder.Received(ys, spec)
     first = multistage_decode(received, spec)
@@ -551,7 +567,7 @@ def test_multistage_rejects_unknown_inner_method(tiny2shot, monkeypatch):
         raise AssertionError("a shot was row-reduced")
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
-    monkeypatch.setattr(reduction, "rref_bits", no_elimination)
+    monkeypatch.setattr(linalg, "rref_bits", no_elimination)
     with pytest.raises(ValueError, match="unknown inner method 'gmd'"):
         multistage_decode(ys, spec, inner_method="gmd")
     for call in (lambda: multistage_decode(ys, spec, outer_method="gmd"),

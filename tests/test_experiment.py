@@ -23,7 +23,8 @@ from rankshot.experiment import (
     run_trial,
     trial_seeds,
 )
-from rankshot.linalg import subspace_distance_to_lifted
+from rankshot import decoder, experiment, linalg
+from rankshot.linalg import rank_batch, received_basis, subspace_distance_to_lifted
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -320,6 +321,51 @@ def test_ds_observed_is_the_summed_lifted_distance(doc):
         _, word, ys = _trial_shots(cfg, spec, r)
         assert r.ds_observed == sum(subspace_distance_to_lifted(spec.field.underline(w), y, q)
                                     for w, y in zip(word, ys))
+    assert len({r.ds_observed for r in recs}) > 1
+
+
+def test_odd_q_scores_and_ds_observed_take_the_coordinate_formula(monkeypatch):
+    """On the q = 3 code every shot's basis is received_basis's (H, P),
+    and each trial's Received.scores and every ds_observed term equal the
+    coordinate formula N + 2 rank(P - H U) - rank(Y) on it; no packed
+    F_2 elimination or distance runs."""
+    cfg = parse_experiment_config({"spec": Q3_SPEC, "trials": 2, "decoders": ["oracle"],
+                                   "channel": {"rho": [0, 2], "tau": [0, 1]}})
+    spec = cfg.spec()
+    n, q = spec.shot_length, spec.field.base.size
+    und = spec.code.codebook_arrays()[0]
+
+    def formula(h, p, words):
+        return n + 2 * rank_batch(p - h @ words, q) - len(h)
+
+    def no_packed(*args):
+        raise AssertionError("an F_2 route ran on the q = 3 code")
+
+    terms, scored = [], []
+    real_oracle, real_distances = decoder.ROLES["oracle"], linalg.basis_distances
+
+    def checked_oracle(ys, spec):
+        scored.append(len(ys))
+        for y, (h, p), row in zip(ys, ys.bases, ys.scores):
+            rh, rp = received_basis(y, n, q)
+            assert np.array_equal(h, rh) and np.array_equal(p, rp)
+            assert row.tolist() == formula(h, p, und).tolist()
+        return real_oracle(ys, spec)
+
+    def checked_distances(h, p, words, q):
+        got = real_distances(h, p, words, q)
+        assert got.tolist() == formula(h, p, words).tolist()
+        terms.append(len(h))
+        return got
+
+    for module, name in ((linalg, "rref_bits"), (linalg, "_packed_distances"),
+                         (decoder, "_packed_distances"), (experiment, "packed_distance")):
+        monkeypatch.setattr(module, name, no_packed)
+    monkeypatch.setitem(decoder.ROLES, "oracle", checked_oracle)
+    monkeypatch.setattr(experiment, "basis_distances", checked_distances)
+    recs = run_experiment(cfg)
+    assert len(recs) == 8 and scored == [spec.n] * 8
+    assert len(terms) == 8 * spec.n and len(set(terms)) > 1
     assert len({r.ds_observed for r in recs}) > 1
 
 

@@ -13,6 +13,7 @@ from rankshot.fields import (
     ExtensionField,
     PrimeField,
     _is_prime,
+    _mulmod_bits,
     _prime_factors,
     _quadratic_irreducible,
     _rabin_irreducible,
@@ -412,3 +413,40 @@ def test_polynomial_path_inverse_matches_the_power():
             assert field.mul(a, inv) == 1
     with pytest.raises(ZeroDivisionError):
         fields[0].inv(0)
+
+
+def _coordinate_product(field, a, b):
+    """a * b by coefficient lists: the product polynomial mod the modulus."""
+    base = field.base
+    prod = poly_mul(base, field.coords(a), field.coords(b))
+    return field.from_coords(poly_divmod(base, prod, field.modulus)[1])
+
+
+def test_packed_binary_product_matches_the_table_route():
+    """Over F_2 a product is shifts and XORs modulo the modulus int
+    (_mulmod_bits): on F_(2^6), every pair, and F_(2^12), sampled pairs,
+    it equals the table product and the coefficient-list product.  Past
+    the table, on F_(2^16) and F_(2^32), mul takes it: it equals the
+    coefficient-list product, a * inv(a) = 1, and M squarings return a."""
+    rng = np.random.default_rng(59)
+    for degree in (6, 12):
+        field = ExtensionField(PrimeField(2), degree=degree)
+        assert field._exp is not None
+        bits = sum(c << j for j, c in enumerate(field.modulus))
+        pairs = (itertools.product(field.elements(), repeat=2) if degree == 6
+                 else rng.integers(0, field.size, (3000, 2)).tolist())
+        for a, b in pairs:
+            got = _mulmod_bits(a, b, bits, degree)
+            assert got == field.mul(a, b) == _coordinate_product(field, a, b), (degree, a, b)
+    for degree in (16, 32):
+        field = ExtensionField(PrimeField(2), degree=degree)
+        assert field._exp is None
+        sample = [int(x) for x in rng.integers(2, field.size, 40)]
+        for a in [1, field.gen, field.size - 1] + sample:
+            b = int(rng.integers(0, field.size))
+            assert field.mul(a, b) == _coordinate_product(field, a, b), (degree, a, b)
+            assert field.mul(a, field.inv(a)) == 1, (degree, a)
+            x = a
+            for _ in range(degree):
+                x = field.mul(x, x)
+            assert x == a, (degree, a)

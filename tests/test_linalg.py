@@ -430,23 +430,36 @@ def _shots(rng, und):
 SPECS_F2 = ("tiny2shot", "decode12", "towerspec", "preset")
 
 
+def _unpacked(rows, n, width):
+    """(H, P) of packed basis rows (linalg.packed_basis), split after column n."""
+    m = np.array([[x >> c & 1 for c in range(width)] for x in rows],
+                 dtype=np.int64).reshape(len(rows), width)
+    return m[:, :n], m[:, n:]
+
+
 @pytest.mark.parametrize("name", SPECS_F2)
 def test_packed_distances_match_coordinate_formula(request, name):
-    """Over F_2, basis_distances ranks packed rows (the rank-table index
-    when r M <= 16, _xor_ranks above): at every basis rank, on both
-    routes, every distance equals the coordinate formula's."""
+    """Over F_2 the scores of a packed basis (_packed_distances: the
+    rank-table index when r M <= 16, _xor_ranks above) and its distance
+    to one word (packed_distance, as for ds_observed) equal the
+    coordinate formula on the unpacked basis, at every basis rank, on
+    both routes."""
     spec = request.getfixturevalue(name)
     und = spec.code.codebook_arrays()[0]
+    words = spec.code._codeword_ints()
     _, n, m = und.shape
     rng = np.random.default_rng(71)
     ranks = set()
     for y in _shots(rng, und):
+        rows = linalg.packed_basis(y)
         h, p = received_basis(y, n, 2)
-        got = basis_distances(h, p, und, 2)
+        assert np.array_equal(np.hstack(_unpacked(rows, n, n + m)), np.hstack([h, p]))
+        got = linalg._packed_distances(rows, words, m)
         assert got.dtype == np.int64
         assert got.tolist() == _coordinate_distances(h, p, und, 2).tolist()
-        one = basis_distances(h, p, und[5:6], 2)  # a one-word stack, as for ds_observed
-        assert one.tolist() == got[5:6].tolist()
+        assert basis_distances(h, p, und, 2).tolist() == got.tolist()
+        one = linalg.packed_distance(rows, tuple(words[:, 5].tolist()))
+        assert one == got[5]
         ranks.add(len(h))
     assert ranks == set(range(n + m + 1))
     # only towerspec's (N + M) M = 8 keeps every rank on the table route
@@ -456,9 +469,11 @@ def test_packed_distances_match_coordinate_formula(request, name):
 @pytest.mark.parametrize("name", SPECS_F2)
 def test_received_scores_match_coordinate_formula(request, name, monkeypatch):
     """Received.scores ranks R_0's kept element ints with no rank_batch
-    call, and each shot's scores equal the coordinate formula."""
+    call, and each shot's scores equal the coordinate formula on its
+    unpacked basis."""
     spec = request.getfixturevalue(name)
     und = spec.code.codebook_arrays()[0]
+    n = spec.shot_length
     rng = np.random.default_rng(73)
     shots = list(_shots(rng, und))
     rng.shuffle(shots)
@@ -474,24 +489,29 @@ def test_received_scores_match_coordinate_formula(request, name, monkeypatch):
         ys = Received(shots[start:start + spec.n], spec)
         scores = ys.scores
         assert calls == []
-        for (h, p), row in zip(ys.bases, scores):
+        for y, row in zip(ys, scores):
+            h, p = received_basis(y, n, 2)
             assert row.tolist() == _coordinate_distances(h, p, und, 2).tolist()
 
 
 @pytest.mark.parametrize("name", SPECS_F2)
 def test_ds_observed_matches_coordinate_formula(request, name, monkeypatch):
-    """Every basis_distances call of run_trial's ds_observed agrees with the
-    coordinate formula, on the benchmark's rho 0..3 x tau 0..1 grid."""
+    """Every packed_distance call of run_trial's ds_observed agrees with the
+    coordinate formula on the unpacked basis, on the benchmark's
+    rho 0..3 x tau 0..1 grid."""
     spec = request.getfixturevalue(name)
+    n, width = spec.shot_length, spec.lifted_length
     calls = []
 
-    def checked(h, p, und, q):
-        got = basis_distances(h, p, und, q)
-        assert got.tolist() == _coordinate_distances(h, p, und, q).tolist()
-        calls.append(len(h))
+    def checked(rows, word):
+        got = linalg.packed_distance(rows, word)
+        h, p = _unpacked(rows, n, width)
+        und = spec.field.underline(word)[None]
+        assert got == _coordinate_distances(h, p, und, 2)[0]
+        calls.append(len(rows))
         return got
 
-    monkeypatch.setattr(experiment, "basis_distances", checked)
+    monkeypatch.setattr(experiment, "packed_distance", checked)
     for rho in range(4):
         for tau in range(2):
             for trial in range(3):

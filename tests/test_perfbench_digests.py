@@ -13,7 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rankshot import linalg
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -73,9 +76,36 @@ def test_seed_7_digest_traced(run, traced, name):
     assert stats and "cosets.coset_leader" not in stats
 
 
-def test_decode_12_scores_without_rank_batch(traced):
+def test_decode_12_scores_without_rank_batch(run, traced, monkeypatch):
     """decode-12 scores each received shot over R_0 on packed F_2 rows, so
     its traced set-up and pass make no rank_batch call, while each shot
-    is still row-reduced once."""
+    of every decode is row-reduced once: one packed elimination
+    (linalg.rref_bits) a shot, counted directly, and no rref of a
+    received shot."""
     _, stats = traced("decode-12")
-    assert "linalg.rank_batch" not in stats and stats["linalg.rref"].calls > 0
+    assert "linalg.rank_batch" not in stats
+    w = run.WORKLOADS["decode-12"](7)
+    packed, received_rrefs, shots = [], [], []
+    real_bits, real_rref, real_decode = linalg.rref_bits, linalg.rref, w.decode
+
+    def counting_bits(rows):
+        packed.append(1)
+        return real_bits(rows)
+
+    def counting_rref(m, q):
+        if np.shape(m)[1] == w.spec.lifted_length:  # N + M columns: a received shot
+            received_rrefs.append(1)
+        return real_rref(m, q)
+
+    def counting_decode(dec, received):
+        shots.append(len(received))
+        return real_decode(dec, received)
+
+    monkeypatch.setattr(linalg, "rref_bits", counting_bits)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(w, "decode", counting_decode)
+    w.setup()
+    w.make_inputs()
+    w.run_pass()
+    w.run_once()
+    assert shots and len(packed) == sum(shots) and received_rrefs == []

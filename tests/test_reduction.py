@@ -7,7 +7,7 @@ import pytest
 
 from rankshot.channel import ChannelConfig, apply_channel, lift, sample_channel
 from rankshot.fields import ExtensionField, PrimeField
-from rankshot.linalg import received_basis, rref
+from rankshot.linalg import packed_basis, received_basis, rref
 from rankshot.reduction import rank_word, received_word, reduce_received, reconstruct
 
 
@@ -80,12 +80,17 @@ def rule(y, n, q):
 
 
 def test_received_word_every_binary_3x5():
-    """The packed F_2 reader equals rank_word on the RREF basis for every
+    """The packed F_2 basis is received_basis's RREF rows, packed, and the
+    rank word read off it equals rank_word on the RREF basis, for every
     0/1 matrix of shape 3 x 5, at every header width N = 1..4."""
     for bits in itertools.product((0, 1), repeat=15):
         y = np.array(bits, dtype=np.int64).reshape(3, 5)
+        basis = packed_basis(y)
         for n in range(1, 5):
-            assert received_word(y, n, 2) == rule(y, n, 2), (bits, n)
+            h, p = received_basis(y, n, 2)
+            assert basis == [sum(b << c for c, b in enumerate(row))
+                             for row in np.hstack([h, p]).tolist()], (bits, n)
+            assert received_word(basis, n, 2) == rule(y, n, 2), (bits, n)
 
 
 def exact_rule(y, n):
@@ -107,7 +112,7 @@ def test_received_word_wide_binary_rows(cols):
         y = rng.integers(0, 2, (int(rng.integers(1, 6)), cols))
         y[:, 60:] |= rng.integers(0, 2, (y.shape[0], cols - 60)) | (rng.random() < 0.5)
         for n in range(1, cols):
-            got = received_word(y, n, 2)
+            got = received_word(packed_basis(y), n, 2)
             assert got == exact_rule(y, n), (cols, n)
             assert got == rule(y, n, 2), (cols, n)
 
@@ -125,5 +130,5 @@ def test_received_word_odd_q_takes_the_rule():
     for _ in range(200):
         y = rng.integers(0, 3, (int(rng.integers(1, 5)), 6))
         for n in range(1, 6):
-            assert received_word(y, n, 3) == rule(y, n, 3)
+            assert received_word(received_basis(y, n, 3), n, 3) == rule(y, n, 3)
 
