@@ -32,8 +32,9 @@ linalg.received_basis's (H, P), and the scores are basis_distances.
 ROLES maps each decoder role that ``decode --decoder`` and the
 ``decoders`` of ``simulate`` name to its wire document: "oracle",
 "multistage" (exhaustive steps) and "algebraic" (Gabidulin interpolation
-per shot, Welch-Berlekamp errors-and-erasures decoding across shots, both
-through linalg.solve_split).
+per shot, Welch-Berlekamp errors-and-erasures decoding across shots
+through Forney's erasure locator, both through linalg.solve_split on
+slices of the one inverse each code keeps).
 """
 
 from __future__ import annotations

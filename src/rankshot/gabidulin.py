@@ -21,20 +21,21 @@ encodes f back into the codeword.  Interpolation asks for V of q-degree
 <= t and W of q-degree < K + t with V(r_i) = W(g_i): the linear system
 R v = G w, R the received word's t + 1 Frobenius powers r_i^(q^l) and G
 the N x (K + t) Moore matrix g_i^(q^l), which depends only on the code.
-G has full column rank (the points are independent and K + t <= N), so
-the constructor splits [G | I] once (linalg.split_constant_block) into
-the solve rows B (B G = I) and the check rows C (C G = 0: a check matrix
-of the Gabidulin code of dimension K + t on the same points).  A word
-then costs linalg.solve_split, the step the Reed-Solomon outer decoder
-shares: v spans the kernel of the (N - K - t) x (t + 1) matrix C R and
-w = B R v.  It is one path for every t, with no final check: once
-W = V o f holds exactly, every error e_i = r_i - c_i is a root of V
-(V(r_i) = W(g_i) = V(c_i)), and the roots of a nonzero V of q-degree
-<= t span at most t dimensions over F_q, so the codeword returned lies
-within rank t of the received word.  At t = 0, V is a nonzero constant
-and the division is exact only when the word is a codeword.  encode and
-every decode entry refuse a symbol outside the field (fields.check_word)
-before any arithmetic.
+G is the first K + t columns of the square N x N Moore matrix, which is
+invertible (the points are independent), so the constructor keeps its
+inverse T (linalg.inverse_field).  T's first K + t rows are the solve
+rows B (B G = I), and its other rows are the check rows C (C G = 0: a
+check matrix of the Gabidulin code of dimension K + t on the same
+points).  A word then costs linalg.solve_split, the step the
+Reed-Solomon outer decoder shares: v spans the kernel of the
+(N - K - t) x (t + 1) matrix C R and w = B R v.  It is one path for
+every t, with no final check: once W = V o f holds exactly, every
+error e_i = r_i - c_i is a root of V (V(r_i) = W(g_i) = V(c_i)), and
+the roots of a nonzero V of q-degree <= t span at most t dimensions
+over F_q, so the codeword returned lies within rank t of the received
+word.  At t = 0, V is a nonzero constant and the division is exact
+only when the word is a codeword.  encode and every decode entry refuse
+a symbol outside the field (fields.check_word) before any arithmetic.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy as np
 from .errors import INT64_MAX, json_int
 from .fields import PrimeField, check_word, matvec
 from .linalg import (
-    element_ints, rank, rank_batch, single_digit_messages, solve_split, span_codebook,
-    split_constant_block,
+    element_ints, inverse_field, rank, rank_batch, single_digit_messages, solve_split,
+    span_codebook,
 )
 
 
@@ -79,10 +80,10 @@ class GabidulinCode:
         self.generator = tuple(
             tuple(field.frobenius(g, j) for j in range(dim)) for g in points
         )
-        # G, the Moore matrix g_i^(q^l) for l < K + t, has full column rank
-        kt = dim + (length - dim) // 2
-        self._solve_rows, self._check_rows = split_constant_block(
-            field, [[field.frobenius(g, l) for l in range(kt)] for g in points])
+        # the inverse of the N x N Moore matrix g_i^(q^l), whose first
+        # K + t columns are the interpolation system's G
+        self._inverse = inverse_field(
+            field, [[field.frobenius(g, l) for l in range(length)] for g in points])
         self._codebook = None
         self._underlines = None
         self._index = None
@@ -174,8 +175,8 @@ class GabidulinCode:
 
         With R the N x (t + 1) matrix of Frobenius powers r_i^(q^l) and
         G the Moore matrix g_i^(q^l), l < K + t, the interpolation
-        system is R v = G w, which linalg.solve_split solves on the
-        constructor's split: v is the first kernel vector of the
+        system is R v = G w, which linalg.solve_split solves on slices
+        of the constructor's inverse: v is the first kernel vector of the
         (N - K - t) x (t + 1) matrix C R (the unit vector e_0 when C has
         no rows, K = N) and w = B R v.  Every kernel vector gives a
         nonzero V, and any of them gives the same answer:
@@ -197,7 +198,7 @@ class GabidulinCode:
         check_word(f, received)
         t = (n - k) // 2
         powers = [received] + [[f.frobenius(r, l) for r in received] for l in range(1, t + 1)]
-        solved = solve_split(f, self._solve_rows, self._check_rows, powers)
+        solved = solve_split(f, self._inverse, k + t, powers)
         if solved is None:
             return None
         msg = _lin_left_divide(f, list(solved[0]), list(solved[1]))

@@ -23,8 +23,10 @@ for q = 2 and c <= 64 and modular row updates otherwise.  rank, of one
 matrix, and the channel sampler's full-rank tests read the same table
 through entries_rank; larger shapes count rref_field's pivots.
 
-Both algebraic decoders solve R v = G w with a constant G in the same
-two steps: split_constant_block once a code, solve_split once a word.
+Both algebraic decoders solve R v = G w, G the first c columns of a
+square evaluation matrix that depends on the code alone, in the same
+two steps: inverse_field once a code, and solve_split once a word,
+which slices the solve and check rows for any c out of that one inverse.
 
 The subspace distance from a received space to lifted words has one
 formula, d_S = N + 2 rank(P - H U) - rank(Y) on the received space's
@@ -566,36 +568,37 @@ def kernel_field(field, rows):
 
 
 # ---------------------------------------------------------------------------
-# interpolation systems R v = G w with a constant G: a Moore matrix for
-# the Gabidulin decoder, a Vandermonde matrix for the Reed-Solomon one
+# interpolation systems R v = G w, G cut from a constant square matrix:
+# a Moore matrix for the Gabidulin decoder, a Vandermonde matrix for the
+# Reed-Solomon one
 
-def split_constant_block(field, g_rows):
-    """(B, C) for an n x c matrix G of full column rank over *field*.
-
-    [G | I] row-reduces to [[I; 0] | T], T invertible with T G = [I; 0]:
-    T's upper c rows are the solve rows B (B G = I), its lower n - c rows
-    the check rows C (C G = 0).  Both come back as tuples of row tuples.
-    """
-    n, c = len(g_rows), len(g_rows[0]) if g_rows else 0
+def inverse_field(field, rows):
+    """The inverse T of an invertible n x n matrix A over *field*, as a
+    tuple of row tuples: [A | I] row-reduces to [I | T].  Both callers
+    prove A invertible first: the Moore matrix on independent points, the
+    Vandermonde matrix on distinct points."""
+    n = len(rows)
     reduced, _ = rref_field(field, [
-        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g_rows)])
-    return (tuple(tuple(row[c:]) for row in reduced[:c]),
-            tuple(tuple(row[c:]) for row in reduced[c:]))
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
-def solve_split(field, solve_rows, check_rows, r_cols):
+def solve_split(field, inverse, c, r_cols):
     """(v, w) with R v = G w and v != 0, or None when only v = 0 solves it.
 
-    G's split is (solve_rows, check_rows) from split_constant_block, and
-    R is given by its columns.  R v = G w iff C R v = 0 and w = B R v,
-    since T = [B; C] is invertible: v is the first kernel vector of C R
-    (the unit vector e_0 when C has no rows) and w = B R v.
+    G is the first c columns of a square matrix A whose inverse T is
+    *inverse*, and R is given by its columns.  T A = I makes T[:c] the
+    solve rows B (B G = I) and T[c:] the check rows C (C G = 0), for
+    every c.  R v = G w iff C R v = 0 and w = B R v, since T is
+    invertible: v is the first kernel vector of C R (the unit vector e_0
+    when C has no rows) and w = B R v.
     """
+    check_rows = inverse[c:]
     if check_rows:
-        kern = kernel_field(field, [matvec(field, r_cols, c) for c in check_rows])
+        kern = kernel_field(field, [matvec(field, r_cols, row) for row in check_rows])
         if not kern:
             return None
         v = kern[0]
     else:
         v = (1,) + (0,) * (len(r_cols) - 1)
-    return v, matvec(field, solve_rows, matvec(field, list(zip(*r_cols)), v))
+    return v, matvec(field, inverse[:c], matvec(field, list(zip(*r_cols)), v))

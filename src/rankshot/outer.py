@@ -13,27 +13,32 @@ read from the codebook without a scan) or by the Welch-Berlekamp
 decoder, which handles errors and erasures up to 2e + f <= d - 1 and
 reports failure beyond that.
 
-Welch-Berlekamp asks, on the n_live positions left after f erasures,
-for E of degree <= e = floor((n_live - k) / 2) and Q of degree
-< e + k with y_i E(x_i) = Q(x_i).  That is the Gabidulin decoder's
-system R v = G w with a Vandermonde matrix for the Moore matrix: R's
-columns are y_i x_i^l, l <= e, and G's x_i^l, l < e + k, on the live
-points.  G has full column rank (distinct points, e + k <= n_live), so
-linalg.split_constant_block splits it into solve rows B and check rows
-C, and linalg.solve_split takes v = E, the first kernel vector of C R,
-and w = Q = B R v.  The all-points split is kept with the code; a
-decode with erasures splits its live rows for that call and keeps
-nothing, since there are up to 2^n erasure patterns.  One exact
-division Q = E p with deg p < k ends the decode, and any kernel vector
-gives the same answer.  If a codeword p lies within the radius, its
-error locator and p times it solve the system, so the kernel is not
-empty; and for any solution, Q - pE has degree < e + k and vanishes at
-the >= n_live - e >= e + k live points where the word agrees with p,
-so it is zero and the division finds p.  Conversely an exact quotient p
-of degree < k makes every live disagreement y_i != p(x_i) a root of E
-(y_i E(x_i) = p(x_i) E(x_i)), of which there are at most e, so
-2e + f <= d - 1 holds for p.  So the outputs are exactly the
-bounded-distance decoder's.
+Welch-Berlekamp runs one rule for every erasure set, none included:
+Forney's erasure locator Gamma(x) = prod over erased s of (x - x_s)
+("Generalized minimum distance decoding", IEEE Trans. IT, 1966).  With
+f erasures, e = floor((n - f - k) / 2) and c = f + e + k <= n, it asks
+on all n points for E of degree <= e and Q of degree < c with
+y_i Gamma(x_i) E(x_i) = Q(x_i); Gamma(x_i) = 0 at the erased points, so
+their symbols drop out.  That is the Gabidulin decoder's system
+R v = G w with a Vandermonde matrix for the Moore matrix: R's columns
+are y_i Gamma(x_i) x_i^l, l <= e, and G is the first c columns of the
+n x n Vandermonde matrix x_i^l, l < n, which is invertible (distinct
+points).  The code keeps that matrix's inverse T (linalg.inverse_field),
+whose first c rows B (B G = I) and other rows C (C G = 0) split G for
+every c, so linalg.solve_split takes v = E, the first kernel vector of
+C R, and w = Q = B R v, with no elimination of G a decode and nothing
+kept per erasure pattern.  One exact division Q = Gamma E p with
+deg p < k ends the decode, and any kernel vector gives the same answer.
+If a codeword p lies within the radius, its live error locator E and
+Q = p Gamma E solve the system, so the kernel is not empty; and for any
+solution, Q - p Gamma E has degree < c and vanishes at the f erased
+points and at the >= n - f - e live points where the word agrees with
+p, >= n - e >= c points in all, so it is zero and the division finds p.
+Conversely an exact quotient p of degree < k makes every live
+disagreement y_i != p(x_i) a root of E (y_i Gamma(x_i) E(x_i) =
+p(x_i) Gamma(x_i) E(x_i) with Gamma(x_i) != 0), of which there are at
+most e, so 2e + f <= d - 1 holds for p.  So the outputs are exactly the
+bounded-distance decoder's, whose answer is unique.
 
 A SymbolMap carries level messages between width-w coefficient tuples
 over F_{q^M} and symbols of the level alphabet, which for w > 1 is a
@@ -43,13 +48,12 @@ freshly constructed degree-w extension of F_{q^M}.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
 from .fields import ExtensionField, check_word, matvec, poly_divmod
-from .linalg import (
-    element_ints, single_digit_messages, solve_split, span_codebook, split_constant_block,
-)
+from .linalg import element_ints, inverse_field, single_digit_messages, solve_split, span_codebook
 
 
 def _product_index(symbols, size: int) -> int:
@@ -81,14 +85,12 @@ class SymbolMap:
         self.alphabet = base_field if width == 1 else ExtensionField(base_field, degree=width)
 
     def to_symbol(self, tup) -> int:
+        """The symbol of a width-w coefficient tuple; a coordinate that is
+        not an element of the base field is refused (fields.check_word)."""
         if len(tup) != self.width:
             raise ValueError(f"tuple must have width {self.width}")
-        if self.width == 1:
-            sym = int(tup[0])
-            if not 0 <= sym < self.alphabet.size:
-                raise ValueError("coefficient out of range")
-            return sym
-        return self.alphabet.from_coords(tup)
+        check_word(self.base, tup)
+        return int(tup[0]) if self.width == 1 else self.alphabet.from_coords(tup)
 
     def to_tuple(self, sym: int) -> tuple:
         if self.width == 1:
@@ -118,13 +120,10 @@ class OuterCode:
         self.n = n
         self.k = k
         self.points = points
-        # x_i^l for l < k (the generator), l <= e and l < e + k (every
-        # Welch-Berlekamp system's columns), e = (n - k) // 2 the radius
-        # with no erasures, whose split is kept
-        e = (n - k) // 2
-        self._powers = tuple(tuple(field.pow(x, l) for l in range(e + max(k, 1)))
-                             for x in points)
-        self._split = split_constant_block(field, [row[:e + k] for row in self._powers])
+        # the Vandermonde matrix x_i^l, l < n: its first k columns are the
+        # generator, and its inverse splits every Welch-Berlekamp system
+        self._powers = tuple(tuple(field.pow(x, l) for l in range(n)) for x in points)
+        self._inverse = inverse_field(field, self._powers)
         self._codebook = None
 
     @property
@@ -182,12 +181,20 @@ class OuterCode:
         where several codewords can agree on the live positions, is
         scanned.  The algebraic method is bounded-distance and fails
         (None) outside 2e + f <= d - 1.  Every symbol, erased or not,
-        must be an element of the alphabet (fields.check_word).
+        must be an element of the alphabet (fields.check_word), and every
+        erasure index an integer in [0, n): a bool, or anything without
+        __index__, is refused before any arithmetic, as check_word
+        refuses it as a symbol.
         """
         if len(word) != self.n:
             raise ValueError("word has the wrong length")
         check_word(self.field, word)
-        erasures = tuple(sorted(set(int(e) for e in erasures)))
+        erased = set()
+        for s in erasures:
+            if isinstance(s, bool) or not hasattr(type(s), "__index__"):
+                raise ValueError(f"erasure index {s!r} is not an integer")
+            erased.add(operator.index(s))
+        erasures = tuple(sorted(erased))
         if erasures and (erasures[0] < 0 or erasures[-1] >= self.n):
             raise ValueError("erasure index out of range")
         return self.decoder_for(method)(self, word, erasures)
@@ -225,18 +232,22 @@ class OuterCode:
         return best_msg
 
     def _decode_welch_berlekamp(self, word, erasures):
-        f, k, powers = self.field, self.k, self._powers
-        live = [i for i in range(self.n) if i not in erasures]
-        if len(live) < k:
+        f, k, points = self.field, self.k, self.points
+        if len(erasures) > self.n - k:
             return None
-        e = (len(live) - k) // 2
-        split = (split_constant_block(f, [powers[i][:e + k] for i in live]) if erasures
-                 else self._split)
-        r_cols = [[f.mul(word[i], powers[i][l]) for i in live] for l in range(e + 1)]
-        solved = solve_split(f, *split, r_cols)
+        e = (self.n - len(erasures) - k) // 2
+        # y_i Gamma(x_i), then Gamma E: one factor x - x_s an erasure
+        y_gamma = word
+        for s in erasures:
+            y_gamma = [f.mul(y, f.sub(x, points[s])) for y, x in zip(y_gamma, points)]
+        r_cols = [[f.mul(y, row[l]) for y, row in zip(y_gamma, self._powers)] for l in range(e + 1)]
+        solved = solve_split(f, self._inverse, len(erasures) + e + k, r_cols)
         if solved is None:
             return None
-        quot, rem = poly_divmod(f, solved[1], solved[0])
+        locator = solved[0]
+        for s in erasures:
+            locator = f.sub_scaled_row([0, *locator], points[s], [*locator, 0])
+        quot, rem = poly_divmod(f, solved[1], locator)
         if rem or len(quot) > k:
             return None
         return tuple(quot) + (0,) * (k - len(quot))

@@ -8,9 +8,7 @@ import pytest
 from rankshot.errors import GuardError
 from rankshot.fields import ExtensionField, PrimeField
 from rankshot.gabidulin import GabidulinCode, _lin_left_divide
-from rankshot.linalg import (
-    kernel_field, rank, rank_distance, rref_field, split_constant_block,
-)
+from rankshot.linalg import kernel_field, rank, rank_distance, rref_field
 from rankshot.multilevel import spec_from_json, special_situation
 
 
@@ -358,26 +356,22 @@ def _assert_split(field, g_rows, solves, checks):
 
 def test_check_and_solve_rows_split_the_constant_block(f8, f9, outer_refs):
     """C G = 0 with n - c independent rows, and B G = I, for the n x c
-    matrices G of both interpolation decoders: the Moore matrix
-    g_i^(q^l), l < K + t, on every code of the reference test, and the
-    Vandermonde matrix x_i^l, l < e + k, e = (n_live - k) // 2, on every
-    live set of the outer reference codes.  With every point live, that
-    split is the one the outer code keeps."""
+    matrices G of both interpolation decoders, with B and C the slices
+    T[:c] and T[c:] of the one inverse T each code keeps: the Moore
+    matrix g_i^(q^l), l < K + t, on every code of the reference test, and
+    the Vandermonde matrix x_i^l, l < c, on the outer reference codes at
+    every c = f + e + k of f <= n - k erasures, e = (n - f - k) // 2."""
     for code, _ in _reference_cases(f8, f9):
         f, n, k = code.field, code.length, code.dim
         kt = k + (n - k) // 2
         g_rows = [[f.frobenius(g, l) for l in range(kt)] for g in code.points]
-        _assert_split(f, g_rows, code._solve_rows, code._check_rows)
+        _assert_split(f, g_rows, code._inverse[:kt], code._inverse[kt:])
     for code in outer_refs:
         f, n, k = code.field, code.n, code.k
-        for size in range(k, n + 1):
-            for live in itertools.combinations(range(n), size):
-                e = (size - k) // 2
-                g_rows = [[f.pow(code.points[i], l) for l in range(e + k)] for i in live]
-                split = split_constant_block(f, g_rows)
-                _assert_split(f, g_rows, *split)
-                if size == n:
-                    assert split == code._split
+        for erased in range(n - k + 1):
+            c = erased + (n - erased - k) // 2 + k
+            g_rows = [[f.pow(x, l) for l in range(c)] for x in code.points]
+            _assert_split(f, g_rows, code._inverse[:c], code._inverse[c:])
 
 
 @pytest.mark.parametrize("word", [(-1, 0, 0, 0), (16, 0, 0, 0), (1.5, 0, 0, 0),

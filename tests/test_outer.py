@@ -80,6 +80,21 @@ def test_decode_refuses_symbols_outside_the_alphabet(word, method):
             code.decode(word, erasures=erasures, method=method)
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "algebraic"])
+@pytest.mark.parametrize("index", [1.5, True, "1", None], ids=["float", "bool", "str", "None"])
+def test_decode_refuses_erasure_indices_that_are_not_integers(index, method):
+    """On the special preset's first outer code, an erasure index that is
+    a bool or has no __index__ is refused before any arithmetic: 1.5,
+    True and "1" each used to erase position 1 through int().  numpy
+    integers still name positions."""
+    code = special_situation(2, 4, 4, 2, 3, 4)[0].outers[0]
+    word = code.encode((3, 7))
+    with pytest.raises(ValueError, match="erasure index"):
+        code.decode(word, erasures=(0, index), method=method)
+    for numpy_index in (np.int64(1), np.uint8(1)):
+        assert code.decode(word, erasures=(numpy_index,), method=method) == (3, 7)
+
+
 def test_encode_linear(f8):
     code = OuterCode(f8, 3, 2)
     rng = np.random.default_rng(2)
@@ -233,6 +248,22 @@ def test_symbol_map_wide():
     assert len(seen) == 16
 
 
+@pytest.mark.parametrize("width, coords", [
+    (1, (1.5,)), (1, ("3",)), (1, (True,)), (1, (4,)), (1, (-1,)),
+    (2, (1.5, 2)), (2, (0, False)), (2, ("1", 0)), (2, (4, 0)),
+], ids=repr)
+def test_symbol_map_refuses_coordinates_outside_the_base_field(width, coords):
+    """Over F_4, a coordinate that is not an int in [0, 4) is refused:
+    (1.5,) used to map to 1, ("3",) to 3, (True,) to 1 and (1.5, 2) to
+    the symbol 9 through int().  numpy integers still map."""
+    f4 = ExtensionField(PrimeField(2), degree=2)
+    smap = SymbolMap(f4, width)
+    with pytest.raises(ValueError, match="word element"):
+        smap.to_symbol(coords)
+    ints = (1, 2)[:width]
+    assert smap.to_symbol(tuple(np.int64(c) for c in ints)) == smap.to_symbol(ints)
+
+
 @pytest.mark.parametrize("which", range(3))
 def test_algebraic_matches_exhaustive_inside_the_radius(which, outer_refs):
     """Every erasure set and every error pattern (positions and nonzero
@@ -329,6 +360,43 @@ def test_algebraic_is_the_bounded_distance_decoder_past_int64():
                 want = None
                 if best is not None and 2 * best[0] + len(erasures) <= code.d_min - 1:
                     want = best[1]
+                got = code.decode(word, erasures=erasures, method="algebraic")
+                assert got == want, (code, word, erasures)
+                answered += got is not None
+                failed += got is None
+    assert answered and failed
+
+
+def test_erasure_decodes_do_no_elimination(outer_refs, monkeypatch):
+    """Once the code is built, no algebraic decode inverts a matrix, with
+    erasures or without: with inverse_field patched to raise, the decoder
+    still returns the bounded-distance answer, read off the exhaustive
+    decoder, on words near codewords under every erasure set of the
+    outer reference codes."""
+    import rankshot.linalg
+    import rankshot.outer
+
+    def refuse(*args):
+        raise AssertionError("a decode inverted a matrix")
+
+    monkeypatch.setattr(rankshot.outer, "inverse_field", refuse)
+    monkeypatch.setattr(rankshot.linalg, "inverse_field", refuse)
+    rng = np.random.default_rng(71)
+    answered = failed = 0
+    for code in outer_refs:
+        f, n = code.field, code.n
+        for _ in range(6):
+            word = list(code.encode(tuple(int(x) for x in rng.integers(0, f.size, code.k))))
+            for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                word[i] = int(rng.integers(0, f.size))
+            word = tuple(word)
+            for erasures in itertools.chain.from_iterable(
+                itertools.combinations(range(n), size) for size in range(n + 1)
+            ):
+                live = [i for i in range(n) if i not in erasures]
+                msg = code.decode(word, erasures=erasures)
+                errors = hamming([code.encode(msg)[i] for i in live], [word[i] for i in live])
+                want = msg if 2 * errors + len(erasures) <= code.d_min - 1 else None
                 got = code.decode(word, erasures=erasures, method="algebraic")
                 assert got == want, (code, word, erasures)
                 answered += got is not None
