@@ -11,11 +11,14 @@ full column rank and C uniform full row rank (rejection sampled), and
 Z_j = F H likewise with inner dimension tau_j.  Budget splits across
 shots are uniform over weak compositions by default, may be forced onto
 the first shot, or given explicitly as one (rho_j, tau_j) pair per shot;
-ChannelConfig.validate checks all three without drawing.  Draws are a
-pure function of the config, including its seed.  Every entry of B, C,
-F and H, rejected attempts included, comes in order off one buffered
-stream of the generator, the values one rng.integers call per attempt
-reads; a full-rank test is one rank-table lookup on small shapes.
+ChannelConfig.validate checks all three without drawing, and refuses
+a budget, size, seed or split entry that is not an int
+(errors.json_int).
+Draws are a pure function of the config, including its seed.  Every
+entry of B, C, F and H, rejected attempts included, comes in order off
+one buffered stream of the generator, the values one rng.integers call
+per attempt reads; a full-rank test is one rank-table lookup on small
+shapes.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ class ChannelConfig:
     split: object = "uniform"  # "uniform" | "first" | sequence of (rho_j, tau_j)
 
     def validate(self):
+        counts = [("rho", self.rho), ("tau", self.tau), ("n", self.n), ("seed", self.seed),
+                  ("N", self.N), ("T", self.T), ("q", self.q)]
+        if not isinstance(self.split, str):
+            counts += [("split entry", b) for pair in self.split for b in pair]
+        try:
+            for what, value in counts:
+                json_int(value, what)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n < 1 or self.N < 1 or self.T <= self.N:
             raise ConfigError("bad channel dimensions")
         if self.rho < 0 or self.tau < 0:

@@ -239,35 +239,30 @@ def multistage_decode(Ys, spec: MultilevelCodeSpec, outer_method: str = "exhaust
     accepted = [[0] * spec.code.dim for _ in range(n)]  # R_0 message of each shot's V_j
     redo = range(n)  # the shots to decode again at this stage
 
-    messages, wrong_counts, erasure_counts, leaders_all = [], [], [], []
+    result = MultistageResult(ok=True, stage_failed=None, messages=[], wrong_inner_counts=[],
+                              erasure_counts=[], inner_leaders=[])
     for i in range(spec.m):
         entries = stage(i, accepted, redo)
         erased = [j for j, e in enumerate(entries) if e is None]
         leaders = [None if e is None else e[0] for e in entries]
         symbols = [0 if e is None else e[1] for e in entries]
-        leaders_all.append(leaders)
-        erasure_counts.append(len(erased))
+        result.inner_leaders.append(leaders)
+        result.erasure_counts.append(len(erased))
         msg = spec.outers[i].decode(tuple(symbols), erasures=tuple(erased),
                                     method=outer_method)
         if msg is None:
-            wrong_counts.append(None)
-            return MultistageResult(
-                ok=False, stage_failed=i, messages=None, wrong_inner_counts=wrong_counts,
-                erasure_counts=erasure_counts, inner_leaders=leaders_all,
-            )
+            result.wrong_inner_counts.append(None)
+            result.ok, result.stage_failed, result.messages = False, i, None
+            return result
         outer_word = spec.outers[i].encode(msg)
         overruled = [j for j in range(n)
                      if entries[j] is not None and symbols[j] != outer_word[j]]
-        wrong_counts.append(len(overruled))
-        messages.append(tuple(msg))
+        result.wrong_inner_counts.append(len(overruled))
+        result.messages.append(tuple(msg))
         for j, sym in enumerate(outer_word):
             accepted[j][ks[i + 1]:ks[i]] = spec.maps[i].to_tuple(sym)
         redo = erased + overruled
-
-    return MultistageResult(
-        ok=True, stage_failed=None, messages=messages, wrong_inner_counts=wrong_counts,
-        erasure_counts=erasure_counts, inner_leaders=leaders_all,
-    )
+    return result
 
 
 def _oracle_doc(Ys, spec):

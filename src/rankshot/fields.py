@@ -335,15 +335,15 @@ class ExtensionField:
             if degree is None:
                 raise ValueError("give either a modulus or a degree")
             modulus = default_modulus(base, degree)
-        modulus = tuple(int(c) for c in modulus)
+        modulus = list(modulus)
+        check_ints(modulus, base.size, "modulus coefficient")
+        modulus = tuple(map(operator.index, modulus))
         if len(modulus) < 2:
             raise ValueError("modulus must have degree >= 1")
         if degree is not None and degree != len(modulus) - 1:
             raise ValueError(f"modulus has degree {len(modulus) - 1}, not the given {degree}")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if any(c < 0 or c >= base.size for c in modulus):
-            raise ValueError("modulus coefficients out of base-field range")
         if not is_irreducible(base, modulus):
             raise ValueError(f"modulus {modulus} is reducible")
         self.modulus = modulus
@@ -364,8 +364,7 @@ class ExtensionField:
     # -- coordinates ------------------------------------------------------
 
     def coords(self, a: int) -> tuple:
-        if a < 0 or a >= self.size:
-            raise ValueError(f"element {a} out of range for field of size {self.size}")
+        check_ints((a,), self.size, "element")
         s = self.base.size
         out = []
         for _ in range(self.degree):
@@ -378,12 +377,10 @@ class ExtensionField:
         if len(cs) > self.degree:
             raise ValueError("too many coordinates")
         s = self.base.size
+        check_ints(cs, s, "coordinate")
         a = 0
         for c in reversed(cs):
-            c = int(c)
-            if c < 0 or c >= s:
-                raise ValueError(f"coordinate {c} out of base-field range")
-            a = a * s + c
+            a = a * s + operator.index(c)
         return a
 
     def elements(self):
@@ -549,21 +546,20 @@ class ExtensionField:
         row i of a word's matrix is the coordinate tuple of its i-th
         element, and a stack of words gives a stack of matrices.
         """
-        arr = np.asarray(words, dtype=np.int64)
+        arr = np.asarray(words)
         if arr.ndim == 1:
-            # a plain comparison loop is faster than numpy on one short word
-            bad = not all(0 <= a < self.size for a in words)
-        else:
-            bad = arr.size and (arr.min() < 0 or arr.max() >= self.size)
-        if bad:
+            check_word(self, words)
+        elif arr.dtype.kind not in "iu":
+            raise ValueError(f"a stack of words needs integer elements, got {arr.dtype}")
+        elif arr.size and (arr.min() < 0 or arr.max() >= self.size):
             raise ValueError(f"word has an element out of range for field of size {self.size}")
-        out = arr[..., None] // self._place
+        out = arr.astype(np.int64, copy=False)[..., None] // self._place
         out %= self.base.size
         return out
 
     def overline(self, mat) -> tuple:
         """Inverse of underline: rows of coordinates back to elements."""
-        return tuple(self.from_coords([int(v) for v in row]) for row in mat)
+        return tuple(self.from_coords(row) for row in mat)
 
     def vec_add(self, u, v) -> tuple:
         if len(u) != len(v):
@@ -593,21 +589,29 @@ class ExtensionField:
         return f"ExtensionField({self.base!r}, modulus={self.modulus})"
 
 
-def check_word(field, word) -> None:
-    """Refuse a word with an element that is not an int in [0, field.size).
+def check_ints(values, size: int, what: str) -> None:
+    """Refuse a value that is not an int in [0, size): the one rule for
+    every element, coordinate and position a caller passes.
 
-    Decoders call it before any arithmetic: a table read takes -1 for the
-    last entry and fails with IndexError past the end, and numpy
-    truncates 1.5 to 1.  A bool is refused, as json_int refuses it.
+    Readers call it before any arithmetic: a table read takes -1 for the
+    last entry and fails with IndexError past the end, int() and numpy
+    truncate 1.5 to 1, and coordinate arithmetic on 2.5 returns floats.
+    A bool is refused, as errors.json_int refuses it; a numpy integer is
+    accepted.  An int costs one type test and one range test.
     """
-    size = field.size
-    for a in word:
+    for a in values:
         if type(a) is not int:
             if isinstance(a, bool) or not hasattr(type(a), "__index__"):
-                raise ValueError(f"word element {a!r} is not an integer")
+                raise ValueError(f"{what} {a!r} is not an integer")
             a = operator.index(a)
         if not 0 <= a < size:
-            raise ValueError(f"word element {a} out of range for field of size {size}")
+            raise ValueError(f"{what} {a} out of range [0, {size})")
+
+
+def check_word(field, word) -> None:
+    """Refuse a word with an element that is not an int in
+    [0, field.size): check_ints on every element."""
+    check_ints(word, field.size, "word element")
 
 
 def matvec(field, rows, vec) -> tuple:

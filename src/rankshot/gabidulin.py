@@ -35,7 +35,9 @@ the roots of a nonzero V of q-degree <= t span at most t dimensions
 over F_q, so the codeword returned lies within rank t of the received
 word.  At t = 0, V is a nonzero constant and the division is exact
 only when the word is a codeword.  encode and every decode entry refuse
-a symbol outside the field (fields.check_word) before any arithmetic.
+a symbol that is not an int in [0, q^M) before any arithmetic
+(fields.check_word, the word form of the package's one element rule,
+fields.check_ints).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import INT64_MAX, json_int
-from .fields import PrimeField, check_word, matvec
+from .fields import PrimeField, check_word, matvec, poly_trim
 from .linalg import (
     element_ints, inverse_field, rank, rank_batch, single_digit_messages, solve_split,
     span_codebook,
@@ -60,6 +62,7 @@ class GabidulinCode:
             # underline and every codebook stack hold element ints in int64
             raise ValueError(f"field size q^M = {field.size} leaves int64")
         m = field.degree
+        length, dim = json_int(length, "N"), json_int(dim, "K")
         if not 1 <= length <= m:
             raise ValueError(f"length must satisfy 1 <= N <= M, got N={length}, M={m}")
         if not 0 <= dim <= length:
@@ -77,13 +80,11 @@ class GabidulinCode:
         self.length = length
         self.dim = dim
         self.points = points
-        self.generator = tuple(
-            tuple(field.frobenius(g, j) for j in range(dim)) for g in points
-        )
-        # the inverse of the N x N Moore matrix g_i^(q^l), whose first
-        # K + t columns are the interpolation system's G
-        self._inverse = inverse_field(
-            field, [[field.frobenius(g, l) for l in range(length)] for g in points])
+        # the N x N Moore matrix g_i^(q^l): its first K columns are the
+        # generator, and its inverse splits the interpolation system
+        moore = [tuple(field.frobenius(g, l) for l in range(length)) for g in points]
+        self.generator = tuple(row[:dim] for row in moore)
+        self._inverse = inverse_field(field, moore)
         self._codebook = None
         self._underlines = None
         self._index = None
@@ -201,7 +202,7 @@ class GabidulinCode:
         solved = solve_split(f, self._inverse, k + t, powers)
         if solved is None:
             return None
-        msg = _lin_left_divide(f, list(solved[0]), list(solved[1]))
+        msg = _lin_left_divide(f, solved[0], solved[1])
         if msg is None or len(msg) > k:
             return None
         return tuple(msg) + (0,) * (k - len(msg))
@@ -222,20 +223,16 @@ def _lin_left_divide(field, v_poly, w_poly):
     Returns the coefficient list of f, or None when the division is not
     exact (which signals a decoding failure upstream).
     """
-    while v_poly and v_poly[-1] == 0:
-        v_poly.pop()
-    while w_poly and w_poly[-1] == 0:
-        w_poly.pop()
+    v_poly, rem = poly_trim(v_poly), poly_trim(w_poly)
     if not v_poly:
         return None
-    if not w_poly:
+    if not rem:
         return []
     dv = len(v_poly) - 1
-    df = len(w_poly) - 1 - dv
+    df = len(rem) - 1 - dv
     if df < 0:
         return None
     m = field.degree
-    rem = list(w_poly)
     out = [0] * (df + 1)
     lead_inv = field.inv(v_poly[-1])
     for s in range(df, -1, -1):
@@ -249,6 +246,4 @@ def _lin_left_divide(field, v_poly, w_poly):
                 rem[l + s] = field.sub(rem[l + s], field.mul(vl, field.frobenius(fs, l)))
     if any(rem):
         return None
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return poly_trim(out)

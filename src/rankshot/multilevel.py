@@ -41,13 +41,13 @@ from .outer import OuterCode
 
 class MultilevelCodeSpec:
     def __init__(self, chain: PartitionChain, n: int, outer_ks):
-        outer_ks = tuple(int(k) for k in outer_ks)
+        outer_ks = tuple(json_int(k, "outer k") for k in outer_ks)
         if len(outer_ks) != chain.m:
             raise ValueError(
                 f"need one outer dimension per level: {chain.m} levels, got {len(outer_ks)}"
             )
         self.chain = chain
-        self.n = int(n)
+        self.n = json_int(n, "n")
         self.maps = chain.maps
         self.outers = tuple(
             OuterCode(self.maps[i].alphabet, self.n, outer_ks[i]) for i in range(chain.m)

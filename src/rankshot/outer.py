@@ -52,7 +52,8 @@ import operator
 
 import numpy as np
 
-from .fields import ExtensionField, check_word, matvec, poly_divmod
+from .errors import json_int
+from .fields import ExtensionField, check_ints, check_word, matvec, poly_divmod
 from .linalg import element_ints, inverse_field, single_digit_messages, solve_split, span_codebook
 
 
@@ -78,6 +79,7 @@ class SymbolMap:
     of the level alphabet."""
 
     def __init__(self, base_field, width: int):
+        width = json_int(width, "symbol width")
         if width < 1:
             raise ValueError("symbol width must be >= 1")
         self.base = base_field
@@ -93,10 +95,11 @@ class SymbolMap:
         return int(tup[0]) if self.width == 1 else self.alphabet.from_coords(tup)
 
     def to_tuple(self, sym: int) -> tuple:
+        """The width-w coefficient tuple of a symbol; a symbol that is not
+        an element of the alphabet is refused (fields.check_ints)."""
         if self.width == 1:
-            if not 0 <= sym < self.alphabet.size:
-                raise ValueError("symbol out of range")
-            return (int(sym),)
+            check_ints((sym,), self.alphabet.size, "symbol")
+            return (operator.index(sym),)
         return self.alphabet.coords(sym)
 
 
@@ -104,6 +107,7 @@ class OuterCode:
     """An [n, k, n-k+1] Reed-Solomon code over a given alphabet field."""
 
     def __init__(self, field, n: int, k: int):
+        n, k = json_int(n, "block length"), json_int(k, "dimension")
         if n < 1:
             raise ValueError("block length must be >= 1")
         if not 0 <= k <= n:
@@ -123,6 +127,7 @@ class OuterCode:
         # the Vandermonde matrix x_i^l, l < n: its first k columns are the
         # generator, and its inverse splits every Welch-Berlekamp system
         self._powers = tuple(tuple(field.pow(x, l) for l in range(n)) for x in points)
+        self.generator = tuple(row[:k] for row in self._powers)
         self._inverse = inverse_field(field, self._powers)
         self._codebook = None
 
@@ -140,8 +145,7 @@ class OuterCode:
             check_word(self.field, message)
         except ValueError:
             raise ValueError(f"message symbols must lie in [0, {self.field.size})") from None
-        k = self.k
-        return matvec(self.field, [row[:k] for row in self._powers], message)
+        return matvec(self.field, self.generator, message)
 
     def codewords(self) -> list:
         """All (message, codeword) pairs, in codeword order (guarded).
@@ -181,22 +185,17 @@ class OuterCode:
         where several codewords can agree on the live positions, is
         scanned.  The algebraic method is bounded-distance and fails
         (None) outside 2e + f <= d - 1.  Every symbol, erased or not,
-        must be an element of the alphabet (fields.check_word), and every
-        erasure index an integer in [0, n): a bool, or anything without
-        __index__, is refused before any arithmetic, as check_word
-        refuses it as a symbol.
+        must be an element of the alphabet and every erasure index a
+        position in [0, n), by the one rule fields.check_ints, checked
+        before any arithmetic.
         """
         if len(word) != self.n:
             raise ValueError("word has the wrong length")
         check_word(self.field, word)
-        erased = set()
-        for s in erasures:
-            if isinstance(s, bool) or not hasattr(type(s), "__index__"):
-                raise ValueError(f"erasure index {s!r} is not an integer")
-            erased.add(operator.index(s))
-        erasures = tuple(sorted(erased))
-        if erasures and (erasures[0] < 0 or erasures[-1] >= self.n):
-            raise ValueError("erasure index out of range")
+        erasures = tuple(erasures)
+        if erasures:
+            check_ints(erasures, self.n, "erasure index")
+            erasures = tuple(sorted(set(map(operator.index, erasures))))
         return self.decoder_for(method)(self, word, erasures)
 
     @classmethod

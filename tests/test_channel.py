@@ -52,6 +52,12 @@ def test_config_validation():
         ChannelConfig(rho=0, tau=0, n=0, seed=0, N=3, T=6, q=2).validate()
     with pytest.raises(ConfigError, match=r"tau budget 7 exceeds n\*N = 6"):
         ChannelConfig(rho=0, tau=7, n=2, seed=0, N=3, T=6, q=2).validate()
+    # a seed or field size that is not an int is refused: seed=True drew
+    # as seed 1, and q=2.5 drew entries from [0, 2.5)
+    for over in ({"seed": True}, {"seed": 1.5}, {"q": 2.5}, {"q": "2"}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ChannelConfig(**{"rho": 0, "tau": 0, "n": 2, "seed": 0, "N": 3, "T": 6, "q": 2,
+                             **over}).validate()
     # each split sums to its budget, but one entry leaves [0, N]
     for split in (((4, 0), (0, 0)), ((-1, 0), (3, 0)), ((0, 4), (0, -1))):
         with pytest.raises(ConfigError, match=r"custom split entry outside \[0, N\]"):

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankshot.errors import Q_GUARD
+from rankshot.channel import ChannelConfig, lift
+from rankshot.cosets import PartitionChain
+from rankshot.errors import Q_GUARD, ConfigError
 from rankshot.fields import (
     _TABLE_LIMIT,
     ExtensionField,
@@ -25,6 +27,10 @@ from rankshot.fields import (
     poly_divmod,
     poly_mul,
 )
+from rankshot.gabidulin import GabidulinCode
+from rankshot.linalg import rank_distance
+from rankshot.multilevel import MultilevelCodeSpec
+from rankshot.outer import OuterCode, SymbolMap
 
 
 def test_prime_field_basics():
@@ -450,3 +456,73 @@ def test_packed_binary_product_matches_the_table_route():
             for _ in range(degree):
                 x = field.mul(x, x)
             assert x == a, (degree, a)
+
+
+_F8 = ExtensionField(PrimeField(2), degree=3)
+
+
+def _channel(**over):
+    ChannelConfig(**{"rho": 0, "tau": 0, "n": 2, "seed": 0, "N": 3, "T": 6, "q": 2,
+                     **over}).validate()
+
+
+def _spec(n, outer_ks):
+    MultilevelCodeSpec(PartitionChain(GabidulinCode(_F8, 3, 2), [2, 1, 0]), n, outer_ks)
+
+
+def _decode_erasing(index):
+    code = OuterCode(_F8, 3, 1)
+    return code.decode(code.encode((3,)), erasures=(index,))
+
+
+# reader: (its call on one value, its bound, what a value that is not an int
+# raises, what -1 and the bound raise)
+_READERS = {
+    "coords": (_F8.coords, 8, ValueError, ValueError),
+    "from_coords": (lambda v: _F8.from_coords([v, 0, 1]), 2, ValueError, ValueError),
+    "underline word": (lambda v: _F8.underline((v, 2, 3)), 8, ValueError, ValueError),
+    "underline stack": (lambda v: _F8.underline(np.full((2, 3), v)), 8, ValueError,
+                        ValueError),
+    "lift": (lambda v: lift(_F8, (v, 2, 3)), 8, ValueError, ValueError),
+    "rank_distance": (lambda v: rank_distance(_F8, (v, 2, 3), (0, 2, 3)), 8, ValueError,
+                      ValueError),
+    "to_tuple width 1": (SymbolMap(_F8, 1).to_tuple, 8, ValueError, ValueError),
+    "to_tuple width 2": (SymbolMap(_F8, 2).to_tuple, 64, ValueError, ValueError),
+    "erasure index": (_decode_erasing, 3, ValueError, ValueError),
+    "modulus": (lambda v: ExtensionField(PrimeField(2), modulus=[v, 1, 0, 1]), 2,
+                ValueError, ValueError),
+    "spec n": (lambda v: _spec(v, [1, 1]), 8, TypeError, ValueError),
+    "spec outer k": (lambda v: _spec(2, [v, 1]), 3, TypeError, ValueError),
+    "symbol width": (lambda v: SymbolMap(_F8, v), 0, TypeError, ValueError),
+    "Gabidulin N": (lambda v: GabidulinCode(_F8, v, 1), 4, TypeError, ValueError),
+    "Gabidulin K": (lambda v: GabidulinCode(_F8, 3, v), 4, TypeError, ValueError),
+    "outer n": (lambda v: OuterCode(_F8, v, 1), 8, TypeError, ValueError),
+    "outer k": (lambda v: OuterCode(_F8, 3, v), 4, TypeError, ValueError),
+    "channel rho": (lambda v: _channel(rho=v), 7, ConfigError, ConfigError),
+    "channel N": (lambda v: _channel(N=v), 6, ConfigError, ConfigError),
+    "channel split": (lambda v: _channel(rho=1, split=((v, 0), (0, 0))), 4, ConfigError,
+                      ConfigError),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3", -1, "bound", "np.int64(1)"],
+                         ids=["float", "bool", "str", "negative", "bound", "numpy"])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_takes_the_one_integer_rule(reader, value):
+    """Every element, coordinate and position a caller passes goes through
+    fields.check_ints and every count through errors.json_int (ConfigError
+    from a channel config), before any arithmetic.  Over F_8, coords(2.5)
+    used to return floats, from_coords, underline, to_tuple and the
+    modulus to truncate 1.5 and read True as 1, and the code spec, the
+    symbol map and the channel config to take float or bool counts; the
+    Gabidulin and outer codes took True for a dimension.  A numpy
+    integer is an integer."""
+    call, bound, not_int, out_of_range = _READERS[reader]
+    if value == "np.int64(1)":
+        call(np.int64(1))
+        return
+    if value == "bound":
+        value = bound
+    error = out_of_range if type(value) is int else not_int
+    with pytest.raises(error):
+        call(value)
