@@ -13,7 +13,12 @@ shots are uniform over weak compositions by default, may be forced onto
 the first shot, or given explicitly as one (rho_j, tau_j) pair per shot;
 ChannelConfig.validate checks all three without drawing, and refuses
 a budget, size, seed or split entry that is not an int
-(errors.json_int).
+(errors.json_int) and a field that check_field refuses: q must be a
+prime below Q_GUARD, PrimeField's rule, since every full-rank test
+eliminates over F_q, and an entry of B C or A X + Z, a sum of N
+products of residues, must not leave int64.  sample_channel validates
+every config it draws from; the field rule costs one integer test and
+one cache lookup (fields.prime_field).
 Draws are a pure function of the config, including its seed.  Every
 entry of B, C, F and H, rejected attempts included, comes in order off
 one buffered stream of the generator, the values one rng.integers call
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, json_int
+from .errors import ConfigError, int64_products_fit, json_int
+from .fields import prime_field
 from .linalg import as_matrix, entries_rank
 
 
@@ -64,6 +70,7 @@ class ChannelConfig:
             raise ConfigError(str(exc)) from None
         if self.n < 1 or self.N < 1 or self.T <= self.N:
             raise ConfigError("bad channel dimensions")
+        check_field(self.q, self.N)
         if self.rho < 0 or self.tau < 0:
             raise ConfigError("adversity budgets must be nonnegative")
         if self.rho > self.n * self.N:
@@ -90,6 +97,17 @@ class ChannelConfig:
             split = [list(p) for p in split]
         return {"rho": self.rho, "tau": self.tau, "n": self.n, "seed": self.seed,
                 "split": split}
+
+
+def check_field(q: int, N: int) -> None:
+    """Refuse, as ConfigError, a channel field F_q whose N-term products
+    leave int64, tested first, or whose q is not a prime below Q_GUARD."""
+    if not int64_products_fit(N, q):
+        raise ConfigError(f"q={q} is too large for {N}-row int64 products")
+    try:
+        prime_field(q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def split_from_json(split):

@@ -11,6 +11,15 @@ Subcommands:
 * ``simulate`` seeded Monte-Carlo campaign over a (rho, tau) grid
 
 Exit codes: 0 success, 2 configuration error, 3 enumeration-guard refusal.
+
+The commands read documents and hand them to the library, whose readers
+hold every rule on their input (the spec readers, MultilevelCodeSpec.encode,
+decoder.Received, ChannelConfig.validate and its channel.check_field): a
+refusal there exits 2 with its message.  The CLI checks only what no
+library reader sees: that each document parses and its matrices read
+(linalg.matrix_from_json), that every transmit matrix agrees with matrix
+0, that every received matrix has the code's q (arrays carry no q), that
+a channel config's n counts the matrices, and --workers.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ import argparse
 import json
 import sys
 
-from .channel import apply_channel, config_from_json, lift_multishot, sample_channel
-from .decoder import ROLES
-from .errors import Q_GUARD, ConfigError, GuardError, int64_products_fit, json_int
+from .channel import apply_channel, check_field, config_from_json, lift_multishot, sample_channel
+from .decoder import ROLES, Received
+from .errors import ConfigError, GuardError, json_int
 from .experiment import (
     fer_table,
     parse_experiment_config,
@@ -29,7 +38,6 @@ from .experiment import (
     records_to_json,
     run_experiment,
 )
-from .fields import _is_prime
 from .linalg import matrix_from_json, matrix_to_json, rank_batch
 from .multilevel import MultilevelCodeSpec, spec_from_json
 
@@ -122,16 +130,9 @@ def cmd_encode(args) -> int:
     try:
         messages = [tuple(json_int(s, "message symbol") for s in lvl)
                     for lvl in doc["messages"]]
+        word = spec.encode(messages)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad messages document: {exc}") from exc
-    if len(messages) != spec.m:
-        raise ConfigError(f"need {spec.m} level messages, got {len(messages)}")
-    for i, (outer, msg) in enumerate(zip(spec.outers, messages)):
-        if len(msg) != outer.k:
-            raise ConfigError(f"level {i} message must have {outer.k} symbols")
-        if any(not 0 <= s < outer.field.size for s in msg):
-            raise ConfigError(f"level {i} symbols must lie in [0, {outer.field.size})")
-    word = spec.encode(messages)
     q = spec.field.base.size
     xs = lift_multishot(spec.field, word)
     out = {
@@ -156,16 +157,10 @@ def cmd_channel(args) -> int:
     xs = tuple(m for m, _ in mats)
     q = mats[0][1]
     N, T = xs[0].shape
-    # each entry of A X + Z sums N products of entries below q, which must
-    # stay inside int64, and the sampler's full-rank test eliminates over
-    # PrimeField(q), which needs q below Q_GUARD; both bounds are checked
-    # before the primality test, whose trial division they bound
-    if not int64_products_fit(N, q):
-        raise ConfigError(f"transmit q={q} is too large for {N}-row int64 products")
-    if q >= Q_GUARD:
-        raise ConfigError(f"transmit q={q} must be below {Q_GUARD}")
-    if not _is_prime(q):
-        raise ConfigError(f"transmit q={q} is not prime")
+    try:
+        check_field(q, N)
+    except ConfigError as exc:
+        raise ConfigError(f"transmit {exc}") from None
     for j, (m, mq) in enumerate(mats):
         if mq != q:
             raise ConfigError(f"transmit matrix {j} has q={mq}, matrix 0 has q={q}")
@@ -177,7 +172,6 @@ def cmd_channel(args) -> int:
         raise ConfigError("channel config must be a JSON object")
     try:
         cfg = config_from_json(cfg_doc, N=N, T=T, q=q)
-        cfg.validate()
         if cfg.n != len(xs):
             raise ConfigError(f"config n={cfg.n} but {len(xs)} matrices supplied")
         draw = sample_channel(cfg)
@@ -198,19 +192,14 @@ def cmd_decode(args) -> int:
     doc = _load_json(args.infile)
     try:
         mats = [matrix_from_json(m) for m in doc["received"]]
+        ys = Received(tuple(m for m, _ in mats), spec)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad received document: {exc}") from exc
-    if len(mats) != spec.n:
-        raise ConfigError(f"need {spec.n} received matrices, got {len(mats)}")
-    q, cols = spec.field.base.size, spec.lifted_length
-    for j, (m, mq) in enumerate(mats):
+    q = spec.field.base.size
+    for j, (_, mq) in enumerate(mats):
         if mq != q:
             raise ConfigError(f"received matrix {j} has q={mq}, the code has q={q}")
-        if m.shape[1] != cols:
-            raise ConfigError(
-                f"received matrix {j} has {m.shape[1]} columns, the code needs N+M={cols}"
-            )
-    out = ROLES[args.decoder](tuple(m for m, _ in mats), spec)
+    out = ROLES[args.decoder](ys, spec)
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 

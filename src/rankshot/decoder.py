@@ -61,8 +61,8 @@ __all__ = [
 class Received(tuple):
     """The received shots Y_1 .. Y_n of one decode, as arrays, and its spec.
 
-    Received(Ys, spec) refuses a wrong shot count, a shot that is not a
-    matrix with N + M columns and a shot without integer entries before
+    Received(Ys, spec) refuses a wrong shot count, and names the shot that
+    is not a matrix with N + M columns or has no integer entries, before
     any shot is row-reduced; given a Received of the same spec, it returns
     that value.  bases and scores are computed on first use and kept on
     the value, so every decoder handed it shares them.  It holds the
@@ -75,13 +75,15 @@ class Received(tuple):
             return Ys
         shots = [np.asarray(y) for y in Ys]
         if len(shots) != spec.n:
-            raise ValueError(f"need {spec.n} received matrices")
+            raise ValueError(f"need {spec.n} received matrices, got {len(shots)}")
         width = spec.lifted_length
-        if any(y.shape[1:] != (width,) for y in shots):  # 2-D, N + M columns
-            raise ValueError(f"received matrices need N + M = {width} columns")
-        for y in shots:  # as_matrix would truncate a float entry to an int
-            if y.dtype.kind not in "biu":
-                raise ValueError(f"received matrices need integer entries, got {y.dtype}")
+        for j, y in enumerate(shots):
+            if y.shape[1:] != (width,):  # 2-D, N + M columns
+                cols = f"{y.shape[1]} columns" if y.ndim == 2 else f"shape {y.shape}"
+                raise ValueError(
+                    f"received matrix {j} has {cols}, the code needs N + M = {width} columns")
+            if y.dtype.kind not in "biu":  # as_matrix would truncate a float entry
+                raise ValueError(f"received matrix {j} needs integer entries, got {y.dtype}")
         self = super().__new__(cls, shots)
         self.spec = spec
         return self

@@ -58,6 +58,8 @@ def int64_products_fit(terms: int, q: int) -> bool:
 
     It bounds one entry of a matrix product over F_q, a sum of *terms*
     products of two residues mod q, taken in int64 before its reduction,
-    and that entry subtracted from or added to one more residue.
+    and that entry subtracted from or added to one more residue.  Numpy
+    integers are read as Python ints, so the test itself cannot wrap.
     """
+    terms, q = operator.index(terms), operator.index(q)
     return terms * (q - 1) ** 2 + q <= INT64_MAX

@@ -12,10 +12,9 @@ coefficient tuples.  When no modulus is given, the lexicographically
 smallest irreducible monic polynomial of the requested degree is used
 (coefficients compared low-degree-first).  Irreducibility is Rabin's
 test on bit-packed ints over F_2, where a product mod f is shifts and
-XORs on one int; over larger fields it is a root test for quadratics
-and Rabin's test on coefficient lists otherwise.  Each is polynomial in
-the degree and in log q: no field element is enumerated, so a large q
-costs no more than its bit length.
+XORs on one int, and on coefficient lists over larger fields.  Both are
+polynomial in the degree and in log q: no field element is enumerated,
+so a large q costs no more than its bit length.
 
 Fields of size at most _TABLE_LIMIT build exp/log tables at construction;
 larger fields keep polynomial arithmetic.  Over F_2 that arithmetic
@@ -43,6 +42,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -78,9 +78,9 @@ class PrimeField:
     def __init__(self, q: int):
         # checked first: it also bounds the trial division of _is_prime
         if q >= Q_GUARD:
-            raise ValueError(f"prime field size must be below {Q_GUARD}, got {q}")
+            raise ValueError(f"q={q} must be below {Q_GUARD}")
         if not _is_prime(q):
-            raise ValueError(f"prime field size must be prime, got {q}")
+            raise ValueError(f"q={q} is not prime")
         self.q = q
         self.size = q
         self.characteristic = q
@@ -135,6 +135,12 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.q})"
+
+
+@functools.lru_cache(maxsize=16)
+def prime_field(q: int) -> PrimeField:
+    """PrimeField(q), built once per q: a repeated q costs one cache lookup."""
+    return PrimeField(int(q))
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +206,6 @@ def _poly_gcd(field, a, b):
     return a
 
 
-def _quadratic_irreducible(field, f) -> bool:
-    """Whether a x^2 + b x + c, f = [c, b, a], has no root in F_Q.
-
-    In characteristic 2 it has one iff b = 0 (every element is a square)
-    or Tr(ac / b^2) = 0, Tr the absolute trace a + a^2 + ... +
-    a^(2^(k-1)), Q = 2^k.  In odd characteristic it has one iff its
-    discriminant b^2 - 4ac is a square, by Euler's criterion: zero, or
-    its (Q-1)/2-th power is 1.  About log2(Q) multiplications either way.
-    """
-    c, b, a = f
-    ac = field.mul(a, c)
-    if field.characteristic == 2:
-        if not b:
-            return False
-        s = trace = field.div(ac, field.mul(b, b))
-        for _ in range(field.size.bit_length() - 2):
-            s = field.mul(s, s)
-            trace = field.add(trace, s)
-        return trace == 1
-    ac2 = field.add(ac, ac)
-    disc = field.sub(field.mul(b, b), field.add(ac2, ac2))
-    return disc != 0 and field.pow(disc, (field.size - 1) // 2) != 1
-
-
 def _mulmod_bits(a: int, b: int, f: int, n: int) -> int:
     """a * b mod f over F_2, each polynomial an int with bit j the
     coefficient of x^j, f of degree n and a of degree below n: b's bits
@@ -264,14 +246,12 @@ def is_irreducible(field, coeffs) -> bool:
     """Whether a polynomial f of degree n >= 1 over F_Q, Q = field.size, is
     irreducible.
 
-    Over F_2 every degree runs Rabin's test on bit-packed ints
-    (_binary_irreducible).  Otherwise a quadratic is irreducible iff it
-    has no root (_quadratic_irreducible), and any other degree runs
-    Rabin's test on coefficient lists: f is irreducible iff it divides
-    x^(Q^n) - x and shares no factor with x^(Q^(n/p)) - x for any prime
-    p dividing n.  The powers come from n Q-th powerings mod f, each
-    log2(Q) squarings.  Both are polynomial in n and log Q, and no field
-    element is enumerated.
+    Over F_2 it runs Rabin's test on bit-packed ints
+    (_binary_irreducible), and otherwise on coefficient lists: f is
+    irreducible iff it divides x^(Q^n) - x and shares no factor with
+    x^(Q^(n/p)) - x for any prime p dividing n.  The powers come from n
+    Q-th powerings mod f, each log2(Q) squarings.  Both are polynomial in
+    n and log Q, and no field element is enumerated.
     """
     f = poly_trim(coeffs)
     n = len(f) - 1
@@ -279,8 +259,6 @@ def is_irreducible(field, coeffs) -> bool:
         return False
     if field.size == 2:
         return _binary_irreducible(sum(c << j for j, c in enumerate(f)), n)
-    if n == 2:
-        return _quadratic_irreducible(field, f)
     return _rabin_irreducible(field, f, n)
 
 
@@ -365,6 +343,18 @@ class ExtensionField:
 
     def coords(self, a: int) -> tuple:
         check_ints((a,), self.size, "element")
+        return self._digits(a)
+
+    def from_coords(self, cs) -> int:
+        cs = list(cs)
+        if len(cs) > self.degree:
+            raise ValueError("too many coordinates")
+        check_ints(cs, self.base.size, "coordinate")
+        return self._from_digits(list(map(operator.index, cs)))
+
+    # the arithmetic's own digit maps: unchecked, for values it computed
+
+    def _digits(self, a: int) -> tuple:
         s = self.base.size
         out = []
         for _ in range(self.degree):
@@ -372,15 +362,11 @@ class ExtensionField:
             out.append(r)
         return tuple(out)
 
-    def from_coords(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) > self.degree:
-            raise ValueError("too many coordinates")
+    def _from_digits(self, cs: list) -> int:
         s = self.base.size
-        check_ints(cs, s, "coordinate")
         a = 0
         for c in reversed(cs):
-            a = a * s + operator.index(c)
+            a = a * s + c
         return a
 
     def elements(self):
@@ -391,19 +377,19 @@ class ExtensionField:
     def add(self, a: int, b: int) -> int:
         if self.characteristic == 2:
             return a ^ b
-        ca, cb = self.coords(a), self.coords(b)
-        return self.from_coords([self.base.add(x, y) for x, y in zip(ca, cb)])
+        ca, cb = self._digits(a), self._digits(b)
+        return self._from_digits([self.base.add(x, y) for x, y in zip(ca, cb)])
 
     def sub(self, a: int, b: int) -> int:
         if self.characteristic == 2:
             return a ^ b
-        ca, cb = self.coords(a), self.coords(b)
-        return self.from_coords([self.base.sub(x, y) for x, y in zip(ca, cb)])
+        ca, cb = self._digits(a), self._digits(b)
+        return self._from_digits([self.base.sub(x, y) for x, y in zip(ca, cb)])
 
     def neg(self, a: int) -> int:
         if self.characteristic == 2:
             return a
-        return self.from_coords([self.base.neg(x) for x in self.coords(a)])
+        return self._from_digits([self.base.neg(x) for x in self._digits(a)])
 
     def _mul_poly(self, a: int, b: int) -> int:
         if self._bits is not None:
@@ -411,9 +397,9 @@ class ExtensionField:
         if a == 0 or b == 0:
             return 0
         base, m = self.base, self.degree
-        cb = self.coords(b)
+        cb = self._digits(b)
         prod = [0] * (2 * m - 1)
-        for i, x in enumerate(self.coords(a)):
+        for i, x in enumerate(self._digits(a)):
             if x:
                 for j, y in enumerate(cb):
                     if y:
@@ -425,7 +411,7 @@ class ExtensionField:
                 for k, f in enumerate(self.modulus[:-1]):
                     if f:
                         prod[t - m + k] = base.sub(prod[t - m + k], base.mul(c, f))
-        return self.from_coords(prod[:m])
+        return self._from_digits(prod[:m])
 
     def _pow_poly(self, a: int, e: int) -> int:
         out = 1
@@ -506,13 +492,13 @@ class ExtensionField:
         # extended Euclid on the coordinate polynomials: s_i a = r_i mod
         # the modulus, which is irreducible, so r ends at a nonzero constant
         base = self.base
-        r0, r1 = list(self.modulus), poly_trim(self.coords(a))
+        r0, r1 = list(self.modulus), poly_trim(self._digits(a))
         s0, s1 = [], [1]
         while len(r1) > 1:
             quot, rem = poly_divmod(base, r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, poly_sub(base, s0, poly_mul(base, quot, s1))
-        return self.from_coords(base.scale_row(base.inv(r1[0]), s1))
+        return self._from_digits(base.scale_row(base.inv(r1[0]), s1))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -45,11 +45,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import INT64_MAX, json_int
-from .fields import PrimeField, check_word, matvec, poly_trim
+from .fields import PrimeField, check_word, matvec, poly_trim, prime_field
 from .linalg import (
     element_ints, inverse_field, rank, rank_batch, single_digit_messages, solve_split,
     span_codebook,
 )
+
+
+def check_code_field(q: int, m: int) -> None:
+    """Refuse F_(q^m) as a Gabidulin code's field before it is built: q
+    must pass PrimeField's rule, and q^m - 1 must stay inside int64, where
+    underline and every codebook stack hold element ints.  A spec reader
+    calls it before the modulus search, which tests every candidate of
+    degree m; q^m is compared, never formatted (m may run to thousands)."""
+    prime_field(q)
+    if m >= 64 or q ** m - 1 > INT64_MAX:
+        raise ValueError(f"field size q^M = {q}^{m} leaves int64")
 
 
 class GabidulinCode:
@@ -58,9 +69,7 @@ class GabidulinCode:
             # frobenius raises to powers of the characteristic and rref
             # inverts modulo the base size: both need a prime base
             raise ValueError("Gabidulin codes need an extension of a prime field")
-        if field.size - 1 > INT64_MAX:
-            # underline and every codebook stack hold element ints in int64
-            raise ValueError(f"field size q^M = {field.size} leaves int64")
+        check_code_field(field.base.size, field.degree)
         m = field.degree
         length, dim = json_int(length, "N"), json_int(dim, "K")
         if not 1 <= length <= m:

@@ -59,7 +59,7 @@ import math
 import numpy as np
 
 from .errors import INT64_MAX, guard_enumeration, int64_products_fit, json_int
-from .fields import PrimeField, matvec
+from .fields import matvec, prime_field
 
 
 def as_matrix(m, q: int) -> np.ndarray:
@@ -79,18 +79,13 @@ def rref(m, q: int):
     unless q is a prime below Q_GUARD.
     """
     m = as_matrix(m, q)
-    R, pivots = rref_field(_prime_field(q), m.tolist())
+    R, pivots = rref_field(prime_field(q), m.tolist())
     return np.array(R, dtype=np.int64).reshape(m.shape), pivots
-
-
-@functools.lru_cache(maxsize=16)
-def _prime_field(q: int) -> PrimeField:
-    return PrimeField(int(q))
 
 
 def rank(m, q: int) -> int:
     """Rank mod prime q (entries_rank); q is checked first, as by rref."""
-    q = _prime_field(q).q
+    q = prime_field(q).q
     m = as_matrix(m, q)
     r, c = m.shape
     return entries_rank(m.ravel().tolist(), q, r, c)
@@ -100,7 +95,7 @@ def entries_rank(entries: list, q: int, r: int, c: int) -> int:
     """Rank mod prime q of the r x c matrix of row-major *entries*, Python
     ints in [0, q): rank_batch's table (_rank_table) at their element int
     when q^(r*c) <= TABLE_PATTERNS, else rref_field's pivot count."""
-    field = _prime_field(q)
+    field = prime_field(q)
     q = field.q  # a Python int, so q ** (r * c) cannot wrap
     if 0 < r * c <= 16 and q ** (r * c) <= TABLE_PATTERNS:  # q >= 2: 16 digits at most
         idx = 0
@@ -198,7 +193,7 @@ def rank_batch(mats, q: int) -> np.ndarray:
     bit mask over F_2.  q must be a prime below Q_GUARD, the rule of
     rank, checked before any table is built.
     """
-    q = _prime_field(q).q  # a Python int, so q ** (r * c) cannot wrap
+    q = prime_field(q).q  # a Python int, so q ** (r * c) cannot wrap
     mats = as_matrix(mats, q)
     if mats.ndim != 3:
         raise ValueError("expected a 3-d stack of matrices")

@@ -35,7 +35,7 @@ import numpy as np
 from .cosets import PartitionChain
 from .errors import INT64_MAX, guard_enumeration, json_int
 from .fields import ExtensionField, PrimeField, field_from_json, field_to_json
-from .gabidulin import GabidulinCode
+from .gabidulin import GabidulinCode, check_code_field
 from .outer import OuterCode
 
 
@@ -104,10 +104,19 @@ class MultilevelCodeSpec:
         )
 
     def level_contributions(self, messages) -> list:
-        """Per level, the n per-shot words contributed by that level."""
+        """Per level, the n per-shot words contributed by that level.  A
+        wrong level count, or a level message its outer code refuses
+        (OuterCode.encode: its length and symbol range), raises ValueError
+        naming the level."""
         if len(messages) != self.m:
-            raise ValueError(f"need {self.m} level messages")
-        return [self.level_contribution(i, msg) for i, msg in enumerate(messages)]
+            raise ValueError(f"need {self.m} level messages, got {len(messages)}")
+        out = []
+        for i, msg in enumerate(messages):
+            try:
+                out.append(self.level_contribution(i, msg))
+            except ValueError as exc:
+                raise ValueError(f"level {i} {exc}") from None
+        return out
 
     def encode(self, messages) -> tuple:
         """Encode per-level outer messages into an n-tuple of rank words."""
@@ -227,7 +236,9 @@ def spec_from_json(doc: dict) -> MultilevelCodeSpec:
             *(json_int(s[key], f"special {key}") for key in ("q", "M", "N", "K", "n", "d"))
         )
         return spec
-    field = field_from_json(doc["field"])
+    f = doc["field"]
+    check_code_field(json_int(f["q"], "field q"), json_int(f["M"], "field M"))
+    field = field_from_json(f)
     code = GabidulinCode(field, json_int(doc["N"], "N"), json_int(doc["K"], "K"),
                          doc.get("points"))
     outers = doc["outers"]
@@ -256,6 +267,7 @@ def special_situation(q: int, M: int, N: int, K: int, n: int, d: int):
             f"design distance {d} exceeds n*(N-K+1) = {n * (N - K + 1)}: "
             "the level-0 outer dimension would drop below 1"
         )
+    check_code_field(q, M)
     field = ExtensionField(PrimeField(q), degree=M)
     code = GabidulinCode(field, N, K)
     chain = PartitionChain(code, range(K, -1, -1))

@@ -63,6 +63,20 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=r"custom split entry outside \[0, N\]"):
             ChannelConfig(rho=sum(r for r, _ in split), tau=sum(t for _, t in split), n=2,
                           seed=0, N=3, T=6, q=2, split=split).validate()
+    # the field: q a prime below Q_GUARD, and N-term products inside int64;
+    # rho = n N makes every A_j zero, so no rank test would see the field,
+    # and 8 (q - 1)^2 for q = 2^31 - 1 wraps B C in int64, as it wraps the
+    # bound's own test when q is a numpy integer
+    for cfg, message in [
+        *((dict(rho=6, tau=0, n=2, N=3, T=6, q=q), f"q={q} is not prime") for q in (0, 1, 4, 6)),
+        *((dict(rho=0, tau=8, n=1, N=8, T=9, q=q, split="first"),
+           f"q={2**31 - 1} is too large for 8-row int64 products")
+          for q in (2**31 - 1, np.int64(2**31 - 1))),
+    ]:
+        cfg = ChannelConfig(seed=0, **cfg)
+        for call in (cfg.validate, lambda: sample_channel(cfg)):
+            with pytest.raises(ConfigError, match=message):
+                call()
 
 
 def test_zero_budget_draw(f8):

@@ -512,6 +512,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("form", ["field", "special"])
+def test_code_field_beyond_int64_is_refused_before_the_modulus_search(form, tmp_path, capsys):
+    # F_(2^3000) has no int64 element ints; the modulus search would run
+    # Rabin's test on candidates of degree 3000 for minutes before that
+    doc = ({"special": {"q": 2, "M": 3000, "N": 3, "K": 2, "n": 2, "d": 2}}
+           if form == "special" else {**TINY_SPEC, "field": {"q": 2, "M": 3000}})
+    p = tmp_path / "big_m.json"
+    p.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["params", "--config", str(p)])
+    assert code == 2 and out == ""
+    assert "leaves int64" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("command", ["params", "simulate", "decode"])
 def test_field_degree_must_match_its_modulus(tmp_path, capsys, command):
     # M = 3 with a degree-4 modulus would otherwise build F_16 and report M = 4

@@ -335,6 +335,8 @@ def test_roles_refuse_a_malformed_shot_before_any_elimination(role, decode12, mo
                       ([good, np.zeros(8, dtype=int)], columns),
                       ([good, np.zeros((1, 4, 8), dtype=int)], columns),
                       ([good, np.zeros((4, 7), dtype=int)], columns),
+                      ([good, np.zeros((4, 7), dtype=int)],
+                       r"received matrix 1 has 7 columns, the code needs N \+ M = 8 columns"),
                       ([good, np.full((4, 8), 0.5)], "integer entries, got float64")):
         with pytest.raises(ValueError, match=match):
             decoder.ROLES[role](ys, decode12)

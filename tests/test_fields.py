@@ -17,7 +17,6 @@ from rankshot.fields import (
     _is_prime,
     _mulmod_bits,
     _prime_factors,
-    _quadratic_irreducible,
     _rabin_irreducible,
     default_modulus,
     field_from_json,
@@ -132,17 +131,15 @@ def test_binary_rabin_test_matches_the_general_path():
     for deg in range(1, 11):
         for low in itertools.product(range(2), repeat=deg):
             cand = list(low) + [1]
-            general = (_quadratic_irreducible(f2, cand) if deg == 2
-                       else _rabin_irreducible(f2, cand, deg))
-            assert is_irreducible(f2, cand) == general, cand
+            assert is_irreducible(f2, cand) == _rabin_irreducible(f2, cand, deg), cand
     assert tuple(sum(c << j for j, c in enumerate(default_modulus(f2, deg)))
                  for deg in range(1, 33)) == _BINARY_MODULI
 
 
 def test_quadratic_root_test_matches_root_search():
-    """A monic quadratic is irreducible iff no element is a root: the trace
-    rule in characteristic 2 and Euler's criterion in odd characteristic
-    agree with a search over every element."""
+    """A monic quadratic is irreducible iff no element is a root: Rabin's
+    test agrees with a search over every element, in characteristic 2 and
+    in odd characteristic."""
     f2, f3 = PrimeField(2), PrimeField(3)
     fields = (f2, f3, ExtensionField(f2, degree=2), PrimeField(5),
               ExtensionField(f2, degree=3), ExtensionField(f3, degree=2))

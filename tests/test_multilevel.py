@@ -89,6 +89,15 @@ def test_random_messages_beyond_int64(widespec):
     assert max(level0) >= 2 ** 63
 
 
+def test_encode_refusals_name_the_level(tiny2shot):
+    with pytest.raises(ValueError, match="need 2 level messages, got 1"):
+        tiny2shot.encode([(0,)])
+    with pytest.raises(ValueError, match="level 1 message must have length 1"):
+        tiny2shot.encode([(0,), (0, 0)])
+    with pytest.raises(ValueError, match=r"level 0 message symbols must lie in \[0, 8\)"):
+        tiny2shot.encode([(8,), (0,)])
+
+
 def test_encoder_linearity(tiny2shot):
     f = tiny2shot.field
     w1 = tiny2shot.encode([(3,), (1,)])
